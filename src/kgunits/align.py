@@ -16,6 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .compound import CompoundResult, CompoundUnit
 from .store import Iri, Quad, QuadDataset, VocabularyCatalog
@@ -64,6 +65,15 @@ class ProcessedGraph:
     def groups(self) -> tuple[CompoundUnit, ...]:
         return self.compounds.groups
 
+    @cached_property
+    def subject_classes(self) -> dict[str, frozenset[str]]:
+        """Classes each resource's identification units affiliate it with."""
+        classes: dict[str, set[str]] = {}
+        for unit in self.partition.units:
+            if unit.is_identification:
+                classes.setdefault(unit.subject, set()).update(unit.argument_iris())
+        return {resource: frozenset(c) for resource, c in classes.items()}
+
 
 # ---------------------------------------------------------------------------
 # Signatures
@@ -71,11 +81,7 @@ class ProcessedGraph:
 
 
 def _subject_classes(graph: ProcessedGraph, resource: str) -> frozenset[str]:
-    classes: set[str] = set()
-    for unit in graph.partition.units:
-        if unit.is_identification and unit.subject == resource:
-            classes.update(unit.argument_iris())
-    return frozenset(classes)
+    return graph.subject_classes.get(resource, frozenset())
 
 
 def _canonical_graph(unit: StatementUnit, catalog: VocabularyCatalog) -> str:

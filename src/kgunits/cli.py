@@ -20,7 +20,7 @@ from pathlib import Path
 from . import vocab
 from .align import ProcessedGraph, align_graphs, render_report as render_alignment
 from .compound import build_all, compound_quads, reconstruct_compounds, render_report
-from .errors import BoundExceededError, KgUnitsError
+from .errors import BoundExceededError, KgUnitsError, ParseError
 from .fdo import (
     AccessPolicy,
     ProvenanceRecord,
@@ -73,6 +73,17 @@ def _emit(summary: dict[str, object]):
         print(f"{key}={value}")
 
 
+def _read_text(path: str) -> str:
+    """A file named on the command line or in the config; bytes that are
+    not UTF-8 are a data error, an unreadable file a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _syntax_of(path: str) -> str:
     return "nquads" if path.endswith((".nq", ".nquads")) else "trig"
 
@@ -120,27 +131,21 @@ class Context:
             self.requester[key] = value
 
         for label, path in (
-            ("input", self.inputs[0] if self.inputs else None),
-            ("schemas", self.schemas_path),
-            ("catalog", self.catalog_path),
-            ("policy", self.policy_path),
+            [("input", path) for path in self.inputs]
+            + [("schemas", self.schemas_path), ("catalog", self.catalog_path),
+               ("policy", self.policy_path)]
+            + [("rules", path) for path in self.rules_paths]
+            + [("patterns", path) for path in self.patterns_paths]
         ):
             if path and not Path(path).exists():
                 raise UsageError(f"{label} file does not exist: {path}")
-        for path in list(self.rules_paths) + list(self.patterns_paths):
-            if not Path(path).exists():
-                raise UsageError(f"file does not exist: {path}")
+            if path and Path(path).is_dir():
+                raise UsageError(f"{label} is a directory: {path}")
 
         self.catalog = (
-            load_catalog(Path(self.catalog_path).read_text(encoding="utf-8"))
-            if self.catalog_path
-            else DEFAULT_CATALOG
+            load_catalog(_read_text(self.catalog_path)) if self.catalog_path else DEFAULT_CATALOG
         )
-        self.schemas = (
-            compile_schema(Path(self.schemas_path).read_text(encoding="utf-8"))
-            if self.schemas_path
-            else []
-        )
+        self.schemas = compile_schema(_read_text(self.schemas_path)) if self.schemas_path else []
 
     def minter(self, stage: str) -> UpriMinter:
         if self.seed is None:
@@ -160,27 +165,20 @@ class Context:
             raise UsageError("no input file given")
         merged = QuadDataset()
         for path in self.inputs:
-            text = Path(path).read_text(encoding="utf-8")
-            merged = merged.merge(parse_quads(text, _syntax_of(path)))
+            merged = merged.merge(parse_quads(_read_text(path), _syntax_of(path)))
         return merged
 
     def user_rules(self) -> LogicProgram:
         rules = list(default_rules().rules)
         for path in self.rules_paths:
-            program = parse_rules(
-                Path(path).read_text(encoding="utf-8"), self.catalog.prefixes
-            )
+            program = parse_rules(_read_text(path), self.catalog.prefixes)
             rules.extend(program.rules)
         return LogicProgram(tuple(rules))
 
     def patterns(self):
         patterns = builtin_patterns(self.schemas, self.catalog)
         for path in self.patterns_paths:
-            patterns.extend(
-                parse_patterns(
-                    Path(path).read_text(encoding="utf-8"), self.catalog.prefixes
-                )
-            )
+            patterns.extend(parse_patterns(_read_text(path), self.catalog.prefixes))
         return patterns
 
 
@@ -193,7 +191,7 @@ def hash_seed(seed: int, stage: str) -> int:
 
 def _read_config(path: str) -> dict:
     config: dict[str, object] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -378,8 +376,7 @@ def stage_align(ctx: Context) -> dict:
         raise UsageError("align needs exactly two input files")
     graphs = []
     for i, path in enumerate(ctx.inputs):
-        text = Path(path).read_text(encoding="utf-8")
-        dataset = parse_quads(text, _syntax_of(path))
+        dataset = parse_quads(_read_text(path), _syntax_of(path))
         part = run_partition(
             dataset, ctx.schemas, ctx.catalog, ctx.minter(f"align-{i}")
         )
@@ -399,7 +396,7 @@ def stage_align(ctx: Context) -> dict:
 def stage_acl(ctx: Context, dataset: QuadDataset | None = None) -> dict:
     result = _partitioned(ctx, dataset)
     policy = (
-        load_policy(Path(ctx.policy_path).read_text(encoding="utf-8"))
+        load_policy(_read_text(ctx.policy_path))
         if ctx.policy_path
         else AccessPolicy()
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import vocab
-from .errors import CollectionError
+from .errors import AmbiguousResourceKindError, CollectionError, UnknownResourceError
 from .store import (
     Iri,
     Literal,
@@ -91,7 +91,7 @@ def _resource_kind(
 ) -> ResourceKind | None:
     try:
         return classify_resource(dataset, resource, catalog)
-    except Exception:
+    except (UnknownResourceError, AmbiguousResourceKindError):
         return None
 
 

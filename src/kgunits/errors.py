@@ -84,7 +84,3 @@ class PolicyError(KgUnitsError):
 
 class CollectionError(KgUnitsError):
     """Invalid collection unit request (duplicate set member, unknown member)."""
-
-
-class AlignmentError(KgUnitsError):
-    """The two graphs cannot be compared (disjoint unit-class registries)."""

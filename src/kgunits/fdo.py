@@ -25,6 +25,7 @@ from .store import (
     QuadDataset,
     VocabularyCatalog,
     is_absolute_iri,
+    local_name,
 )
 
 
@@ -292,12 +293,11 @@ def parse_nanopublication(
     prov_g = link(vocab.HAS_PROVENANCE)
     pub_g = link(vocab.HAS_PUBLICATION_INFO)
 
-    graphs = set(dataset.graph_names())
     prov_quads = list(dataset.graph(prov_g))
     pub_quads = list(dataset.graph(pub_g))
-    if prov_g not in graphs or not prov_quads:
+    if not prov_quads:
         raise NanopubError(f"head references missing provenance graph {prov_g}")
-    if pub_g not in graphs or not pub_quads:
+    if not pub_quads:
         raise NanopubError(f"head references missing publication-info graph {pub_g}")
 
     classes = frozenset(
@@ -414,23 +414,13 @@ def _condition_holds(
     subject = getattr(unit, "subject", None)
     if subject is None:
         return False
-    for q in dataset:
-        if q.subject != subject:
-            continue
-        if _local(q.predicate) != key:
+    for q in dataset.about(subject):
+        if local_name(q.predicate) != key:
             continue
         value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
         if value == rhs:
             return True
     return False
-
-
-def _local(iri: str) -> str:
-    for sep in ("#", "/", ":"):
-        head, _, tail = iri.rpartition(sep)
-        if head and tail:
-            return tail
-    return iri
 
 
 @dataclass(frozen=True)

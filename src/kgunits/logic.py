@@ -394,7 +394,3 @@ def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom
             models.append(candidate)
     models.sort(key=lambda m: sorted(a.key() for a in m))
     return models
-
-
-def render_model(model: frozenset[Atom], prefixes: dict[str, str] | None = None) -> str:
-    return " ".join(a.render(prefixes) for a in sorted(model, key=lambda a: a.key()))

@@ -12,6 +12,8 @@ produce byte-identical documents.
 
 from __future__ import annotations
 
+import re
+
 from . import vocab
 from .errors import BlankNodeError, ParseError
 from .store import Iri, Literal, Quad, QuadDataset, Term, is_absolute_iri
@@ -20,6 +22,11 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'"
 _PN_LOCAL_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-."
 )
+
+# A token runs up to the next delimiter. Dots may sit inside a local name
+# (``ex:v1.2``) but never end one, where a dot ends the statement instead.
+_NAME_CHAR = r'[^ \t\r\n<>"{};,.#()\[\]]'
+_TOKEN_RE = re.compile(rf"(?:{_NAME_CHAR}|\.+(?={_NAME_CHAR}))*")
 
 
 class _Scanner:
@@ -155,10 +162,10 @@ class _Scanner:
                 out.append(ch)
 
     def read_token(self) -> str:
-        out = []
-        while not self.eof() and self.peek() not in ' \t\r\n<>"{};,.#()[]' :
-            out.append(self.advance())
-        return "".join(out)
+        token = _TOKEN_RE.match(self.text, self.pos).group()
+        self.pos += len(token)
+        self.col += len(token)  # a token never holds a newline
+        return token
 
     def read_number(self) -> str:
         # [+-]?digits(.digits)?; the trailing '.' of a statement is not

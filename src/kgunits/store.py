@@ -2,10 +2,10 @@
 
 A dataset is an immutable snapshot of quads. Every quad carries an explicit
 graph name; the graph name of a statement unit's data graph is the unit's
-own identifier, so referring to the graph refers to the unit. The split
-between the data graph layer and the semantic-units graph layer is derived
-on demand rather than stored, so there is no second source of truth to keep
-in sync.
+own identifier, so referring to the graph refers to the unit. Derived views
+(indexes, the split between the data graph layer and the semantic-units
+graph layer, resource kinds) are computed once and memoized on the
+snapshot, which never changes, so they are no second source of truth.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from functools import wraps
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import vocab
 from .errors import (
@@ -85,6 +88,17 @@ class Quad:
         return Quad(self.subject, self.predicate, self.object, graph)
 
 
+def _memoized(method):
+    """Memoize a view of the dataset, per catalog when the method takes one."""
+
+    @wraps(method)
+    def view(self, *catalog):
+        key = catalog[0] if catalog else None
+        return self._view(method.__name__, key, lambda: method(self, *catalog))
+
+    return view
+
+
 class QuadDataset:
     """Immutable, duplicate-free collection of quads.
 
@@ -92,14 +106,24 @@ class QuadDataset:
     canonical (graph, subject, predicate, object) order.
     """
 
-    __slots__ = ("_quads", "_index")
+    __slots__ = ("_quads", "_views")
 
     def __init__(self, quads: Iterable[Quad] = ()):
         seen: dict[tuple, Quad] = {}
         for quad in quads:
             seen.setdefault(quad.key(), quad)
         self._quads = tuple(seen[k] for k in sorted(seen))
-        self._index = frozenset(seen)
+        self._views: dict[tuple, tuple] = {}
+
+    def _view(self, name: str, catalog: "VocabularyCatalog | None", build: Callable):
+        """``build()``, computed once per (name, catalog). A catalog cannot be
+        hashed, so the key is its identity; the entry keeps the catalog alive
+        so that no other catalog can take over that identity."""
+        key = (name, id(catalog))
+        entry = self._views.get(key)
+        if entry is None:
+            entry = self._views[key] = (catalog, build())
+        return entry[1]
 
     @property
     def quads(self) -> tuple[Quad, ...]:
@@ -112,7 +136,7 @@ class QuadDataset:
         return iter(self._quads)
 
     def __contains__(self, quad: Quad) -> bool:
-        return quad.key() in self._index
+        return quad.key() in self._keys()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuadDataset) and self._quads == other._quads
@@ -126,12 +150,33 @@ class QuadDataset:
             quads.extend(chunk)
         return QuadDataset(quads)
 
+    @_memoized
+    def _keys(self) -> frozenset[tuple]:
+        return frozenset(q.key() for q in self._quads)
+
+    @_memoized
+    def _by_graph(self) -> dict[str, tuple[Quad, ...]]:
+        # The canonical order sorts by graph first: each graph is one run.
+        return {name: tuple(run) for name, run in groupby(self._quads, attrgetter("graph"))}
+
+    @_memoized
+    def _by_subject(self) -> dict[str, list[Quad]]:
+        out: dict[str, list[Quad]] = {}
+        for q in self._quads:
+            out.setdefault(q.subject, []).append(q)
+        return out
+
     def graph(self, name: str) -> tuple[Quad, ...]:
-        return tuple(q for q in self._quads if q.graph == name)
+        return self._by_graph().get(name, ())
 
     def graph_names(self) -> tuple[str, ...]:
-        return tuple(sorted({q.graph for q in self._quads}))
+        return tuple(self._by_graph())
 
+    def about(self, subject: str) -> tuple[Quad, ...]:
+        """Quads whose subject is ``subject``, in canonical order."""
+        return tuple(self._by_subject().get(subject, ()))
+
+    @_memoized
     def resources(self) -> frozenset[str]:
         """All IRIs occurring in subject, predicate, object, or graph position."""
         out: set[str] = set()
@@ -145,6 +190,7 @@ class QuadDataset:
 
     # -- layer split -------------------------------------------------------
 
+    @_memoized
     def unit_graphs(self, catalog: "VocabularyCatalog") -> frozenset[str]:
         """Graph names declared as semantic-unit data graphs."""
         declared = set()
@@ -156,6 +202,7 @@ class QuadDataset:
                 declared.add(q.subject)
         return frozenset(declared)
 
+    @_memoized
     def unit_resources(self, catalog: "VocabularyCatalog") -> frozenset[str]:
         """Resources that stand for semantic units."""
         out: set[str] = set()
@@ -172,6 +219,7 @@ class QuadDataset:
                     out.add(q.object.value)
         return frozenset(out)
 
+    @_memoized
     def split_layers(
         self, catalog: "VocabularyCatalog"
     ) -> tuple[tuple[Quad, ...], tuple[Quad, ...]]:
@@ -200,12 +248,6 @@ class QuadDataset:
             else:
                 data.append(q)
         return tuple(data), tuple(units)
-
-    def data_quads(self, catalog: "VocabularyCatalog") -> tuple[Quad, ...]:
-        return self.split_layers(catalog)[0]
-
-    def units_quads(self, catalog: "VocabularyCatalog") -> tuple[Quad, ...]:
-        return self.split_layers(catalog)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +442,66 @@ class ResourceKind(Enum):
     SEMANTIC_UNIT_RESOURCE = "semantic-unit-resource"
 
 
+class ResourceKinds:
+    """The kind of every resource of a dataset, from one pass over its data
+    layer. ``kind_of`` answers as ``classify_resource`` documents."""
+
+    def __init__(self, dataset: QuadDataset, catalog: VocabularyCatalog):
+        self._resources = dataset.resources()
+        self._units = dataset.unit_resources(catalog)
+        affiliation = {
+            catalog.type: ResourceKind.NAMED_INDIVIDUAL,
+            catalog.some_instance_of: ResourceKind.SOME_INSTANCE,
+            catalog.every_instance_of: ResourceKind.EVERY_INSTANCE,
+        }
+        self._affiliations: dict[str, set[ResourceKind]] = {}
+        self._classes: set[str] = set()  # objects of a class affiliation
+        self._predicates: set[str] = set()
+        self._nodes: set[str] = set()
+        for q in dataset.split_layers(catalog)[0]:
+            self._predicates.add(q.predicate)
+            obj = q.object.value if isinstance(q.object, Iri) else None
+            # A label for the resource does not count as a node occurrence, so
+            # labelled properties still classify as property resources.
+            if q.predicate != catalog.label:
+                self._nodes.add(q.subject)
+            if obj is not None:
+                self._nodes.add(obj)
+            kind = affiliation.get(q.predicate)
+            if kind is not None:
+                self._affiliations.setdefault(q.subject, set()).add(kind)
+                if obj is not None:
+                    self._classes.add(obj)
+
+    def kind_of(self, resource: str) -> ResourceKind:
+        if resource not in self._resources:
+            raise UnknownResourceError(f"resource does not occur in dataset: {resource}")
+        if resource in self._units:
+            return ResourceKind.SEMANTIC_UNIT_RESOURCE
+        affiliations = self._affiliations.get(resource, ())
+        if len(affiliations) > 1:
+            raise AmbiguousResourceKindError(
+                f"{resource} carries more than one mutually exclusive class affiliation"
+            )
+        if affiliations:
+            if resource in self._classes:
+                raise AmbiguousResourceKindError(
+                    f"{resource} occurs both as an instance and as an ontology class"
+                )
+            return next(iter(affiliations))
+        if resource in self._classes:
+            return ResourceKind.ONTOLOGY_CLASS
+        if resource in self._predicates:
+            if resource in self._nodes:
+                raise AmbiguousResourceKindError(
+                    f"{resource} occurs both as a predicate and as a node"
+                )
+            return ResourceKind.PROPERTY_RESOURCE
+        raise UnknownResourceError(
+            f"resource kind of {resource} cannot be resolved from the dataset"
+        )
+
+
 def classify_resource(
     dataset: QuadDataset, resource: str, catalog: VocabularyCatalog
 ) -> ResourceKind:
@@ -411,67 +513,5 @@ def classify_resource(
     when a data graph types it, since units are the individuals the
     discursive layer talks about.
     """
-    if resource not in dataset.resources():
-        raise UnknownResourceError(f"resource does not occur in dataset: {resource}")
-
-    if resource in dataset.unit_resources(catalog):
-        return ResourceKind.SEMANTIC_UNIT_RESOURCE
-
-    data, _ = dataset.split_layers(catalog)
-    subject_kind_preds: set[str] = set()
-    typed_subject = False
-    class_position = False
-    non_predicate_occurrence = False
-    predicate_occurrence = False
-    for q in data:
-        if q.predicate == resource:
-            predicate_occurrence = True
-        # A label for the resource does not count as a node occurrence, so
-        # labelled properties still classify as property resources.
-        if (q.subject == resource and q.predicate != catalog.label) or (
-            isinstance(q.object, Iri) and q.object.value == resource
-        ):
-            non_predicate_occurrence = True
-        if q.subject == resource:
-            if q.predicate == catalog.some_instance_of:
-                subject_kind_preds.add("some")
-            elif q.predicate == catalog.every_instance_of:
-                subject_kind_preds.add("every")
-            elif q.predicate == catalog.type:
-                typed_subject = True
-        if (
-            q.predicate in catalog.kind_predicates
-            and isinstance(q.object, Iri)
-            and q.object.value == resource
-        ):
-            class_position = True
-
-    if len(subject_kind_preds) > 1 or (subject_kind_preds and typed_subject):
-        raise AmbiguousResourceKindError(
-            f"{resource} carries more than one mutually exclusive class affiliation"
-        )
-    instance_kind: ResourceKind | None = None
-    if "some" in subject_kind_preds:
-        instance_kind = ResourceKind.SOME_INSTANCE
-    elif "every" in subject_kind_preds:
-        instance_kind = ResourceKind.EVERY_INSTANCE
-    elif typed_subject:
-        instance_kind = ResourceKind.NAMED_INDIVIDUAL
-
-    if instance_kind is not None and class_position:
-        raise AmbiguousResourceKindError(
-            f"{resource} occurs both as an instance and as an ontology class"
-        )
-    if instance_kind is not None:
-        return instance_kind
-    if class_position:
-        return ResourceKind.ONTOLOGY_CLASS
-    if predicate_occurrence and not non_predicate_occurrence:
-        return ResourceKind.PROPERTY_RESOURCE
-    if predicate_occurrence and non_predicate_occurrence:
-        raise AmbiguousResourceKindError(
-            f"{resource} occurs both as a predicate and as a node"
-        )
-    raise UnknownResourceError(
-        f"resource kind of {resource} cannot be resolved from the dataset"
-    )
+    kinds = dataset._view("kinds", catalog, lambda: ResourceKinds(dataset, catalog))
+    return kinds.kind_of(resource)

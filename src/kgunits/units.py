@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from . import vocab
 from .errors import (
@@ -81,20 +83,6 @@ class StatementUnit:
     def is_identification(self) -> bool:
         return bool(self.classes & vocab.IDENTIFICATION_UNIT_CLASSES)
 
-    @property
-    def identification_kind(self) -> str | None:
-        for cls in (
-            vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT,
-            vocab.SOME_INSTANCE_IDENTIFICATION_UNIT,
-            vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT,
-        ):
-            if cls in self.classes:
-                return cls
-        return None
-
-    def argument_terms(self) -> tuple[Term, ...]:
-        return tuple(o.term for o in self.objects if o.role == ARGUMENT)
-
     def argument_iris(self) -> tuple[str, ...]:
         return tuple(
             o.term.value
@@ -132,12 +120,6 @@ class PartitionResult:
 
     def identification_units(self) -> tuple[StatementUnit, ...]:
         return tuple(u for u in self.units if u.is_identification)
-
-    def identification_for(self, resource: str) -> StatementUnit | None:
-        for u in self.units:
-            if u.is_identification and u.subject == resource:
-                return u
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -800,13 +782,18 @@ def classify_unit(
     )
 
 
-def label_index(dataset: QuadDataset, catalog: VocabularyCatalog) -> dict[str, str]:
-    """First (in canonical order) label literal per resource."""
-    out: dict[str, str] = {}
-    for q in dataset:
-        if q.predicate == catalog.label and isinstance(q.object, Literal):
-            out.setdefault(q.subject, q.object.lexical)
-    return out
+def label_index(dataset: QuadDataset, catalog: VocabularyCatalog) -> Mapping[str, str]:
+    """First (in canonical order) label literal per resource; built once
+    per dataset and catalog."""
+
+    def build():
+        out: dict[str, str] = {}
+        for q in dataset:
+            if q.predicate == catalog.label and isinstance(q.object, Literal):
+                out.setdefault(q.subject, q.object.lexical)
+        return MappingProxyType(out)
+
+    return dataset._view("labels", catalog, build)
 
 
 _BUILTIN_LABELS = {

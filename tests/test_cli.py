@@ -50,6 +50,26 @@ def test_missing_input_file_usage_error(capsys, tmp_path):
     assert code == 1
 
 
+def test_every_input_is_checked(capsys, tmp_path):
+    good = str(FIXTURES / "hand_assertional.trig")
+    for extra in (str(tmp_path / "missing.trig"), str(tmp_path)):
+        assert main(["ingest", good, extra, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert extra in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["input", "config"])
+def test_non_utf8_file_is_data_error(capsys, tmp_path, where):
+    latin1 = tmp_path / "latin1.trig"
+    latin1.write_bytes("# Gr\u00f6\u00dfe\n".encode("latin-1"))
+    good = str(FIXTURES / "hand_assertional.trig")
+    argv = ["ingest", str(latin1)] if where == "input" else [
+        "ingest", good, "--config", str(latin1)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
 def test_malformed_input_is_data_error(capsys, tmp_path):
     bad = tmp_path / "bad.trig"
     bad.write_text("ex:s ex:p ex:o .", encoding="utf-8")

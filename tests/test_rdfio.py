@@ -82,6 +82,21 @@ ex:g {
     assert objects[EX + "note"] == Literal("plain")
 
 
+def test_trig_dotted_local_names():
+    text = """
+@prefix ex: <https://example.org/kg/> .
+ex:g { ex:v1.2 ex:p ex:doi10.1000..182 . ex:s ex:p ex:o.}
+ex:s ex:p "x"@en.
+"""
+    ds = parse_quads(text, "trig")
+    assert {(q.subject, q.object) for q in ds} == {
+        (EX + "v1.2", Iri(EX + "doi10.1000..182")),
+        (EX + "s", Iri(EX + "o")),
+        (EX + "s", Literal("x", language="en")),
+    }
+    assert parse_quads(serialize_quads(ds, "trig"), "trig") == ds
+
+
 def test_trig_undeclared_prefix_errors():
     with pytest.raises(ParseError):
         parse_quads("ex:g { ex:s ex:p ex:o . }", "trig")
@@ -115,9 +130,8 @@ def test_serialization_is_insertion_order_independent(syntax):
         assert serialize_quads(QuadDataset(quads), syntax) == reference
 
 
-_iri_local = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyzXYZ0123456789", min_size=1, max_size=8
-)
+# A '.' may sit inside a local name but neither starts nor ends one.
+_iri_local = st.from_regex(r"[a-zXYZ0-9]([a-zXYZ0-9.]{0,6}[a-zXYZ0-9])?", fullmatch=True)
 _literal_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), min_codepoint=9),
     max_size=20,
@@ -147,7 +161,9 @@ def _quads(draw):
 @given(st.lists(_quads(), max_size=12), st.sampled_from(["nquads", "trig"]))
 def test_round_trip_property(quads, syntax):
     ds = QuadDataset(quads)
-    assert parse_quads(serialize_quads(ds, syntax), syntax) == ds
+    # Declared prefixes make TriG write prefixed names, dotted ones included.
+    prefixes = {**vocab.PREFIXES, "ex": EX, "rel": REL}
+    assert parse_quads(serialize_quads(ds, syntax, prefixes), syntax) == ds
 
 
 def test_single_triple_dataset_serializes_to_one_nquads_line():
