@@ -319,10 +319,11 @@ def stage_translate(ctx: Context, dataset: QuadDataset | None = None) -> dict:
     program = ground_program(ctx.user_rules(), facts)
     models = stable_models(program, bound=ctx.bound)
     prefixes = dict(ctx.catalog.prefixes)
+    patterns = ctx.patterns() if models else []
     sections = []
     axiom_count = 0
     for i, model in enumerate(models):
-        axioms = translate_to_owl(model, ctx.patterns())
+        axioms = translate_to_owl(model, patterns)
         axiom_count += len(axioms)
         if len(models) > 1:
             sections.append(f"# model {i}\n")

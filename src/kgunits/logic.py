@@ -5,18 +5,28 @@ negation as a paired atom namespace, and default negation in rule bodies.
 Stable models follow the reduct semantics: M is stable when M is exactly
 the least model of the program reduced by M's default-negated atoms.
 
+Grounding instantiates every rule over the whole constant universe (the
+Herbrand instantiation). Each rule is compiled once into positions that
+pick its atoms' terms from a tuple of variable values, so an instance costs
+one tuple pick and a set lookup, and objects are built only for new ones.
+
 The solver enumerates candidate sets over the atoms that actually occur
 under default negation (the reduct depends on nothing else), computes the
-least model of each reduct by forward chaining, and keeps the candidates
-that reproduce themselves. That stays exact while avoiding a sweep over
-all 2^n atom subsets; the test suite checks it against that full sweep.
+least model of each reduct in one pass with a counter of missing body
+atoms per rule (Dowling & Gallier's linear-time Horn algorithm), and keeps
+the candidates that reproduce themselves. That stays exact while avoiding
+a sweep over all 2^n atom subsets; the test suite checks it against that
+full sweep.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
 
@@ -30,7 +40,7 @@ def is_variable(token: str) -> bool:
     return bool(_VAR_RE.match(token))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     terms: tuple[str, ...] = ()
@@ -47,6 +57,15 @@ class Atom:
             self.predicate,
             tuple(binding.get(t, t) for t in self.terms),
             self.negated,
+        )
+
+    def slots(self, variables: dict[str, int]) -> tuple[int | str, ...]:
+        """The terms with each variable replaced by its index in
+        ``variables`` (numbered in order of first sight when absent);
+        constants stay strings."""
+        return tuple(
+            variables.setdefault(t, len(variables)) if is_variable(t) else t
+            for t in self.terms
         )
 
     def complement(self) -> "Atom":
@@ -72,7 +91,7 @@ def _shorten(token: str, prefixes: dict[str, str] | None) -> str:
     return token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     head: Atom
     positive: tuple[Atom, ...] = ()
@@ -273,50 +292,104 @@ def parse_rules(text: str, prefixes: dict[str, str] | None = None) -> LogicProgr
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector. Grounding and solving allocate
+    tens of thousands of acyclic objects; the collections they would
+    trigger re-traverse every live object and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def ground_program(program: LogicProgram, facts: list[Atom] = ()) -> LogicProgram:
     """Instantiate every rule over the constant universe of the program and
-    the supplied facts. Unsafe rules are rejected."""
-    universe: set[str] = set(program.constants())
-    for atom in facts:
-        if not atom.is_ground():
-            raise RuleError(f"fact is not ground: {atom.render()}")
-        universe.update(atom.terms)
-    fact_rules = tuple(Rule(a) for a in facts)
+    the supplied facts. Unsafe rules are rejected.
 
-    ground_rules: list[Rule] = list(fact_rules)
-    seen: set[tuple] = {_rule_key(r) for r in fact_rules}
-    ordered_universe = sorted(universe)
+    Instances are deduped by their flat term tuple per rule shape, in
+    program order, so the rules come out exactly as substituting each
+    variable binding into each atom would give them.
+    """
+    facts = tuple(facts)
+    offending = _first_nonground(facts)
+    if offending is not None:
+        raise RuleError(f"fact is not ground: {offending.render()}")
     for rule in program.rules:
         rule.check_safety()
-        variables = sorted(rule.variables())
-        if not variables:
-            key = _rule_key(rule)
-            if key not in seen:
-                seen.add(key)
-                ground_rules.append(rule)
+    universe = set(program.constants())
+    for atom in facts:
+        universe.update(atom.terms)
+    ordered_universe = sorted(universe)
+
+    ground_rules = [Rule(a) for a in facts]
+    seen: dict[tuple, set[tuple]] = {}
+    for atom in facts:
+        seen.setdefault(_shape((atom,), 0), set()).add(atom.terms)
+    for rule in program.rules:
+        variables = {v: i for i, v in enumerate(sorted(rule.variables()))}
+        if variables and not ordered_universe:
             continue
-        if not ordered_universe:
-            continue
-        for combo in itertools.product(ordered_universe, repeat=len(variables)):
-            binding = dict(zip(variables, combo))
-            grounded = Rule(
-                rule.head.substitute(binding),
-                tuple(a.substitute(binding) for a in rule.positive),
-                tuple(a.substitute(binding) for a in rule.negative),
+        atoms = (rule.head,) + rule.positive + rule.negative
+        shape_seen = seen.setdefault(_shape(atoms, len(rule.positive)), set())
+        slots = [s for atom in atoms for s in atom.slots(variables)]
+        constants = sorted({s for s in slots if isinstance(s, str)})
+        # Constants ride along as one-value pools after the variables, so
+        # every product tuple holds all the values the terms pick from.
+        constant_at = {c: len(variables) + i for i, c in enumerate(constants)}
+        pools = [ordered_universe] * len(variables) + [(c,) for c in constants]
+        pick = _picker([constant_at.get(s, s) for s in slots])
+        # Every variable occurs in some atom, so instances of one rule are
+        # distinct; only rules grounded earlier can repeat them.
+        flats = map(pick, itertools.product(*pools))
+        if shape_seen:
+            flats = itertools.filterfalse(shape_seen.__contains__, flats)
+        flats = list(flats)
+        shape_seen.update(flats)
+        spans, start = [], 0
+        for atom in atoms:
+            spans.append((atom.predicate, start, start + len(atom.terms), atom.negated))
+            start += len(atom.terms)
+        (hp, h0, h1, hn), *body = spans
+        positive, negative = body[: len(rule.positive)], body[len(rule.positive) :]
+        for flat in flats:
+            ground_rules.append(
+                Rule(
+                    Atom(hp, flat[h0:h1], hn),
+                    tuple([Atom(p, flat[a:b], n) for p, a, b, n in positive]),
+                    tuple([Atom(p, flat[a:b], n) for p, a, b, n in negative]),
+                )
             )
-            key = _rule_key(grounded)
-            if key not in seen:
-                seen.add(key)
-                ground_rules.append(grounded)
     return LogicProgram(tuple(ground_rules))
 
 
-def _rule_key(rule: Rule) -> tuple:
-    return (
-        rule.head.key(),
-        tuple(a.key() for a in rule.positive),
-        tuple(a.key() for a in rule.negative),
-    )
+def _shape(atoms: tuple[Atom, ...], n_positive: int) -> tuple:
+    """Predicates, signs and arities of a rule's atoms: two rules are equal
+    exactly when their shapes and flat term tuples are."""
+    return (n_positive,) + tuple((a.predicate, a.negated, len(a.terms)) for a in atoms)
+
+
+def _picker(positions: list[int]):
+    """Callable returning the values at ``positions`` as a tuple
+    (``itemgetter`` gives a bare value for one position, and needs one)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda values: tuple(values[i] for i in positions)
+
+
+def _first_nonground(atoms) -> Atom | None:
+    """First atom holding a variable, testing each distinct term once."""
+    terms: set[str] = set()
+    for atom in atoms:
+        terms.update(atom.terms)
+    variables = {t for t in terms if is_variable(t)}
+    if not variables:
+        return None
+    return next(a for a in atoms if not variables.isdisjoint(a.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +397,33 @@ def _rule_key(rule: Rule) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@_collector_paused()
 def least_model(rules: tuple[Rule, ...]) -> frozenset[Atom]:
-    """Least model of a definite (negation-free) rule set by forward
-    chaining to fixpoint."""
+    """Least model of a definite rule set, in one pass. Only heads and
+    positive bodies are read, so a reduct is the rules that survive it.
+
+    Each rule counts its body atoms not yet derived and each atom lists
+    the rules waiting on it (Dowling & Gallier's linear-time Horn
+    algorithm); a rule fires when its count reaches zero.
+    """
+    missing = [len(rule.positive) for rule in rules]
+    waiting: dict[Atom, list[int]] = {}
+    queue: list[Atom] = []
+    for i, rule in enumerate(rules):
+        if not rule.positive:
+            queue.append(rule.head)
+        for atom in rule.positive:
+            waiting.setdefault(atom, []).append(i)
     model: set[Atom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.head in model:
-                continue
-            if all(a in model for a in rule.positive):
-                model.add(rule.head)
-                changed = True
+    while queue:
+        atom = queue.pop()
+        if atom in model:
+            continue
+        model.add(atom)
+        for i in waiting.get(atom, ()):
+            missing[i] -= 1
+            if not missing[i]:
+                queue.append(rules[i].head)
     return frozenset(model)
 
 
@@ -362,17 +449,19 @@ def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom
     count before the exponential candidate sweep. Inconsistency is a valid
     empty result, not an error.
     """
-    atoms = program_atoms(program)
-    for atom in atoms:
-        if not atom.is_ground():
-            raise RuleError(f"program is not ground: {atom.render()}")
+    offending = _first_nonground(
+        [a for rule in program.rules for a in (rule.head, *rule.positive, *rule.negative)]
+    )
+    if offending is not None:
+        raise RuleError(f"program is not ground: {offending.render()}")
 
     negated_support = sorted(
         {a for rule in program.rules for a in rule.negative}, key=lambda a: a.key()
     )
     if not negated_support:
-        model = least_model(tuple(Rule(r.head, r.positive) for r in program.rules))
+        model = least_model(program.rules)
         return [model] if _consistent(model) else []
+    atoms = program_atoms(program)
     if len(atoms) > bound:
         raise BoundExceededError(
             f"ground program has {len(atoms)} atoms, solver bound is {bound}"
@@ -380,11 +469,7 @@ def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom
     models: list[frozenset[Atom]] = []
     for bits in itertools.product((False, True), repeat=len(negated_support)):
         assumed_true = {a for a, bit in zip(negated_support, bits) if bit}
-        reduct = tuple(
-            Rule(rule.head, rule.positive)
-            for rule in program.rules
-            if not (set(rule.negative) & assumed_true)
-        )
+        reduct = tuple(r for r in program.rules if assumed_true.isdisjoint(r.negative))
         candidate = least_model(reduct)
         if {a for a in negated_support if a in candidate} != assumed_true:
             continue

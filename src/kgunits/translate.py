@@ -391,37 +391,61 @@ def builtin_patterns(
 # ---------------------------------------------------------------------------
 
 
-def _index_model(model) -> dict[tuple[str, bool], list[Atom]]:
-    index: dict[tuple[str, bool], list[Atom]] = {}
-    for atom in sorted(model, key=lambda a: a.key()):
-        index.setdefault((atom.predicate, atom.negated), []).append(atom)
-    return index
+class _ModelIndex:
+    """Model atoms by predicate, sign and arity, each group in key order,
+    hashed on first use by the values at a tuple of argument positions."""
+
+    def __init__(self, model):
+        self.groups: dict[tuple, list[tuple[str, ...]]] = {}
+        for atom in sorted(model, key=lambda a: a.key()):
+            signature = (atom.predicate, atom.negated, len(atom.terms))
+            self.groups.setdefault(signature, []).append(atom.terms)
+        self.tables: dict[tuple, dict[tuple, list[tuple[str, ...]]]] = {}
+
+    def lookup(self, signature: tuple, positions: tuple[int, ...], values: tuple):
+        table = self.tables.get((signature, positions))
+        if table is None:
+            table = self.tables[(signature, positions)] = {}
+            for terms in self.groups.get(signature, ()):
+                table.setdefault(tuple(terms[i] for i in positions), []).append(terms)
+        return table.get(values, ())
 
 
-def _match_atom(pattern: Atom, atom: Atom, binding: dict[str, str]):
-    if len(pattern.terms) != len(atom.terms):
-        return None
-    out = dict(binding)
-    for p, value in zip(pattern.terms, atom.terms):
-        if p == WILDCARD:
+def _bound_values(slots, binding: tuple) -> tuple:
+    return tuple(binding[s] if isinstance(s, int) else s for s in slots)
+
+
+def _match_positive(guard: Atom, variables: dict[str, int], index, bindings: list[tuple]):
+    """Extend each binding (values by variable index) by every model atom
+    the guard matches; ``_`` matches anything and binds nothing."""
+    known = len(variables)
+    fixed, fixed_slots, new, repeats = [], [], {}, []
+    for position, slot in enumerate(guard.slots(variables)):
+        if slot == WILDCARD:
             continue
-        if is_variable(p):
-            if p in out:
-                if out[p] != value:
-                    return None
-            else:
-                out[p] = value
-        elif p != value:
-            return None
-    return out
+        if isinstance(slot, str) or slot < known:
+            fixed.append(position)
+            fixed_slots.append(slot)
+        elif slot in new:
+            repeats.append((position, new[slot]))
+        else:
+            new[slot] = position
+    signature = (guard.predicate, guard.negated, len(guard.terms))
+    fixed, fresh = tuple(fixed), tuple(new.values())
+    extended = []
+    for binding in bindings:
+        for terms in index.lookup(signature, fixed, _bound_values(fixed_slots, binding)):
+            if all(terms[a] == terms[b] for a, b in repeats):
+                extended.append(binding + tuple(terms[i] for i in fresh))
+    return extended
 
 
-def _negative_holds(pattern: Atom, index, binding: dict[str, str]) -> bool:
-    """True when some model atom matches the (bound) negative guard atom."""
-    for atom in index.get((pattern.predicate, pattern.negated), ()):
-        if _match_atom(pattern.substitute(binding), atom, {}) is not None:
-            return True
-    return False
+def _negative_holds(signature: tuple, slots, index, binding: tuple) -> bool:
+    """True when some model atom matches the bound negative guard; a ``_``
+    left after substitution matches anything."""
+    values = _bound_values(slots, binding)
+    positions = tuple(i for i, v in enumerate(values) if v != WILDCARD)
+    return bool(index.lookup(signature, positions, tuple(values[i] for i in positions)))
 
 
 def _instantiate(node, binding: dict[str, str]):
@@ -497,23 +521,23 @@ def translate_to_owl(
     model, patterns: list[TranslationPattern]
 ) -> list[OwlAxiom]:
     """Apply every pattern under every guard-satisfying substitution."""
-    index = _index_model(model)
+    index = _ModelIndex(model)
     axioms: set[OwlAxiom] = set()
     for pattern in patterns:
-        bindings: list[dict[str, str]] = [{}]
+        variables: dict[str, int] = {}
+        bindings: list[tuple] = [()]
         for guard in pattern.positive:
-            extended: list[dict[str, str]] = []
-            for binding in bindings:
-                for atom in index.get((guard.predicate, guard.negated), ()):
-                    nb = _match_atom(guard, atom, binding)
-                    if nb is not None:
-                        extended.append(nb)
-            bindings = extended
+            bindings = _match_positive(guard, variables, index, bindings)
             if not bindings:
                 break
-        for binding in bindings:
-            if any(_negative_holds(neg, index, binding) for neg in pattern.negative):
+        negative = [
+            ((a.predicate, a.negated, len(a.terms)), a.slots(variables))
+            for a in pattern.negative
+        ]
+        for values in bindings:
+            if any(_negative_holds(sig, slots, index, values) for sig, slots in negative):
                 continue
+            binding = dict(zip(variables, values))
             for template in pattern.outputs:
                 axiom = _instantiate(template, binding)
                 if _axiom_well_formed(axiom):

@@ -812,15 +812,19 @@ def render_dynamic_label(
     """Substitute resource labels into the unit's label template.
 
     Resources without a label fall back to their IRI local name (with a
-    logged warning); literals render as their lexical form.
+    logged warning); literals render as their lexical form. A placeholder
+    naming an adjunct the unit left unbound is dropped together with the
+    template text since the previous placeholder.
     """
     from .errors import LabelError
 
     template = ""
+    adjuncts: tuple[str, ...] = ()
     if unit.schema_class:
         for s in _builtin_schemas(list(schemas or []), catalog):
             if s.unit_class == unit.schema_class:
                 template = s.label_template
+                adjuncts = s.adjunct_vars
                 break
     if not template:
         template = _BUILTIN_LABELS.get(unit.schema_class or "", "")
@@ -854,13 +858,18 @@ def render_dynamic_label(
         return label
 
     out = []
+    since_placeholder = 0  # len(out) right after the previous placeholder
     i = 0
     while i < len(template):
         ch = template[i]
         if ch == "{":
             j = template.index("}", i)
             name = template[i + 1 : j].lstrip("?")
-            out.append(substitute(name))
+            if name in adjuncts and name not in bindings:
+                del out[since_placeholder:]
+            else:
+                out.append(substitute(name))
+            since_placeholder = len(out)
             i = j + 1
         else:
             out.append(ch)

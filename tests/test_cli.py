@@ -117,6 +117,18 @@ def test_pipeline_reports_three_context_units(capsys, tmp_path):
         assert (tmp_path / artifact).exists(), artifact
 
 
+
+def test_pipeline_travel_without_adjunct(capsys, tmp_path):
+    text = (FIXTURES / "travel.trig").read_text(encoding="utf-8")
+    text = text.replace(' ;\n        rel:travels-on "29th of June 2022"', "")
+    assert "travels-on" not in text
+    source = tmp_path / "travel.trig"
+    source.write_text(text, encoding="utf-8")
+    code, _ = run(capsys, "pipeline", str(source), *common(tmp_path / "out"))
+    assert code == 0
+    labels = (tmp_path / "out" / "labels.tsv").read_text(encoding="utf-8")
+    assert "\tCarla travels by train from Paris to Berlin\n" in labels
+
 def test_pipeline_matches_stagewise_composition(capsys, tmp_path):
     pipe_out = tmp_path / "pipe"
     stage_out = tmp_path / "stages"

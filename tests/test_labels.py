@@ -25,6 +25,40 @@ def test_travel_label_renders_paper_sentence(catalog, schemas):
     assert label == "Carla travels by train from Paris to Berlin on the 29th of June 2022"
 
 
+
+def test_unbound_adjunct_drops_its_text(catalog, schemas):
+    # The optional ``travels-on`` adjunct is absent: its placeholder goes
+    # together with the " on the " text leading up to it.
+    ds = QuadDataset(
+        [
+            Quad(EX + "alice", REL + "travels-by", Iri(EX + "t1"), EX + "g"),
+            Quad(EX + "alice", REL + "travels-from", Iri(EX + "a"), EX + "g"),
+            Quad(EX + "alice", REL + "travels-to", Iri(EX + "b"), EX + "g"),
+        ]
+    )
+    result = partition(ds, schemas, catalog, UpriMinter(seed=1))
+    (unit,) = result.units
+    assert render_dynamic_label(unit, ds, catalog, schemas) == "alice travels by t1 from a to b"
+
+
+def test_unbound_leading_adjunct_drops_text_from_start(catalog):
+    schemas = compile_schema(
+        f"""
+unit <{SUC}dated> anchor <{REL}p>
+relation qualitative
+template ?s <{REL}p> ?o
+template ?s <{REL}on> ?d
+subject ?s
+arg ?o
+adjunct ?d
+label "on {{d}}, {{s}} meets {{o}}"
+"""
+    )
+    ds = QuadDataset([Quad(EX + "a", REL + "p", Iri(EX + "b"), EX + "g")])
+    result = partition(ds, schemas, catalog, UpriMinter(seed=1))
+    (unit,) = result.units
+    assert render_dynamic_label(unit, ds, catalog, schemas) == ", a meets b"
+
 def test_has_part_label(catalog, schemas):
     result = partitioned("hand_assertional.trig", catalog, schemas)
     dataset = fixture_dataset("hand_assertional.trig")

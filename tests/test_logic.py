@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import logic_oracle as oracle
 from kgunits.errors import BoundExceededError, RuleError, UnsafeRuleError
 from kgunits.logic import (
     Atom,
@@ -190,3 +193,100 @@ def test_solver_matches_brute_force_oracle_randomized():
     for _ in range(60):
         program = _random_program(rng, rng.randint(2, 8))
         assert stable_models(program, bound=32) == brute_force_stable_models(program)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the substituting grounder and fixpoint solver
+# ---------------------------------------------------------------------------
+
+PREDICATES = ("p", "q", "r")
+CONSTANTS = ("a", "b", '"s"', "1")
+VARIABLES = ("X", "Y", "Z")
+
+
+def _atoms(terms):
+    return st.builds(
+        Atom,
+        st.sampled_from(PREDICATES),
+        st.lists(terms, max_size=2).map(tuple),
+        st.booleans(),
+    )
+
+
+@st.composite
+def _rules(draw):
+    """Safe rules: head and default-negated atoms use only constants and
+    variables of the positive body; all-constant bodies give variable-free
+    rules."""
+    positive = tuple(
+        draw(st.lists(_atoms(st.sampled_from(CONSTANTS + VARIABLES)), max_size=2))
+    )
+    bound = sorted({t for a in positive for t in a.terms if t in VARIABLES})
+    safe = st.sampled_from(CONSTANTS + tuple(bound))
+    head = draw(_atoms(safe))
+    negative = tuple(draw(st.lists(_atoms(safe), max_size=1)))
+    return Rule(head, positive, negative)
+
+
+def _renamed(rule: Rule, mapping: dict[str, str]) -> Rule:
+    rename = lambda a: Atom(a.predicate, tuple(mapping.get(t, t) for t in a.terms), a.negated)
+    return Rule(
+        rename(rule.head), tuple(map(rename, rule.positive)), tuple(map(rename, rule.negative))
+    )
+
+
+@st.composite
+def _programs(draw):
+    """Random rules, some repeated verbatim or with variables renamed so
+    that several rules ground to the same instances, plus ground facts over
+    a few constants the rules may not mention."""
+    rules = draw(st.lists(_rules(), max_size=4))
+    for rule in list(rules):
+        if draw(st.booleans()):
+            order = draw(st.permutations(VARIABLES))
+            rules.append(_renamed(rule, dict(zip(VARIABLES, order))))
+    facts = draw(st.lists(_atoms(st.sampled_from(CONSTANTS + ("c",))), max_size=4))
+    return LogicProgram(tuple(draw(st.permutations(rules)))), facts
+
+
+def _stable_or_error(solve, program):
+    try:
+        return solve(program, bound=40)
+    except BoundExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs())
+def test_grounding_matches_substituting_oracle(case):
+    program, facts = case
+    ground = ground_program(program, facts)
+    assert ground.rules == oracle.ground_program(program, facts).rules
+    assert least_model(ground.rules) == oracle.least_model(ground.rules)
+    assert _stable_or_error(stable_models, ground) == _stable_or_error(
+        oracle.stable_models, ground
+    )
+
+
+def test_cross_rule_dedup_keeps_first_instance_order():
+    # The fact, the variable-free rule and the renamed copy repeat
+    # instances of earlier rules. Instances that differ only in arity
+    # (p(a, b) :- q(a) against p(a) :- q(b, a)) or only in where a body
+    # atom sits (positive or default-negated) are distinct.
+    program = parse_rules(
+        "p(X, Y) :- q(X), r(Y). p(a, b) :- q(a), r(b). p(Y, X) :- q(Y), r(X). q(a).\n"
+        "p(X, b) :- q(X). p(a) :- q(b, a). s(a) :- q(a). s(a) :- not q(a)."
+    )
+    facts = [Atom("q", ("a",)), Atom("r", ("b",))]
+    ground = ground_program(program, facts)
+    assert ground.rules == oracle.ground_program(program, facts).rules
+    assert len(ground.rules) == len(set(ground.rules))
+    assert Rule(Atom("p", ("a", "b")), (Atom("q", ("a",)),)) in ground.rules
+    assert Rule(Atom("p", ("a",)), (Atom("q", ("b", "a")),)) in ground.rules
+    assert Rule(Atom("s", ("a",)), (), (Atom("q", ("a",)),)) in ground.rules
+
+
+def test_stable_models_reports_nonground_atom():
+    program = LogicProgram((Rule(Atom("p", ("a",)), (Atom("q", ("X",)),)),))
+    with pytest.raises(RuleError, match=r"not ground: q\(X\)"):
+        stable_models(program)

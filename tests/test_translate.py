@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import logic_oracle as oracle
 from kgunits import vocab
 from kgunits.errors import PatternError
 from kgunits.logic import Atom, ground_program, stable_models
@@ -275,3 +278,64 @@ def test_translate_is_deterministic_output_order(catalog, schemas):
     axioms, _, _ = _axioms("publication_frames.trig", catalog, schemas)
     rendered = [render_axiom(a) for a in axioms]
     assert rendered == sorted(rendered)
+
+
+# -- guard matching against the term-by-term oracle ----------------------------
+
+_NODES = (EX + "a", EX + "b", "_")
+_GUARD_VARS = ("X", "Y")
+
+
+def _guard(terms):
+    return st.builds(
+        Atom, st.sampled_from(("p", "q")), st.lists(terms, max_size=2).map(tuple), st.booleans()
+    )
+
+
+@st.composite
+def _patterns(draw):
+    """Guards with constants, ``_`` wildcards and repeated variables; the
+    model may hold ``_`` itself, which a negative guard's substitution
+    turns into a wildcard. The output names one Skolem individual per
+    binding, so every distinct binding shows in the axioms."""
+    positive = tuple(draw(st.lists(_guard(st.sampled_from(_NODES + _GUARD_VARS)), max_size=2)))
+    bound = tuple(sorted({t for a in positive for t in a.terms if t in _GUARD_VARS}))
+    negative = tuple(draw(st.lists(_guard(st.sampled_from(_NODES + bound)), max_size=2)))
+    outputs = (ClassAssertion(EX + "Bound", Fresh("binding", bound)),)
+    return TranslationPattern("random", positive, negative, outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.frozensets(_guard(st.sampled_from(_NODES)), max_size=12),
+    st.lists(_patterns(), max_size=3),
+)
+def test_guard_matching_matches_oracle(model, patterns):
+    assert translate_to_owl(model, patterns) == oracle.translate_to_owl(model, patterns)
+
+
+def test_guard_repeated_variable_and_wildcards():
+    a, b = EX + "a", EX + "b"
+    model = frozenset(
+        {Atom("p", (a, a)), Atom("p", (a, b)), Atom("p", (b, "_")), Atom("q", (b, a))}
+    )
+
+    def bound(*values):
+        return ClassAssertion(EX + "Bound", skolem("binding", *values))
+
+    def run(positive, negative=()):
+        variables = sorted({t for g in positive for t in g.terms if t in ("X", "Y")})
+        output = ClassAssertion(EX + "Bound", Fresh("binding", tuple(variables)))
+        pattern = TranslationPattern("case", positive, negative, (output,))
+        axioms = translate_to_owl(model, [pattern])
+        assert axioms == oracle.translate_to_owl(model, [pattern])
+        return set(axioms)
+
+    # A variable seen twice in one guard matches equal arguments only.
+    assert run((Atom("p", ("X", "X")),)) == {bound(a)}
+    # ``_`` in a guard matches any argument and binds nothing.
+    assert run((Atom("p", ("X", "_")),)) == {bound(a), bound(b)}
+    # A bound variable whose value is ``_`` turns into a wildcard under
+    # default negation: q(b, ·) exists, so X = b is suppressed.
+    assert run((Atom("p", (b, "Y")),), (Atom("q", (b, "Y")),)) == set()
+    assert run((Atom("p", ("X", "Y")),), (Atom("q", ("Y", "X")),)) == {bound(a, a), bound(b, "_")}
