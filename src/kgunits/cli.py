@@ -1,9 +1,15 @@
 """Command-line front end.
 
 Each subcommand is one pipeline stage; ``pipeline`` chains them all and is
-byte-reproducible when seeded. Every command prints a ``key=value``
-summary to stdout and writes artifacts atomically (temp file + rename), so
-a failed run never leaves a partial file behind.
+byte-reproducible when seeded. A stage reads what it needs (dataset,
+partition, facts, models) from one ``Products`` object per input, which
+computes each product once, so ``pipeline`` partitions, grounds and solves
+its input once and every artifact of a run names the same UPRIs, seeded or
+not. The downstream stages (``nanopub``, ``acl``) read ``compounds.trig``
+through a fresh ``Products``, exactly as a stage-by-stage run would. Every
+command prints a ``key=value`` summary to stdout and writes artifacts
+atomically (temp file + rename), so a failed run never leaves a partial
+file behind.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 solver bound exceeded.
 """
@@ -15,6 +21,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 from . import vocab
@@ -68,6 +75,10 @@ def _write_atomic(path: Path, content: str):
         raise
 
 
+def _write_trig(ctx: Context, name: str, dataset: QuadDataset):
+    _write_atomic(ctx.out / name, serialize_quads(dataset, "trig", dict(ctx.catalog.prefixes)))
+
+
 def _emit(summary: dict[str, object]):
     for key, value in summary.items():
         print(f"{key}={value}")
@@ -84,8 +95,8 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _syntax_of(path: str) -> str:
-    return "nquads" if path.endswith((".nq", ".nquads")) else "trig"
+def _parse(path: str) -> QuadDataset:
+    return parse_quads(_read_text(path), "nquads" if path.endswith((".nq", ".nquads")) else "trig")
 
 
 class Context:
@@ -146,6 +157,7 @@ class Context:
             load_catalog(_read_text(self.catalog_path)) if self.catalog_path else DEFAULT_CATALOG
         )
         self.schemas = compile_schema(_read_text(self.schemas_path)) if self.schemas_path else []
+        self.products = Products(self, self.inputs)
 
     def minter(self, stage: str) -> UpriMinter:
         if self.seed is None:
@@ -160,14 +172,6 @@ class Context:
             return "2023-01-01T00:00:00+00:00"
         return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
-    def read_dataset(self) -> QuadDataset:
-        if not self.inputs:
-            raise UsageError("no input file given")
-        merged = QuadDataset()
-        for path in self.inputs:
-            merged = merged.merge(parse_quads(_read_text(path), _syntax_of(path)))
-        return merged
-
     def user_rules(self) -> LogicProgram:
         rules = list(default_rules().rules)
         for path in self.rules_paths:
@@ -180,6 +184,40 @@ class Context:
         for path in self.patterns_paths:
             patterns.extend(parse_patterns(_read_text(path), self.catalog.prefixes))
         return patterns
+
+
+class Products:
+    """What the stages compute from one input dataset: the dataset, its
+    partition, its facts, and the ground rule count and stable models of
+    the rules over those facts. Each is computed on first use and kept, so
+    every stage of a run reads the same partition (and the same UPRIs)."""
+
+    def __init__(self, ctx: Context, paths: list[str]):
+        self.ctx = ctx
+        self.paths = paths
+
+    @cached_property
+    def dataset(self) -> QuadDataset:
+        if not self.paths:
+            raise UsageError("no input file given")
+        first, *rest = (_parse(path) for path in self.paths)
+        return first.merge(*rest) if rest else first
+
+    @cached_property
+    def partition(self):
+        ctx = self.ctx
+        return run_partition(self.dataset, ctx.schemas, ctx.catalog, ctx.minter("partition"))
+
+    @cached_property
+    def facts(self):
+        return facts_from_units(self.partition, self.ctx.catalog)
+
+    @cached_property
+    def solved(self) -> tuple[int, list]:
+        """The ground rule count and the stable models; the ground program
+        itself is not kept."""
+        program = ground_program(self.ctx.user_rules(), self.facts)
+        return len(program.rules), stable_models(program, bound=self.ctx.bound)
 
 
 def hash_seed(seed: int, stage: str) -> int:
@@ -213,9 +251,9 @@ def _read_config(path: str) -> dict:
 
 
 def stage_ingest(ctx: Context) -> dict:
-    dataset = ctx.read_dataset()
+    dataset = ctx.products.dataset
     data, units = dataset.split_layers(ctx.catalog)
-    _write_atomic(ctx.out / "dataset.trig", serialize_quads(dataset, "trig", dict(ctx.catalog.prefixes)))
+    _write_trig(ctx, "dataset.trig", dataset)
     return {
         "quads": len(dataset),
         "data_quads": len(data),
@@ -224,13 +262,9 @@ def stage_ingest(ctx: Context) -> dict:
     }
 
 
-def stage_partition(ctx: Context, dataset: QuadDataset | None = None) -> dict:
-    dataset = dataset if dataset is not None else ctx.read_dataset()
-    result = run_partition(dataset, ctx.schemas, ctx.catalog, ctx.minter("partition"))
-    _write_atomic(
-        ctx.out / "organized.trig",
-        serialize_quads(result.dataset, "trig", dict(ctx.catalog.prefixes)),
-    )
+def stage_partition(ctx: Context) -> dict:
+    result = ctx.products.partition
+    _write_trig(ctx, "organized.trig", result.dataset)
     rows = []
     for u in result.units:
         classes = ",".join(sorted(u.classes))
@@ -256,20 +290,12 @@ def stage_partition(ctx: Context, dataset: QuadDataset | None = None) -> dict:
     return summary
 
 
-def _partitioned(ctx: Context, dataset: QuadDataset | None = None):
-    dataset = dataset if dataset is not None else ctx.read_dataset()
-    return run_partition(dataset, ctx.schemas, ctx.catalog, ctx.minter("partition"))
-
-
-def stage_compound(ctx: Context, dataset: QuadDataset | None = None) -> dict:
-    result = _partitioned(ctx, dataset)
+def stage_compound(ctx: Context) -> dict:
+    result = ctx.products.partition
     compounds = build_all(result, ctx.catalog, ctx.minter("compound"))
     all_units = compounds.all_units()
     merged = result.dataset.merge(compound_quads(list(all_units), ctx.catalog))
-    _write_atomic(
-        ctx.out / "compounds.trig",
-        serialize_quads(merged, "trig", dict(ctx.catalog.prefixes)),
-    )
+    _write_trig(ctx, "compounds.trig", merged)
     _write_atomic(ctx.out / "compounds.tsv", render_report(list(all_units)))
     return {
         "typed_units": len(compounds.typed),
@@ -285,8 +311,8 @@ def stage_compound(ctx: Context, dataset: QuadDataset | None = None) -> dict:
     }
 
 
-def stage_label(ctx: Context, dataset: QuadDataset | None = None) -> dict:
-    result = _partitioned(ctx, dataset)
+def stage_label(ctx: Context) -> dict:
+    result = ctx.products.partition
     rows = []
     for u in result.units:
         label = render_dynamic_label(u, result.dataset, ctx.catalog, ctx.schemas)
@@ -295,11 +321,8 @@ def stage_label(ctx: Context, dataset: QuadDataset | None = None) -> dict:
     return {"labels": len(rows)}
 
 
-def stage_reason(ctx: Context, dataset: QuadDataset | None = None) -> dict:
-    result = _partitioned(ctx, dataset)
-    facts = facts_from_units(result, ctx.catalog)
-    program = ground_program(ctx.user_rules(), facts)
-    models = stable_models(program, bound=ctx.bound)
+def stage_reason(ctx: Context) -> dict:
+    ground_rules, models = ctx.products.solved
     lines = []
     for i, model in enumerate(models):
         lines.append(f"# model {i}\n")
@@ -307,17 +330,14 @@ def stage_reason(ctx: Context, dataset: QuadDataset | None = None) -> dict:
             lines.append(atom.render(dict(ctx.catalog.prefixes)) + "\n")
     _write_atomic(ctx.out / "models.txt", "".join(lines))
     return {
-        "facts": len(facts),
-        "ground_rules": len(program.rules),
+        "facts": len(ctx.products.facts),
+        "ground_rules": ground_rules,
         "models": len(models),
     }
 
 
-def stage_translate(ctx: Context, dataset: QuadDataset | None = None) -> dict:
-    result = _partitioned(ctx, dataset)
-    facts = facts_from_units(result, ctx.catalog)
-    program = ground_program(ctx.user_rules(), facts)
-    models = stable_models(program, bound=ctx.bound)
+def stage_translate(ctx: Context) -> dict:
+    _, models = ctx.products.solved
     prefixes = dict(ctx.catalog.prefixes)
     patterns = ctx.patterns() if models else []
     sections = []
@@ -331,7 +351,7 @@ def stage_translate(ctx: Context, dataset: QuadDataset | None = None) -> dict:
     _write_atomic(ctx.out / "axioms.txt", "".join(sections))
 
     model = models[0] if models else frozenset()
-    report = check_conflicts(model, result.units, prefixes)
+    report = check_conflicts(model, ctx.products.partition.units, prefixes)
     lines = []
     for p, n in report.classical:
         lines.append(f"classical\t{p}\t{n}\n")
@@ -348,8 +368,8 @@ def stage_translate(ctx: Context, dataset: QuadDataset | None = None) -> dict:
     }
 
 
-def stage_nanopub(ctx: Context, dataset: QuadDataset | None = None) -> dict:
-    result = _partitioned(ctx, dataset)
+def stage_nanopub(ctx: Context) -> dict:
+    result = ctx.products.partition
     stamp = ctx.timestamp()
     prov = ProvenanceRecord(creator=ctx.creator, created=stamp)
     pub = ProvenanceRecord(creator=ctx.creator, created=stamp)
@@ -365,10 +385,7 @@ def stage_nanopub(ctx: Context, dataset: QuadDataset | None = None) -> dict:
         np = emit_nanopublication(compound, prov, pub, ctx.catalog)
         quads.extend(np.dataset())
         count += 1
-    _write_atomic(
-        ctx.out / "nanopubs.trig",
-        serialize_quads(QuadDataset(quads), "trig", dict(ctx.catalog.prefixes)),
-    )
+    _write_trig(ctx, "nanopubs.trig", QuadDataset(quads))
     return {"nanopubs": count}
 
 
@@ -377,9 +394,8 @@ def stage_align(ctx: Context) -> dict:
         raise UsageError("align needs exactly two input files")
     graphs = []
     for i, path in enumerate(ctx.inputs):
-        dataset = parse_quads(_read_text(path), _syntax_of(path))
         part = run_partition(
-            dataset, ctx.schemas, ctx.catalog, ctx.minter(f"align-{i}")
+            _parse(path), ctx.schemas, ctx.catalog, ctx.minter(f"align-{i}")
         )
         compounds = build_all(part, ctx.catalog, ctx.minter(f"align-compound-{i}"))
         graphs.append(ProcessedGraph(part.dataset, part, compounds, ctx.catalog))
@@ -394,8 +410,8 @@ def stage_align(ctx: Context) -> dict:
     }
 
 
-def stage_acl(ctx: Context, dataset: QuadDataset | None = None) -> dict:
-    result = _partitioned(ctx, dataset)
+def stage_acl(ctx: Context) -> dict:
+    result = ctx.products.partition
     policy = (
         load_policy(_read_text(ctx.policy_path))
         if ctx.policy_path
@@ -405,10 +421,7 @@ def stage_acl(ctx: Context, dataset: QuadDataset | None = None) -> dict:
         list(result.units), policy, result.dataset, ctx.catalog, ctx.requester
     )
     redacted = redact_dataset(result.dataset, decision.hidden, ctx.catalog)
-    _write_atomic(
-        ctx.out / "visible.trig",
-        serialize_quads(redacted, "trig", dict(ctx.catalog.prefixes)),
-    )
+    _write_trig(ctx, "visible.trig", redacted)
     return {
         "visible_units": len(decision.visible),
         "hidden_units": len(decision.hidden),
@@ -418,21 +431,14 @@ def stage_acl(ctx: Context, dataset: QuadDataset | None = None) -> dict:
 
 def stage_pipeline(ctx: Context) -> dict:
     summary: dict[str, object] = {}
-    dataset = ctx.read_dataset()
-    summary.update(stage_ingest(ctx))
-    summary.update(stage_partition(ctx, dataset))
-    summary.update(stage_compound(ctx, dataset))
-    summary.update(stage_label(ctx, dataset))
-    summary.update(stage_reason(ctx, dataset))
-    summary.update(stage_translate(ctx, dataset))
+    for name in ("ingest", "partition", "compound", "label", "reason", "translate"):
+        summary.update(_STAGES[name](ctx))
     # Downstream stages read the compound stage's artifact, exactly as a
-    # stage-by-stage invocation would.
-    organized = parse_quads(
-        (ctx.out / "compounds.trig").read_text(encoding="utf-8"), "trig"
-    )
-    summary.update(stage_nanopub(ctx, organized))
-    if ctx.policy_path:
-        summary.update(stage_acl(ctx, organized))
+    # stage-by-stage invocation would. The input's products are dropped
+    # first, so they are not held while the artifact is partitioned.
+    ctx.products = Products(ctx, [str(ctx.out / "compounds.trig")])
+    for name in ("nanopub", "acl") if ctx.policy_path else ("nanopub",):
+        summary.update(_STAGES[name](ctx))
     return summary
 
 

@@ -49,16 +49,6 @@ class Atom:
     def variables(self) -> frozenset[str]:
         return frozenset(t for t in self.terms if is_variable(t))
 
-    def is_ground(self) -> bool:
-        return not any(is_variable(t) for t in self.terms)
-
-    def substitute(self, binding: dict[str, str]) -> "Atom":
-        return Atom(
-            self.predicate,
-            tuple(binding.get(t, t) for t in self.terms),
-            self.negated,
-        )
-
     def slots(self, variables: dict[str, int]) -> tuple[int | str, ...]:
         """The terms with each variable replaced by its index in
         ``variables`` (numbered in order of first sight when absent);

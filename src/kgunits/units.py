@@ -465,12 +465,36 @@ def _pending_identification(
     resource: str, kind: str, quads: list[Quad], catalog: VocabularyCatalog
 ) -> dict:
     unit_class = _KIND_TO_IDENTIFICATION_CLASS[kind]
+    quads = sorted(quads, key=lambda q: q.key())
+    objects, bindings, anchor = _identification_parts(resource, quads, catalog)
     classes = {unit_class, vocab.QUALITATIVE_STATEMENT_UNIT}
+    if any(name == "n" for name, _ in bindings):
+        classes.add(vocab.CARDINALITY_RESTRICTION_UNIT)
+    return {
+        "subject": resource,
+        "classes": classes,
+        "objects": objects,
+        "quads": quads,
+        "schema_class": unit_class,
+        "anchor_predicate": anchor,
+        "bindings": bindings,
+    }
+
+
+def _identification_parts(subject: str, quads: list[Quad], catalog: VocabularyCatalog):
+    """Objects, bindings and anchor predicate of the identification unit of
+    ``subject`` over its ``quads`` in key order, for a new unit and for an
+    adopted one alike. The anchor is the class affiliation with an IRI
+    object, the one that decides the resource's kind."""
+    affiliations = (catalog.type, catalog.some_instance_of, catalog.every_instance_of)
     objects: list[UnitObject] = []
-    bindings: list[tuple[str, Term]] = [("s", Iri(resource))]
-    for q in sorted(quads, key=lambda q: q.key()):
-        if q.predicate in (catalog.type, catalog.some_instance_of, catalog.every_instance_of):
+    bindings: list[tuple[str, Term]] = [("s", Iri(subject))]
+    anchor = catalog.type
+    for q in quads:
+        if q.predicate in affiliations:
             objects.append(UnitObject(q.object, ARGUMENT, "c"))
+            if isinstance(q.object, Iri):
+                anchor = q.predicate
             if not any(n == "c" for n, _ in bindings):
                 bindings.append(("c", q.object))
         elif q.predicate == catalog.label:
@@ -480,20 +504,7 @@ def _pending_identification(
         elif q.predicate == catalog.qualified_cardinality:
             objects.append(UnitObject(q.object, ADJUNCT, "n"))
             bindings.append(("n", q.object))
-            classes.add(vocab.CARDINALITY_RESTRICTION_UNIT)
-    return {
-        "subject": resource,
-        "classes": classes,
-        "objects": tuple(objects),
-        "quads": sorted(quads, key=lambda q: q.key()),
-        "schema_class": unit_class,
-        "anchor_predicate": {
-            "type": catalog.type,
-            "someInstanceOf": catalog.some_instance_of,
-            "everyInstanceOf": catalog.every_instance_of,
-        }[kind],
-        "bindings": tuple(bindings),
-    }
+    return tuple(objects), tuple(bindings), anchor
 
 
 def _pending_schema_unit(cand: _Candidate) -> dict:
@@ -670,10 +681,8 @@ def _adopt_units(
         id_class = declared & vocab.IDENTIFICATION_UNIT_CLASSES
         schema = next((by_class[c] for c in sorted(declared) if c in by_class), None)
         if id_class:
-            kind_class = sorted(id_class)[0]
-            schema_class = kind_class
-            rebuilt = _rebuild_identification(subject, quads, kind_class, catalog)
-            objects, bindings, anchor = rebuilt
+            schema_class = sorted(id_class)[0]
+            objects, bindings, anchor = _identification_parts(subject, quads, catalog)
         elif schema is not None:
             schema_class = schema.unit_class
             anchor = schema.anchor_predicate
@@ -697,28 +706,6 @@ def _adopt_units(
             )
         )
     return out
-
-
-def _rebuild_identification(
-    subject: str, quads: list[Quad], kind_class: str, catalog: VocabularyCatalog
-):
-    objects: list[UnitObject] = []
-    bindings: list[tuple[str, Term]] = [("s", Iri(subject))]
-    anchor = catalog.type
-    for q in quads:
-        if q.predicate in (catalog.type, catalog.some_instance_of, catalog.every_instance_of):
-            objects.append(UnitObject(q.object, ARGUMENT, "c"))
-            anchor = q.predicate
-            if not any(n == "c" for n, _ in bindings):
-                bindings.append(("c", q.object))
-        elif q.predicate == catalog.label:
-            objects.append(UnitObject(q.object, ADJUNCT, "l"))
-            if not any(n == "l" for n, _ in bindings):
-                bindings.append(("l", q.object))
-        elif q.predicate == catalog.qualified_cardinality:
-            objects.append(UnitObject(q.object, ADJUNCT, "n"))
-            bindings.append(("n", q.object))
-    return tuple(objects), tuple(bindings), anchor
 
 
 def _rebind_schema(schema: StatementSchema, quads: list[Quad]):

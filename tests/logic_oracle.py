@@ -23,7 +23,7 @@ from kgunits.translate import WILDCARD, _axiom_well_formed, _instantiate
 def ground_program(program: LogicProgram, facts: list[Atom] = ()) -> LogicProgram:
     universe: set[str] = set(program.constants())
     for atom in facts:
-        if not atom.is_ground():
+        if any(is_variable(t) for t in atom.terms):
             raise RuleError(f"fact is not ground: {atom.render()}")
         universe.update(atom.terms)
     fact_rules = tuple(Rule(a) for a in facts)
@@ -45,15 +45,19 @@ def ground_program(program: LogicProgram, facts: list[Atom] = ()) -> LogicProgra
         for combo in itertools.product(ordered_universe, repeat=len(variables)):
             binding = dict(zip(variables, combo))
             grounded = Rule(
-                rule.head.substitute(binding),
-                tuple(a.substitute(binding) for a in rule.positive),
-                tuple(a.substitute(binding) for a in rule.negative),
+                _substitute(rule.head, binding),
+                tuple(_substitute(a, binding) for a in rule.positive),
+                tuple(_substitute(a, binding) for a in rule.negative),
             )
             key = _rule_key(grounded)
             if key not in seen:
                 seen.add(key)
                 ground_rules.append(grounded)
     return LogicProgram(tuple(ground_rules))
+
+
+def _substitute(atom: Atom, binding: dict[str, str]) -> Atom:
+    return Atom(atom.predicate, tuple(binding.get(t, t) for t in atom.terms), atom.negated)
 
 
 def _rule_key(rule: Rule) -> tuple:
@@ -164,6 +168,6 @@ def _match_atom(pattern: Atom, atom: Atom, binding: dict[str, str]):
 
 def _negative_holds(pattern: Atom, index, binding: dict[str, str]) -> bool:
     for atom in index.get((pattern.predicate, pattern.negated), ()):
-        if _match_atom(pattern.substitute(binding), atom, {}) is not None:
+        if _match_atom(_substitute(pattern, binding), atom, {}) is not None:
             return True
     return False

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from kgunits import cli, load_catalog, parse_quads
 from kgunits.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_text
 
 
 def run(capsys, *argv) -> tuple[int, dict[str, str]]:
@@ -129,31 +131,105 @@ def test_pipeline_travel_without_adjunct(capsys, tmp_path):
     labels = (tmp_path / "out" / "labels.tsv").read_text(encoding="utf-8")
     assert "\tCarla travels by train from Paris to Berlin\n" in labels
 
-def test_pipeline_matches_stagewise_composition(capsys, tmp_path):
+STAGEWISE_ARTIFACTS = (
+    "dataset.trig",
+    "organized.trig",
+    "units.tsv",
+    "compounds.trig",
+    "compounds.tsv",
+    "labels.tsv",
+    "models.txt",
+    "axioms.txt",
+    "conflicts.txt",
+    "nanopubs.trig",
+)
+
+
+def assert_pipeline_matches_stages(capsys, tmp_path, source, extra=(), artifacts=()):
+    """``pipeline`` writes the same bytes as the stages run one by one, the
+    downstream ones on the compound stage's ``compounds.trig``."""
     pipe_out = tmp_path / "pipe"
     stage_out = tmp_path / "stages"
-    source = str(FIXTURES / "weight.trig")
-    assert main(["pipeline", source, *common(pipe_out)]) == 0
-    assert main(["ingest", source, *common(stage_out)]) == 0
-    assert main(["partition", source, *common(stage_out)]) == 0
-    assert main(["compound", source, *common(stage_out)]) == 0
-    assert main(["label", source, *common(stage_out)]) == 0
-    assert main(["reason", source, *common(stage_out)]) == 0
-    assert main(["translate", source, *common(stage_out)]) == 0
-    assert (
-        main(["nanopub", str(stage_out / "compounds.trig"), *common(stage_out)]) == 0
-    )
+    assert main(["pipeline", source, *common(pipe_out, *extra)]) == 0
+    for stage in ("ingest", "partition", "compound", "label", "reason", "translate"):
+        assert main([stage, source, *common(stage_out, *extra)]) == 0, stage
+    downstream = ("nanopub", "acl") if "--policy" in extra else ("nanopub",)
+    for stage in downstream:
+        compounds = str(stage_out / "compounds.trig")
+        assert main([stage, compounds, *common(stage_out, *extra)]) == 0, stage
     capsys.readouterr()
-    for name in (
-        "dataset.trig",
-        "organized.trig",
-        "compounds.trig",
-        "labels.tsv",
-        "models.txt",
-        "axioms.txt",
-        "nanopubs.trig",
-    ):
+    for name in STAGEWISE_ARTIFACTS + tuple(artifacts):
         assert (pipe_out / name).read_bytes() == (stage_out / name).read_bytes(), name
+
+
+def test_pipeline_matches_stagewise_composition(capsys, tmp_path):
+    assert_pipeline_matches_stages(capsys, tmp_path, str(FIXTURES / "weight.trig"))
+
+
+def test_pipeline_with_policy_matches_stagewise_composition(capsys, tmp_path):
+    assert_pipeline_matches_stages(
+        capsys,
+        tmp_path,
+        str(FIXTURES / "endangered.trig"),
+        extra=("--policy", str(FIXTURES / "endangered.pol")),
+        artifacts=("visible.trig",),
+    )
+
+
+def first_column(path: Path) -> list[str]:
+    return [line.split("\t", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_unseeded_pipeline_artifacts_name_the_same_units(capsys, tmp_path):
+    """Without a seed the UPRIs are random, so every artifact must come
+    from one partition for them to agree."""
+    code = main([
+        "pipeline", str(FIXTURES / "weight.trig"),
+        "--schemas", str(FIXTURES / "schemas.sus"),
+        "--catalog", str(FIXTURES / "catalog.cat"),
+        "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    labelled = first_column(tmp_path / "labels.tsv")
+    units = first_column(tmp_path / "units.tsv")
+    assert len(labelled) == 5 and sorted(labelled) == sorted(units)
+    organized = parse_quads((tmp_path / "organized.trig").read_text(encoding="utf-8"), "trig")
+    compounds = parse_quads((tmp_path / "compounds.trig").read_text(encoding="utf-8"), "trig")
+    assert set(units) <= set(organized.graph_names())
+    assert set(units) <= set(compounds.graph_names())
+    unit_graphs = organized.unit_graphs(load_catalog(fixture_text("catalog.cat")))
+    assert set(units) == set(unit_graphs)
+
+
+def counting(monkeypatch, calls, name):
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+
+
+@pytest.mark.parametrize(
+    "stage, expected",
+    [
+        ("pipeline", {"run_partition": 2, "ground_program": 1, "stable_models": 1}),
+        ("reason", {"run_partition": 1, "ground_program": 1, "stable_models": 1}),
+        ("translate", {"run_partition": 1, "ground_program": 1, "stable_models": 1}),
+    ],
+)
+def test_each_product_is_computed_once(capsys, tmp_path, monkeypatch, stage, expected):
+    """``pipeline`` partitions its input and ``compounds.trig`` once each
+    and grounds and solves once; a lone stage partitions once."""
+    calls: Counter = Counter()
+    for name in expected:
+        counting(monkeypatch, calls, name)
+    extra = ("--policy", str(FIXTURES / "endangered.pol")) if stage == "pipeline" else ()
+    assert main([stage, str(FIXTURES / "endangered.trig"), *common(tmp_path, *extra)]) == 0
+    capsys.readouterr()
+    assert dict(calls) == expected
 
 
 def test_reason_with_rule_file(capsys, tmp_path):

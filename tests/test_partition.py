@@ -336,3 +336,38 @@ def test_partition_totality_property(quads):
         assert len(relation) == 1
         category = unit.classes & vocab.SUBJECT_CATEGORY_CLASSES
         assert len(category) <= 1
+
+
+@pytest.mark.parametrize(
+    "name", ["identify_named.trig", "identify_some.trig", "identify_every.trig",
+             "head_cardinality.trig", "hand_assertional.trig"]
+)
+def test_adopted_identification_units_keep_their_parts(catalog, schemas, name):
+    """Re-partitioning organized output adopts each identification unit
+    with the objects, bindings and anchor it was minted with."""
+    first = partitioned(name, catalog, schemas)
+    again = partition(first.dataset, schemas, catalog, UpriMinter(seed=9))
+    adopted = {u.upri: u for u in again.units}
+    minted = [u for u in first.units if u.is_identification]
+    assert minted
+    for unit in minted:
+        twin = adopted[unit.upri]
+        assert twin.adopted
+        assert (twin.objects, twin.bindings, twin.anchor_predicate) == (
+            unit.objects, unit.bindings, unit.anchor_predicate)
+
+
+def test_identification_anchor_is_the_affiliation_with_an_iri_object(catalog, schemas):
+    """A literal-object class affiliation does not decide the kind, so it
+    does not become the anchor of a minted or an adopted unit either."""
+    quads = [
+        Quad(EX + "a", catalog.type, Iri(EX + "Hand"), vocab.DEFAULT_GRAPH),
+        Quad(EX + "a", catalog.some_instance_of, Literal("hand"), vocab.DEFAULT_GRAPH),
+    ]
+    first = partition(QuadDataset(quads), schemas, catalog, UpriMinter(seed=1))
+    (unit,) = first.units
+    assert unit.anchor_predicate == catalog.type
+    assert len(unit.objects) == 2
+    (twin,) = partition(first.dataset, schemas, catalog, UpriMinter(seed=2)).units
+    assert twin.adopted and twin.anchor_predicate == catalog.type
+    assert (twin.objects, twin.bindings) == (unit.objects, unit.bindings)
