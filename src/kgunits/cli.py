@@ -37,7 +37,7 @@ from .fdo import (
     load_policy,
     redact_dataset,
 )
-from .logic import LogicProgram, ground_program, parse_rules, stable_models
+from .logic import LogicProgram, ground_program, parse_rules, render_atoms, stable_models
 from .rdfio import parse_quads, serialize_quads
 from .schemas import compile_schema
 from .store import DEFAULT_CATALOG, QuadDataset, load_catalog
@@ -50,7 +50,7 @@ from .translate import (
     translate_to_owl,
 )
 from .owl import render_axioms
-from .units import partition as run_partition, render_dynamic_label
+from .units import label_templates, partition as run_partition, render_dynamic_label
 
 
 class UsageError(Exception):
@@ -313,9 +313,10 @@ def stage_compound(ctx: Context) -> dict:
 
 def stage_label(ctx: Context) -> dict:
     result = ctx.products.partition
+    templates = label_templates(ctx.schemas, ctx.catalog)
     rows = []
     for u in result.units:
-        label = render_dynamic_label(u, result.dataset, ctx.catalog, ctx.schemas)
+        label = render_dynamic_label(u, result.dataset, ctx.catalog, templates=templates)
         rows.append(f"{u.upri}\t{label}\n")
     _write_atomic(ctx.out / "labels.tsv", "".join(rows))
     return {"labels": len(rows)}
@@ -326,8 +327,8 @@ def stage_reason(ctx: Context) -> dict:
     lines = []
     for i, model in enumerate(models):
         lines.append(f"# model {i}\n")
-        for atom in sorted(model, key=lambda a: a.key()):
-            lines.append(atom.render(dict(ctx.catalog.prefixes)) + "\n")
+        atoms = sorted(model, key=lambda a: a.key())
+        lines.extend(line + "\n" for line in render_atoms(atoms, ctx.catalog.prefixes))
     _write_atomic(ctx.out / "models.txt", "".join(lines))
     return {
         "facts": len(ctx.products.facts),

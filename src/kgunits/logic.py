@@ -27,6 +27,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Iterable, Mapping
 
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
 
@@ -64,20 +65,32 @@ class Atom:
     def key(self) -> tuple:
         return (self.predicate, self.terms, self.negated)
 
-    def render(self, prefixes: dict[str, str] | None = None) -> str:
-        name = _shorten(self.predicate, prefixes)
-        sign = "-" if self.negated else ""
-        if not self.terms:
-            return sign + name
-        args = ", ".join(_shorten(t, prefixes) for t in self.terms)
-        return f"{sign}{name}({args})"
+    def render(self, prefixes: Mapping[str, str] | None = None) -> str:
+        return _render(self, _by_namespace_length(prefixes))
 
 
-def _shorten(token: str, prefixes: dict[str, str] | None) -> str:
-    if prefixes:
-        for name, ns in sorted(prefixes.items(), key=lambda kv: -len(kv[1])):
-            if token.startswith(ns) and len(token) > len(ns):
-                return f"{name}:{token[len(ns):]}"
+def render_atoms(atoms: Iterable[Atom], prefixes: Mapping[str, str] | None = None) -> list[str]:
+    """Render each atom, shortening IRIs against ``prefixes`` (longest
+    namespace first, ties in table order); the table is sorted once."""
+    ordered = _by_namespace_length(prefixes)
+    return [_render(atom, ordered) for atom in atoms]
+
+
+def _by_namespace_length(prefixes: Mapping[str, str] | None) -> list[tuple[str, str]]:
+    return sorted((prefixes or {}).items(), key=lambda kv: -len(kv[1]))
+
+
+def _render(atom: Atom, ordered: list[tuple[str, str]]) -> str:
+    text = ("-" if atom.negated else "") + _shorten(atom.predicate, ordered)
+    if atom.terms:
+        text += f"({', '.join(_shorten(t, ordered) for t in atom.terms)})"
+    return text
+
+
+def _shorten(token: str, ordered: list[tuple[str, str]]) -> str:
+    for name, ns in ordered:
+        if token.startswith(ns) and len(token) > len(ns):
+            return f"{name}:{token[len(ns):]}"
     return token
 
 

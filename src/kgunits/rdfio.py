@@ -8,6 +8,12 @@ for them, and silently Skolemizing them would hide modelling mistakes.
 Serialization is canonical: quads are written in (graph, subject,
 predicate, object) order, so two datasets with equal quad sets always
 produce byte-identical documents.
+
+The scanner reads whole tokens: an IRI or string without escapes is one
+``str.find`` and one slice, and a run of whitespace is one regex match,
+with line and column advanced over the span. The serializer compacts
+each distinct IRI once per ``serialize_trig`` call, through a memo that
+lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -22,15 +28,21 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'"
 _PN_LOCAL_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-."
 )
+# Characters a lexical form cannot hold verbatim inside "...".
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+_ESCAPED = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 # A token runs up to the next delimiter. Dots may sit inside a local name
 # (``ex:v1.2``) but never end one, where a dot ends the statement instead.
 _NAME_CHAR = r'[^ \t\r\n<>"{};,.#()\[\]]'
 _TOKEN_RE = re.compile(rf"(?:{_NAME_CHAR}|\.+(?={_NAME_CHAR}))*")
+# Whitespace and comments; between the terms of an N-Quads line, no newline.
+_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_INLINE_WS_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
 
 
 class _Scanner:
-    """Character scanner with 1-based line/column tracking."""
+    """Scanner with 1-based line/column tracking."""
 
     def __init__(self, text: str):
         self.text = text
@@ -54,6 +66,16 @@ class _Scanner:
             self.col += 1
         return ch
 
+    def _skip_to(self, end: int):
+        """Advance over ``text[pos:end]`` in one step."""
+        last = self.text.rfind("\n", self.pos, end)
+        if last < 0:
+            self.col += end - self.pos
+        else:
+            self.line += self.text.count("\n", self.pos, end)
+            self.col = end - last
+        self.pos = end
+
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line, self.col)
 
@@ -61,15 +83,9 @@ class _Scanner:
         return BlankNodeError("blank node encountered; the model is blank-node-free", self.line, self.col)
 
     def skip_ws(self, newlines: bool = True):
-        while not self.eof():
-            ch = self.peek()
-            if ch == "#":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            elif ch in " \t\r" or (newlines and ch == "\n"):
-                self.advance()
-            else:
-                return
+        end = (_WS_RE if newlines else _INLINE_WS_RE).match(self.text, self.pos).end()
+        if end != self.pos:
+            self._skip_to(end)
 
     def expect(self, ch: str):
         if self.eof() or self.peek() != ch:
@@ -78,21 +94,28 @@ class _Scanner:
 
     def read_iriref(self) -> str:
         self.expect("<")
+        end = self.text.find(">", self.pos)
+        if end >= 0 and "\\" not in self.text[self.pos : end]:
+            iri = self.text[self.pos : end]
+            self._skip_to(end + 1)
+        else:
+            iri = self._read_escaped_iriref()
+        if not is_absolute_iri(iri):
+            raise self.error(f"not a valid absolute IRI: <{iri}>")
+        return iri
+
+    def _read_escaped_iriref(self) -> str:
         out = []
         while True:
             if self.eof():
                 raise self.error("unterminated IRI")
             ch = self.advance()
             if ch == ">":
-                break
+                return "".join(out)
             if ch == "\\":
                 out.append(self._read_unicode_escape())
             else:
                 out.append(ch)
-        iri = "".join(out)
-        if not is_absolute_iri(iri):
-            raise self.error(f"not a valid absolute IRI: <{iri}>")
-        return iri
 
     def _read_unicode_escape(self) -> str:
         kind = self.advance()
@@ -110,44 +133,32 @@ class _Scanner:
 
     def read_string(self) -> str:
         self.expect('"')
-        if self.text.startswith('""', self.pos):
-            # Long string form """..."""
+        long_form = self.text.startswith('""', self.pos)
+        if long_form:  # """..."""
             self.advance()
             self.advance()
-            return self._read_until_triple_quote()
-        out = []
-        while True:
-            if self.eof():
-                raise self.error("unterminated string literal")
-            ch = self.advance()
-            if ch == '"':
-                break
-            if ch == "\n":
-                raise self.error("newline in single-quoted string literal")
-            if ch == "\\":
-                esc = self.advance()
-                if esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                elif esc in "uU":
-                    self.pos -= 1
-                    self.col -= 1
-                    out.append(self._read_unicode_escape())
-                else:
-                    raise self.error(f"invalid string escape \\{esc}")
-            else:
-                out.append(ch)
-        return "".join(out)
+        close = '"""' if long_form else '"'
+        end = self.text.find(close, self.pos)
+        if end >= 0:
+            span = self.text[self.pos : end]
+            if "\\" not in span and (long_form or "\n" not in span):
+                self._skip_to(end + len(close))
+                return span
+        return self._read_escaped_string(close)
 
-    def _read_until_triple_quote(self) -> str:
+    def _read_escaped_string(self, close: str) -> str:
         out = []
         while True:
             if self.eof():
-                raise self.error("unterminated long string literal")
-            if self.text.startswith('"""', self.pos):
-                for _ in range(3):
-                    self.advance()
+                raise self.error(
+                    "unterminated string literal" if close == '"' else "unterminated long string literal"
+                )
+            if self.text.startswith(close, self.pos):
+                self._skip_to(self.pos + len(close))
                 return "".join(out)
             ch = self.advance()
+            if ch == "\n" and close == '"':
+                raise self.error("newline in single-quoted string literal")
             if ch == "\\":
                 esc = self.advance()
                 if esc in _ESCAPES:
@@ -473,23 +484,12 @@ def parse_quads(text: str, syntax: str = "trig") -> QuadDataset:
 
 
 def _escape(lexical: str) -> str:
-    out = []
-    for ch in lexical:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _NEEDS_ESCAPE.sub(_escape_char, lexical)
+
+
+def _escape_char(match: re.Match) -> str:
+    ch = match.group()
+    return _ESCAPED.get(ch) or f"\\u{ord(ch):04X}"
 
 
 def _term_nq(term: Term) -> str:
@@ -526,30 +526,43 @@ def _compact(iri: str, prefixes: dict[str, str]) -> str:
     return f"{best_name}:{iri[len(prefixes[best_name]):]}"
 
 
-def _term_trig(term: Term, prefixes: dict[str, str]) -> str:
+class _Compacted(dict):
+    """IRI -> its compacted form under one prefix table, each computed on
+    first use; one per ``serialize_trig`` call, dropped with it."""
+
+    def __init__(self, prefixes: dict[str, str]):
+        self.prefixes = prefixes
+
+    def __missing__(self, iri: str) -> str:
+        self[iri] = out = _compact(iri, self.prefixes)
+        return out
+
+
+def _term_trig(term: Term, compacted: _Compacted) -> str:
     if isinstance(term, Iri):
-        return _compact(term.value, prefixes)
+        return compacted[term.value]
     if term.language is not None:
         return f'"{_escape(term.lexical)}"@{term.language}'
     if term.datatype == vocab.XSD_STRING:
         return f'"{_escape(term.lexical)}"'
-    return f'"{_escape(term.lexical)}"^^{_compact(term.datatype, prefixes)}'
+    return f'"{_escape(term.lexical)}"^^{compacted[term.datatype]}'
 
 
 def serialize_trig(dataset: QuadDataset, prefixes: dict[str, str] | None = None) -> str:
     """Canonical TriG: sorted prefix header, graphs in sorted order, one
     triple per line."""
     prefixes = dict(sorted((prefixes or vocab.PREFIXES).items()))
+    compacted = _Compacted(prefixes)
     out = []
     used = set()
     body = []
     for name in dataset.graph_names():
-        body.append(f"{_compact(name, prefixes)} {{\n")
+        body.append(f"{compacted[name]} {{\n")
         for q in dataset.graph(name):
             line = (
-                f"    {_compact(q.subject, prefixes)} "
-                f"{_compact(q.predicate, prefixes)} "
-                f"{_term_trig(q.object, prefixes)} .\n"
+                f"    {compacted[q.subject]} "
+                f"{compacted[q.predicate]} "
+                f"{_term_trig(q.object, compacted)} .\n"
             )
             body.append(line)
         body.append("}\n")

@@ -790,29 +790,43 @@ _BUILTIN_LABELS = {
 }
 
 
+def label_templates(
+    schemas: list[StatementSchema], catalog: VocabularyCatalog
+) -> dict[str, tuple[str, tuple[str, ...]]]:
+    """Unit class -> (label template, adjunct variables) of the first
+    schema, declared or built in, that defines the class."""
+    out: dict[str, tuple[str, tuple[str, ...]]] = {}
+    for s in _builtin_schemas(list(schemas), catalog):
+        out.setdefault(s.unit_class, (s.label_template, s.adjunct_vars))
+    return out
+
+
 def render_dynamic_label(
     unit: StatementUnit,
     dataset: QuadDataset,
     catalog: VocabularyCatalog,
     schemas: list[StatementSchema] | None = None,
+    *,
+    templates: Mapping[str, tuple[str, tuple[str, ...]]] | None = None,
 ) -> str:
     """Substitute resource labels into the unit's label template.
 
-    Resources without a label fall back to their IRI local name (with a
-    logged warning); literals render as their lexical form. A placeholder
-    naming an adjunct the unit left unbound is dropped together with the
-    template text since the previous placeholder.
+    The template comes from ``schemas`` or, for a pass over many units,
+    from ``templates``: the ``label_templates`` of the schemas, resolved
+    once. Pass one or the other. Resources without a label fall back to
+    their IRI local name (with a logged warning); literals render as their
+    lexical form. A placeholder naming an adjunct the unit left unbound is
+    dropped together with the template text since the previous placeholder.
     """
     from .errors import LabelError
 
-    template = ""
-    adjuncts: tuple[str, ...] = ()
+    if schemas is not None and templates is not None:
+        raise TypeError("render_dynamic_label takes schemas or templates, not both")
+    template, adjuncts = "", ()
     if unit.schema_class:
-        for s in _builtin_schemas(list(schemas or []), catalog):
-            if s.unit_class == unit.schema_class:
-                template = s.label_template
-                adjuncts = s.adjunct_vars
-                break
+        if templates is None:
+            templates = label_templates(schemas or [], catalog)
+        template, adjuncts = templates.get(unit.schema_class, ("", ()))
     if not template:
         template = _BUILTIN_LABELS.get(unit.schema_class or "", "")
     if not template:

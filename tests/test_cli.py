@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from kgunits import cli, load_catalog, parse_quads
+from kgunits import cli, load_catalog, parse_quads, units
 from kgunits.cli import main
+from kgunits.rdfio import parse_trig, serialize_trig
 
 from conftest import FIXTURES, fixture_text
 
@@ -176,6 +177,29 @@ def test_pipeline_with_policy_matches_stagewise_composition(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.trig")))
+def test_pipeline_trig_artifacts_are_serializer_fixpoints(capsys, tmp_path, catalog, fixture):
+    """Every TriG artifact ``pipeline`` writes parses and serializes back to
+    the same bytes under the catalog's prefixes."""
+    code = main([
+        "pipeline", str(FIXTURES / fixture),
+        "--schemas", str(FIXTURES / "schemas.sus"),
+        "--catalog", str(FIXTURES / "catalog.cat"),
+        "--policy", str(FIXTURES / "endangered.pol"),
+        "--out", str(tmp_path),
+        "--seed", "3",
+    ])
+    capsys.readouterr()
+    assert code == 0
+    written = sorted(tmp_path.glob("*.trig"))
+    assert [p.name for p in written] == [
+        "compounds.trig", "dataset.trig", "nanopubs.trig", "organized.trig", "visible.trig",
+    ]
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert serialize_trig(parse_trig(text), dict(catalog.prefixes)) == text, path.name
+
+
 def first_column(path: Path) -> list[str]:
     return [line.split("\t", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()]
 
@@ -230,6 +254,23 @@ def test_each_product_is_computed_once(capsys, tmp_path, monkeypatch, stage, exp
     assert main([stage, str(FIXTURES / "endangered.trig"), *common(tmp_path, *extra)]) == 0
     capsys.readouterr()
     assert dict(calls) == expected
+
+
+def test_label_stage_resolves_templates_once(capsys, tmp_path, monkeypatch):
+    """The label stage resolves the label templates once for all its
+    units, not once per unit."""
+    calls: Counter = Counter()
+    real = units.label_templates
+
+    def counted(*args, **kwargs):
+        calls["resolved"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(units, "label_templates", counted)
+    monkeypatch.setattr(cli, "label_templates", counted)
+    code, summary = run(capsys, "label", str(FIXTURES / "weight.trig"), *common(tmp_path))
+    assert code == 0 and int(summary["labels"]) > 1
+    assert calls["resolved"] == 1
 
 
 def test_reason_with_rule_file(capsys, tmp_path):

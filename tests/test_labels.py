@@ -8,7 +8,7 @@ from kgunits.errors import LabelError
 from kgunits.fdo import UpriMinter
 from kgunits.schemas import compile_schema
 from kgunits.store import Iri, Quad, QuadDataset
-from kgunits.units import partition, render_dynamic_label
+from kgunits.units import label_templates, partition, render_dynamic_label
 
 from conftest import fixture_dataset, partitioned
 
@@ -23,6 +23,18 @@ def test_travel_label_renders_paper_sentence(catalog, schemas):
     (unit,) = [u for u in result.units if u.schema_class == SUC + "travel"]
     label = render_dynamic_label(unit, dataset, catalog, schemas)
     assert label == "Carla travels by train from Paris to Berlin on the 29th of June 2022"
+
+
+def test_resolved_templates_label_like_schemas(catalog, schemas):
+    result = partitioned("travel.trig", catalog, schemas)
+    dataset = fixture_dataset("travel.trig")
+    templates = label_templates(schemas, catalog)
+    for unit in result.units:
+        assert render_dynamic_label(unit, dataset, catalog, templates=templates) == (
+            render_dynamic_label(unit, dataset, catalog, schemas)
+        )
+    with pytest.raises(TypeError, match="not both"):
+        render_dynamic_label(result.units[0], dataset, catalog, schemas, templates=templates)
 
 
 

@@ -17,6 +17,7 @@ from kgunits.logic import (
     least_model,
     parse_rules,
     program_atoms,
+    render_atoms,
     stable_models,
 )
 
@@ -290,3 +291,24 @@ def test_stable_models_reports_nonground_atom():
     program = LogicProgram((Rule(Atom("p", ("a",)), (Atom("q", ("X",)),)),))
     with pytest.raises(RuleError, match=r"not ground: q\(X\)"):
         stable_models(program)
+
+
+def test_render_atoms_tries_the_longest_namespace_first():
+    """Equal lengths keep table order; a token equal to a namespace falls
+    through to a shorter one."""
+    prefixes = {
+        "ex": "https://example.org/",
+        "kg": "https://example.org/kg/",
+        "ab": "https://example.org/ab/",
+        "kg2": "https://example.org/kg/",
+    }
+    atoms = [
+        Atom("https://example.org/kg/p", ("https://example.org/ab/x", "https://example.org/kg/", "C")),
+        Atom("https://example.org/q", negated=True),
+    ]
+    assert render_atoms(atoms, prefixes) == ["kg:p(ab:x, ex:kg/, C)", "-ex:q"]
+    assert render_atoms(atoms, prefixes) == [a.render(prefixes) for a in atoms]
+    assert render_atoms(atoms) == [a.render() for a in atoms] == [
+        "https://example.org/kg/p(https://example.org/ab/x, https://example.org/kg/, C)",
+        "-https://example.org/q",
+    ]

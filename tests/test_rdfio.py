@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 
 from kgunits import vocab
 from kgunits.errors import BlankNodeError, ParseError
-from kgunits.rdfio import parse_quads, serialize_quads
+from kgunits.rdfio import (
+    parse_nquads,
+    parse_quads,
+    parse_trig,
+    serialize_nquads,
+    serialize_quads,
+    serialize_trig,
+)
 from kgunits.store import Iri, Literal, Quad, QuadDataset
+
+import rdfio_oracle
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -191,3 +200,225 @@ def test_unknown_syntax_rejected():
         parse_quads("", "turtle")
     with pytest.raises(ParseError):
         serialize_quads(QuadDataset(), "turtle")
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the character-at-a-time reader and the
+# unmemoized writer kept in rdfio_oracle.
+# ---------------------------------------------------------------------------
+
+
+def _outcome(parse, text):
+    """What a parser makes of ``text``: the dataset, or the failure with its
+    type, message and position."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the oracle's own failures must be matched too
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+_ws = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", " # note\n", "\n# <x> \"y\n  "])
+# Mostly characters an IRI may hold; the rest make it invalid once unescaped.
+_esc_char = st.sampled_from(["é", "x", "-", "\U0001F600"] * 4 + [">", " ", '"', "\\"])
+
+
+@st.composite
+def _escaped_iri(draw):
+    parts = [EX]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 2)):
+            parts.append(draw(_iri_local))
+        else:
+            ch = draw(_esc_char)
+            parts.append(f"\\u{ord(ch):04X}" if ord(ch) <= 0xFFFF and draw(st.booleans()) else f"\\U{ord(ch):08X}")
+    return "<" + "".join(parts) + ">"
+
+
+_string_piece = st.one_of(
+    st.text(alphabet="ab é\t'#<>.:;", max_size=4),
+    st.sampled_from(['\\"', "\\\\", "\\n", "\\t", "\\'", "\\u00E9", "\\U0001F600", "\\r"]),
+)
+
+
+@st.composite
+def _string(draw):
+    pieces = draw(st.lists(_string_piece, max_size=5))
+    if draw(st.booleans()):
+        # Long form: raw newlines and lone quotes allowed inside.
+        extra = draw(st.lists(st.sampled_from(["\n", "\r\n", '"', '""', "x"]), max_size=3))
+        body = "".join(draw(st.permutations(pieces + extra)))
+        text = f'"""{body}"""'
+    else:
+        text = '"' + "".join(pieces) + '"'
+    suffix = draw(st.sampled_from(["", "@en", "@de-AT", "^^xsd:integer", f"^^<{EX}dt>", "^^ex:dt.v1"]))
+    return text + suffix
+
+
+_number = st.from_regex(r"[+-]?[0-9]{1,3}(\.[0-9]{1,2})?", fullmatch=True)
+
+
+@st.composite
+def _object_text(draw):
+    kind = draw(st.sampled_from(["iri", "name", "string", "number", "boolean"]))
+    if kind == "iri":
+        return draw(_escaped_iri())
+    if kind == "name":
+        return "ex:" + draw(_iri_local)
+    if kind == "string":
+        return draw(_string())
+    if kind == "number":
+        return draw(_number)
+    return draw(st.sampled_from(["true", "false"]))
+
+
+@st.composite
+def _trig_documents(draw):
+    ws = lambda: draw(_ws)  # noqa: E731
+    out = [f"@prefix ex:{ws()}<{EX}> .{ws()}", f"PREFIX xsd: <{vocab.XSD_NS}>{ws()}"]
+    for _ in range(draw(st.integers(1, 3))):
+        triples = []
+        for _ in range(draw(st.integers(1, 3))):
+            subject = draw(st.one_of(_escaped_iri(), _iri_local.map("ex:".__add__)))
+            predicate = draw(st.sampled_from(["a", "ex:p", f"<{REL}p>", "ex:p.q"]))
+            objects = f"{ws()},{ws()}".join(draw(st.lists(_object_text(), min_size=1, max_size=3)))
+            triples.append(f"{subject}{ws()}{predicate}{ws()}{objects}")
+        block = f"{ws()};{ws()}ex:p ex:o{ws()}.{ws()}".join(triples)
+        graph = draw(st.sampled_from(["ex:g", f"<{EX}g2>", "GRAPH ex:g3", ""]))
+        if graph:
+            out.append(f"{graph}{ws()}{{{ws()}{block}{ws()}}}{ws()}")
+        else:
+            out.append(f"{block}{ws()}.{ws()}")
+    return "".join(out)
+
+
+@st.composite
+def _nquads_documents(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        # N-Quads has no prefixed names, so no ^^xsd:... datatype either.
+        obj = draw(st.one_of(_escaped_iri(), _string().filter(lambda s: ":" not in s.rpartition('"')[2])))
+        graph = draw(st.sampled_from(["", f" <{EX}g>", f"\t<{EX}g\\u0031>"]))
+        end = draw(st.sampled_from(["\n", "\r\n", " # c\n", ""]))
+        lines.append(f"{draw(_escaped_iri())} <{REL}p>\t{obj}{graph} .{end}")
+    return "\n".join(lines)
+
+
+def _mutate(draw, text):
+    i = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["truncate", "delete", "insert"]))
+    if how == "truncate":
+        return text[:i]
+    if how == "delete":
+        return text[:i] + text[i + 1 :]
+    return text[:i] + draw(st.sampled_from(list('<>"\\\n#.{}:x ;,@^_[u'))) + text[i:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["trig", "nquads"]), st.booleans())
+def test_parse_matches_character_scanner(data, syntax, mutated):
+    """Same dataset, or the same error type, message, line and column, as
+    the character-at-a-time scanner, on generated and mutated documents."""
+    text = data.draw(_trig_documents() if syntax == "trig" else _nquads_documents())
+    if mutated:
+        text = _mutate(data.draw, text)
+    parse, oracle_parse = {
+        "trig": (parse_trig, rdfio_oracle.parse_trig),
+        "nquads": (parse_nquads, rdfio_oracle.parse_nquads),
+    }[syntax]
+    assert _outcome(parse, text) == _outcome(oracle_parse, text)
+
+
+_HEAD = f"@prefix ex: <{EX}> .\nex:g {{\n  ex:s ex:p "
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _HEAD + f"<{EX}o",  # unterminated IRI
+        _HEAD + '"abc',  # unterminated string
+        _HEAD + '"""ab\nc"',  # unterminated long string
+        _HEAD + '"ab\nc" . }',  # newline in a short string
+        _HEAD + '"a\\qb" . }',  # bad string escape
+        _HEAD + '"""a\n\\qb""" . }',  # bad escape in a long string
+        _HEAD + "<https://example.org/\\x41> . }",  # bad IRI escape
+        _HEAD + "<https://example.org/\\u00G1> . }",  # bad unicode digits
+        _HEAD + "<relative/iri> . }",  # relative IRI
+        _HEAD + "<https://exa\nmple.org/> . }",  # newline inside an IRI
+        _HEAD + "+.5 . }",  # sign without digits
+    ],
+)
+def test_malformed_trig_fails_like_character_scanner(text):
+    with pytest.raises(ParseError) as err:
+        parse_trig(text)
+    assert _outcome(parse_trig, text) == _outcome(rdfio_oracle.parse_trig, text)
+    assert err.value.line >= 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"<{EX}s> <{REL}p> <{EX}o> .\n<{EX}s>\n<{REL}p> <{EX}o> .\n",  # a line break between terms
+        f"<{EX}s> <{REL}p> <{EX}o> # note\n<{EX}g> .\n",  # a comment ends the line
+        f'<{EX}s> <{REL}p> "a\r\nb" .\n',  # CRLF inside a short string
+        f"<{EX}s> <{REL}p> <{EX}o> <{EX}g\\u00> .\n",  # short unicode escape
+    ],
+)
+def test_malformed_nquads_fails_like_character_scanner(text):
+    with pytest.raises(ParseError):
+        parse_nquads(text)
+    assert _outcome(parse_nquads, text) == _outcome(rdfio_oracle.parse_nquads, text)
+
+
+_PREFIX_TABLE = {
+    "ex": "https://example.org/",
+    "kg": "https://example.org/kg/",
+    "kgalias": "https://example.org/kg/",
+    "k": "https://example.org/k",
+    "kgdash": "https://example.org/kg-",
+    "rel": REL,
+    "xsd": vocab.XSD_NS,
+}
+_NAMESPACES = sorted(set(_PREFIX_TABLE.values())) + ["https://other.example/"]
+_any_iri = st.builds(
+    str.__add__, st.sampled_from(_NAMESPACES), st.text(alphabet="ab0_.-/:#é", max_size=5)
+)
+
+
+@st.composite
+def _serializable_quads(draw):
+    if draw(st.booleans()):
+        obj = Iri(draw(_any_iri))
+    else:
+        lexical = draw(st.text(alphabet=st.sampled_from(list('ab"\\\n\r\t\x00\x1f\x7f é')), max_size=6))
+        if draw(st.booleans()):
+            obj = Literal(lexical, language="en")
+        else:
+            obj = Literal(lexical, datatype=draw(st.sampled_from([vocab.XSD_STRING, draw(_any_iri)])))
+    return Quad(draw(_any_iri), draw(_any_iri), obj, draw(_any_iri))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_serializable_quads(), max_size=10),
+    st.one_of(st.none(), st.dictionaries(st.sampled_from(sorted(_PREFIX_TABLE)), st.sampled_from(_NAMESPACES))),
+)
+def test_serialize_matches_unmemoized_writer(quads, prefixes):
+    """Byte-identical output under nested namespaces, two names bound to one
+    namespace and local names valid only under the shorter namespace."""
+    ds = QuadDataset(quads)
+    assert serialize_trig(ds, prefixes) == rdfio_oracle.serialize_trig(ds, prefixes)
+    assert serialize_trig(ds, _PREFIX_TABLE) == rdfio_oracle.serialize_trig(ds, _PREFIX_TABLE)
+    assert serialize_nquads(ds) == rdfio_oracle.serialize_nquads(ds)
+
+
+def test_compaction_picks_the_longest_namespace_with_a_valid_local_name():
+    ds = QuadDataset(
+        [
+            Quad("https://example.org/kg/a.b", REL + "p", Iri("https://example.org/kg-"), EX + "g"),
+            Quad("https://example.org/kg-.x", REL + "p", Iri("https://example.org/a"), EX + "g"),
+        ]
+    )
+    text = serialize_trig(ds, _PREFIX_TABLE)
+    assert "    k:g-.x rel:p ex:a .\n" in text
+    assert "    kg:a.b rel:p k:g- .\n" in text
+    assert text == rdfio_oracle.serialize_trig(ds, _PREFIX_TABLE)
