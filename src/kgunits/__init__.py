@@ -37,7 +37,7 @@ from .fdo import (
     mint_upri,
     parse_nanopublication,
 )
-from .logic import LogicProgram, ground_program, parse_rules, stable_models
+from .logic import LogicProgram, ground_program, herbrand_size, parse_rules, stable_models
 from .translate import (
     builtin_patterns,
     check_conflicts,
@@ -77,6 +77,7 @@ __all__ = [
     "emit_nanopublication",
     "facts_from_units",
     "ground_program",
+    "herbrand_size",
     "load_catalog",
     "load_policy",
     "make_collection_unit",

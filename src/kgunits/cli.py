@@ -37,7 +37,14 @@ from .fdo import (
     load_policy,
     redact_dataset,
 )
-from .logic import LogicProgram, ground_program, parse_rules, render_atoms, stable_models
+from .logic import (
+    LogicProgram,
+    ground_program,
+    herbrand_size,
+    parse_rules,
+    render_atoms,
+    stable_models,
+)
 from .rdfio import parse_quads, serialize_quads
 from .schemas import compile_schema
 from .store import DEFAULT_CATALOG, QuadDataset, load_catalog
@@ -214,10 +221,13 @@ class Products:
 
     @cached_property
     def solved(self) -> tuple[int, list]:
-        """The ground rule count and the stable models; the ground program
-        itself is not kept."""
-        program = ground_program(self.ctx.user_rules(), self.facts)
-        return len(program.rules), stable_models(program, bound=self.ctx.bound)
+        """The size of the Herbrand instantiation of the rules over the
+        facts, and the stable models of the relevant ground program (the
+        rule instances whose positive body is derivable), which are the
+        same. Only the relevant program is built, and it is not kept."""
+        rules = self.ctx.user_rules()
+        program = ground_program(rules, self.facts)
+        return herbrand_size(rules, self.facts), stable_models(program, bound=self.ctx.bound)
 
 
 def hash_seed(seed: int, stage: str) -> int:
@@ -472,7 +482,7 @@ def build_parser() -> _Parser:
         p.add_argument("--namespace", help="mint namespace for new identifiers")
         p.add_argument("--seed", type=int, help="deterministic mint seed")
         p.add_argument("--out", help="output directory (env KGUNITS_OUT overrides)")
-        p.add_argument("--bound", type=int, help="solver atom bound (default 24)")
+        p.add_argument("--bound", type=int, help="most default-negated atoms the solver takes (default 24)")
         p.add_argument("--created", help="fixed ISO timestamp for provenance")
         p.add_argument("--creator", help="agent identifier for provenance")
         p.add_argument(

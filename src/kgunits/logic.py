@@ -5,10 +5,15 @@ negation as a paired atom namespace, and default negation in rule bodies.
 Stable models follow the reduct semantics: M is stable when M is exactly
 the least model of the program reduced by M's default-negated atoms.
 
-Grounding instantiates every rule over the whole constant universe (the
-Herbrand instantiation). Each rule is compiled once into positions that
-pick its atoms' terms from a tuple of variable values, so an instance costs
-one tuple pick and a set lookup, and objects are built only for new ones.
+Grounding builds only the relevant program: the rule instances whose
+positive body lies in the atoms derivable when default negation is
+ignored, found by semi-naive evaluation over the facts (Ullman 1988).
+That is exact: safety puts every variable in the positive body, and every
+stable model lies inside the derivable atoms, so no dropped instance fires
+in any reduct. Rule bodies and the OWL translation's guards join through
+one engine: ``JoinStep`` plans run against a hashed ``AtomIndex`` that
+grows with the fixpoint. The size of the whole Herbrand instantiation, which the ``reason`` summary
+reports, is counted by ``herbrand_size`` without building it.
 
 The solver enumerates candidate sets over the atoms that actually occur
 under default negation (the reduct depends on nothing else), computes the
@@ -16,18 +21,15 @@ least model of each reduct in one pass with a counter of missing body
 atoms per rule (Dowling & Gallier's linear-time Horn algorithm), and keeps
 the candidates that reproduce themselves. That stays exact while avoiding
 a sweep over all 2^n atom subsets; the test suite checks it against that
-full sweep.
+full sweep. ``bound`` caps the number of those negated atoms.
 """
 
 from __future__ import annotations
 
-import gc
 import itertools
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
 
@@ -291,97 +293,252 @@ def parse_rules(text: str, prefixes: dict[str, str] | None = None) -> LogicProgr
 
 
 # ---------------------------------------------------------------------------
+# Joins
+# ---------------------------------------------------------------------------
+
+
+class JoinStep(NamedTuple):
+    """How one body atom extends a binding (values by variable index):
+    look up the atoms of ``signature`` whose arguments at ``fixed`` equal
+    the constants or bound variables of ``fixed_slots``, keep those equal
+    at each ``repeats`` pair of positions, and append the arguments at
+    ``fresh`` as the values of the variables seen first here."""
+
+    signature: tuple
+    fixed: tuple[int, ...]
+    fixed_slots: tuple
+    fresh: tuple[int, ...]
+    repeats: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def plan(cls, atoms, variables: dict[str, int], wildcard: str | None = None) -> list["JoinStep"]:
+        """One step per atom, in order, numbering each variable at first
+        sight in ``variables``; an argument equal to ``wildcard`` matches
+        anything and binds nothing."""
+        steps = []
+        for atom in atoms:
+            known = len(variables)
+            fixed, fixed_slots, new, repeats = [], [], {}, []
+            for position, slot in enumerate(atom.slots(variables)):
+                if slot == wildcard:
+                    continue
+                if isinstance(slot, str) or slot < known:
+                    fixed.append(position)
+                    fixed_slots.append(slot)
+                elif slot in new:
+                    repeats.append((position, new[slot]))
+                else:
+                    new[slot] = position
+            signature = (atom.predicate, atom.negated, len(atom.terms))
+            steps.append(
+                cls(signature, tuple(fixed), tuple(fixed_slots), tuple(new.values()), tuple(repeats))
+            )
+        return steps
+
+
+class AtomIndex:
+    """Atoms by predicate, sign and arity, each group in insertion order,
+    hashed on first use by the values at a tuple of argument positions.
+    ``add`` also files the atom in every table built so far, so the index
+    grows with a fixpoint computation instead of being rebuilt."""
+
+    def __init__(self, atoms: Iterable[Atom] = ()):
+        self.groups: dict[tuple, list[tuple[str, ...]]] = {}
+        self.tables: dict[tuple, dict[tuple[int, ...], dict[tuple, list]]] = {}
+        for atom in atoms:
+            self.add(atom)
+
+    def add(self, atom: Atom):
+        signature = (atom.predicate, atom.negated, len(atom.terms))
+        terms = atom.terms
+        self.groups.setdefault(signature, []).append(terms)
+        if signature in self.tables:
+            for positions, table in self.tables[signature].items():
+                table.setdefault(tuple([terms[i] for i in positions]), []).append(terms)
+
+    def lookup(self, signature: tuple, positions: tuple[int, ...], values: tuple):
+        tables = self.tables.setdefault(signature, {})
+        table = tables.get(positions)
+        if table is None:
+            table = tables[positions] = {}
+            for terms in self.groups.get(signature, ()):
+                table.setdefault(tuple([terms[i] for i in positions]), []).append(terms)
+        return table.get(values, ())
+
+    def extend(self, step: JoinStep, bindings: list[tuple]) -> list[tuple]:
+        """Each binding extended by every indexed atom the step matches."""
+        signature, fixed, fixed_slots, fresh, repeats = step
+        extended = []
+        for binding in bindings:
+            values = tuple([binding[s] if isinstance(s, int) else s for s in fixed_slots])
+            for terms in self.lookup(signature, fixed, values):
+                if all(terms[a] == terms[b] for a, b in repeats):
+                    extended.append(binding + tuple([terms[i] for i in fresh]))
+        return extended
+
+
+# ---------------------------------------------------------------------------
 # Grounding
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector. Grounding and solving allocate
-    tens of thousands of acyclic objects; the collections they would
-    trigger re-traverse every live object and free nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def ground_program(program: LogicProgram, facts: Iterable[Atom] = ()) -> LogicProgram:
+    """The relevant ground program: the facts, and the instances of each
+    rule whose positive body lies in the atoms derivable from the facts
+    when default negation is ignored. Unsafe rules are rejected.
 
-
-@_collector_paused()
-def ground_program(program: LogicProgram, facts: list[Atom] = ()) -> LogicProgram:
-    """Instantiate every rule over the constant universe of the program and
-    the supplied facts. Unsafe rules are rejected.
-
-    Instances are deduped by their flat term tuple per rule shape, in
-    program order, so the rules come out exactly as substituting each
-    variable binding into each atom would give them.
+    The derivable atoms are computed by semi-naive evaluation: each round
+    joins every rule once per positive body atom, that atom against the
+    atoms new in the previous round and the rest against all atoms so far,
+    so an instance is found in the round its last body atom arrives. Every
+    binding found is an instance to keep; repeats, of the same rule or of
+    an earlier one, are dropped.
     """
+    facts = _checked(program, facts)
+    rules: dict[Rule, None] = dict.fromkeys(Rule(atom) for atom in facts)
+    derived = set(facts)
+    delta = list(dict.fromkeys(facts))
+    seeded = []
+    for rule in program.rules:
+        if not rule.positive:
+            rules[rule] = None
+            if rule.head not in derived:
+                derived.add(rule.head)
+                delta.append(rule.head)
+        for j, first in enumerate(rule.positive):
+            variables: dict[str, int] = {}
+            steps = JoinStep.plan((first, *rule.positive[:j], *rule.positive[j + 1 :]), variables)
+            parts = [
+                (atom.predicate, atom.slots(variables), atom.negated)
+                for atom in (rule.head, *rule.positive, *rule.negative)
+            ]
+            seeded.append((steps, parts, len(rule.positive)))
+    index = AtomIndex()
+    while delta:
+        for atom in delta:
+            index.add(atom)
+        new, delta = AtomIndex(delta), []
+        for (first, *rest), parts, n_positive in seeded:
+            if first.signature not in new.groups:
+                continue
+            bindings = new.extend(first, [()])
+            for step in rest:
+                bindings = index.extend(step, bindings)
+            for binding in bindings:
+                atoms = [
+                    Atom(p, tuple([binding[s] if isinstance(s, int) else s for s in slots]), n)
+                    for p, slots, n in parts
+                ]
+                instance = Rule(atoms[0], tuple(atoms[1 : 1 + n_positive]), tuple(atoms[1 + n_positive :]))
+                rules[instance] = None
+                if instance.head not in derived:
+                    derived.add(instance.head)
+                    delta.append(instance.head)
+    return LogicProgram(tuple(rules))
+
+
+def herbrand_size(program: LogicProgram, facts: Iterable[Atom] = ()) -> int:
+    """How many rules the Herbrand instantiation of ``program`` holds: the
+    facts as body-less rules, then each rule over every binding of its
+    variables to the constants of the program and the facts, an instance
+    an earlier rule or fact already gave counted once. It is counted, not
+    built: a rule with k variables has |U|^k instances, less the overlap
+    with earlier rules of the same shape, found by unifying their slot
+    patterns and enumerating only that overlap.
+    """
+    facts = _checked(program, facts)
+    universe = set(program.constants())
+    for atom in facts:
+        universe.update(atom.terms)
+    ordered = sorted(universe)
+    size = len(facts)
+    ground: dict[tuple, set[tuple]] = {}  # shape -> terms of earlier ground rules
+    patterns: dict[tuple, list[tuple]] = {}  # shape -> slots of earlier rules with variables
+    for atom in facts:
+        ground.setdefault(_shape(Rule(atom)), set()).add(atom.terms)
+    for rule in program.rules:
+        variables: dict[str, int] = {}
+        slots = tuple(
+            s for atom in (rule.head, *rule.positive, *rule.negative) for s in atom.slots(variables)
+        )
+        width = len(variables)
+        shape = _shape(rule)
+        earlier_ground = ground.setdefault(shape, set())
+        earlier = patterns.setdefault(shape, [])
+        if not width:
+            if slots in earlier_ground or any(_unify(slots, 0, p) for p in earlier):
+                continue
+            earlier_ground.add(slots)
+            size += 1
+        elif ordered:
+            overlaps = [
+                overlap
+                for other in (*earlier, *earlier_ground)
+                if (overlap := _unify(slots, width, other)) is not None
+            ]
+            earlier.append(slots)
+            size += len(ordered) ** width - _covered(overlaps, width, ordered)
+    return size
+
+
+def _shape(rule: Rule) -> tuple:
+    """Predicates, signs and arities of a rule's atoms: two rules are equal
+    exactly when their shapes and flat term tuples are."""
+    atoms = (rule.head, *rule.positive, *rule.negative)
+    return (len(rule.positive),) + tuple((a.predicate, a.negated, len(a.terms)) for a in atoms)
+
+
+def _unify(slots: tuple, width: int, other: tuple) -> tuple[tuple, int] | None:
+    """The most general common instance of two flat slot patterns of one
+    shape, as the value of each of the ``width`` variables of ``slots``:
+    a constant, or the number of its free class; with the count of free
+    classes. None when the patterns share no instance. The variables of
+    ``other`` are numbered after those of ``slots``, so the two are apart.
+    """
+    parent: dict = {}  # variable -> a variable or constant it equals
+
+    def root(node):
+        while node in parent:
+            node = parent[node]
+        return node
+
+    for a, b in zip(slots, other):
+        x, y = root(a), root(b + width if isinstance(b, int) else b)
+        if x == y:
+            continue
+        if isinstance(x, str):
+            if isinstance(y, str):
+                return None
+            x, y = y, x
+        parent[x] = y
+    free: dict[int, int] = {}
+    terms = [root(i) for i in range(width)]
+    terms = [t if isinstance(t, str) else free.setdefault(t, len(free)) for t in terms]
+    return tuple(terms), len(free)
+
+
+def _covered(overlaps: list[tuple[tuple, int]], width: int, universe: list[str]) -> int:
+    """How many of a rule's |U|^width bindings lie in at least one overlap."""
+    if any(free == width for _, free in overlaps):
+        return len(universe) ** width
+    if len(overlaps) == 1:
+        return len(universe) ** overlaps[0][1]
+    covered = set()
+    for terms, free in overlaps:
+        for values in itertools.product(universe, repeat=free):
+            covered.add(tuple([values[t] if isinstance(t, int) else t for t in terms]))
+    return len(covered)
+
+
+def _checked(program: LogicProgram, facts: Iterable[Atom]) -> tuple[Atom, ...]:
+    """The facts as a tuple, once every fact is ground and every rule safe."""
     facts = tuple(facts)
     offending = _first_nonground(facts)
     if offending is not None:
         raise RuleError(f"fact is not ground: {offending.render()}")
     for rule in program.rules:
         rule.check_safety()
-    universe = set(program.constants())
-    for atom in facts:
-        universe.update(atom.terms)
-    ordered_universe = sorted(universe)
-
-    ground_rules = [Rule(a) for a in facts]
-    seen: dict[tuple, set[tuple]] = {}
-    for atom in facts:
-        seen.setdefault(_shape((atom,), 0), set()).add(atom.terms)
-    for rule in program.rules:
-        variables = {v: i for i, v in enumerate(sorted(rule.variables()))}
-        if variables and not ordered_universe:
-            continue
-        atoms = (rule.head,) + rule.positive + rule.negative
-        shape_seen = seen.setdefault(_shape(atoms, len(rule.positive)), set())
-        slots = [s for atom in atoms for s in atom.slots(variables)]
-        constants = sorted({s for s in slots if isinstance(s, str)})
-        # Constants ride along as one-value pools after the variables, so
-        # every product tuple holds all the values the terms pick from.
-        constant_at = {c: len(variables) + i for i, c in enumerate(constants)}
-        pools = [ordered_universe] * len(variables) + [(c,) for c in constants]
-        pick = _picker([constant_at.get(s, s) for s in slots])
-        # Every variable occurs in some atom, so instances of one rule are
-        # distinct; only rules grounded earlier can repeat them.
-        flats = map(pick, itertools.product(*pools))
-        if shape_seen:
-            flats = itertools.filterfalse(shape_seen.__contains__, flats)
-        flats = list(flats)
-        shape_seen.update(flats)
-        spans, start = [], 0
-        for atom in atoms:
-            spans.append((atom.predicate, start, start + len(atom.terms), atom.negated))
-            start += len(atom.terms)
-        (hp, h0, h1, hn), *body = spans
-        positive, negative = body[: len(rule.positive)], body[len(rule.positive) :]
-        for flat in flats:
-            ground_rules.append(
-                Rule(
-                    Atom(hp, flat[h0:h1], hn),
-                    tuple([Atom(p, flat[a:b], n) for p, a, b, n in positive]),
-                    tuple([Atom(p, flat[a:b], n) for p, a, b, n in negative]),
-                )
-            )
-    return LogicProgram(tuple(ground_rules))
-
-
-def _shape(atoms: tuple[Atom, ...], n_positive: int) -> tuple:
-    """Predicates, signs and arities of a rule's atoms: two rules are equal
-    exactly when their shapes and flat term tuples are."""
-    return (n_positive,) + tuple((a.predicate, a.negated, len(a.terms)) for a in atoms)
-
-
-def _picker(positions: list[int]):
-    """Callable returning the values at ``positions`` as a tuple
-    (``itemgetter`` gives a bare value for one position, and needs one)."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda values: tuple(values[i] for i in positions)
+    return facts
 
 
 def _first_nonground(atoms) -> Atom | None:
@@ -400,7 +557,6 @@ def _first_nonground(atoms) -> Atom | None:
 # ---------------------------------------------------------------------------
 
 
-@_collector_paused()
 def least_model(rules: tuple[Rule, ...]) -> frozenset[Atom]:
     """Least model of a definite rule set, in one pass. Only heads and
     positive bodies are read, so a reduct is the rules that survive it.
@@ -447,10 +603,10 @@ def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom
     """All stable models of a ground program.
 
     A negation-free program has exactly one stable model, its least
-    fixpoint, and needs no candidate enumeration; only programs with
-    default negation are subject to ``bound``, which caps the ground atom
-    count before the exponential candidate sweep. Inconsistency is a valid
-    empty result, not an error.
+    fixpoint, and needs no candidate enumeration. Otherwise the candidates
+    are the subsets of the default-negation support (the distinct atoms
+    under ``not``), and ``bound`` caps that support before the exponential
+    sweep. Inconsistency is a valid empty result, not an error.
     """
     offending = _first_nonground(
         [a for rule in program.rules for a in (rule.head, *rule.positive, *rule.negative)]
@@ -464,10 +620,9 @@ def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom
     if not negated_support:
         model = least_model(program.rules)
         return [model] if _consistent(model) else []
-    atoms = program_atoms(program)
-    if len(atoms) > bound:
+    if len(negated_support) > bound:
         raise BoundExceededError(
-            f"ground program has {len(atoms)} atoms, solver bound is {bound}"
+            f"default-negation support has {len(negated_support)} atoms, solver bound is {bound}"
         )
     models: list[frozenset[Atom]] = []
     for bits in itertools.product((False, True), repeat=len(negated_support)):

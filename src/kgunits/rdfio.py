@@ -118,14 +118,16 @@ class _Scanner:
                 out.append(ch)
 
     def _read_unicode_escape(self) -> str:
-        kind = self.advance()
-        if kind == "u":
-            width = 4
-        elif kind == "U":
-            width = 8
-        else:
-            raise self.error(f"invalid escape \\{kind} in IRI")
-        digits = "".join(self.advance() for _ in range(width))
+        """The character of a ``\\u`` or ``\\U`` escape, read after its
+        backslash; input that ends inside the escape is a ParseError."""
+        kind = "" if self.eof() else self.advance()
+        if kind not in ("u", "U"):
+            raise self.error(f"invalid escape \\{kind} in IRI" if kind else "truncated escape at end of input")
+        width = 4 if kind == "u" else 8
+        digits = self.text[self.pos : self.pos + width]
+        self._skip_to(self.pos + len(digits))
+        if len(digits) < width:
+            raise self.error(f"truncated unicode escape \\{kind}{digits} at end of input")
         try:
             return chr(int(digits, 16))
         except ValueError:
@@ -147,12 +149,11 @@ class _Scanner:
         return self._read_escaped_string(close)
 
     def _read_escaped_string(self, close: str) -> str:
+        unterminated = "unterminated string literal" if close == '"' else "unterminated long string literal"
         out = []
         while True:
             if self.eof():
-                raise self.error(
-                    "unterminated string literal" if close == '"' else "unterminated long string literal"
-                )
+                raise self.error(unterminated)
             if self.text.startswith(close, self.pos):
                 self._skip_to(self.pos + len(close))
                 return "".join(out)
@@ -160,6 +161,8 @@ class _Scanner:
             if ch == "\n" and close == '"':
                 raise self.error("newline in single-quoted string literal")
             if ch == "\\":
+                if self.eof():
+                    raise self.error(unterminated)
                 esc = self.advance()
                 if esc in _ESCAPES:
                     out.append(_ESCAPES[esc])
@@ -381,12 +384,9 @@ class _TrigParser:
             return
 
     def _predicate(self) -> str:
-        if self.s.peek() == "a" and self.s.text[self.s.pos + 1 : self.s.pos + 2] in (
-            " ",
-            "\t",
-            "\n",
-            "<",
-        ):
+        # ``a`` is the keyword when it is a whole token, not the start of
+        # a prefixed name such as ``a:b`` or ``ab:c``.
+        if self.s.peek() == "a" and _TOKEN_RE.match(self.s.text, self.s.pos).end() == self.s.pos + 1:
             self.s.advance()
             return vocab.RDF_TYPE
         return self._resource()
@@ -554,7 +554,6 @@ def serialize_trig(dataset: QuadDataset, prefixes: dict[str, str] | None = None)
     prefixes = dict(sorted((prefixes or vocab.PREFIXES).items()))
     compacted = _Compacted(prefixes)
     out = []
-    used = set()
     body = []
     for name in dataset.graph_names():
         body.append(f"{compacted[name]} {{\n")
@@ -566,10 +565,8 @@ def serialize_trig(dataset: QuadDataset, prefixes: dict[str, str] | None = None)
             )
             body.append(line)
         body.append("}\n")
-    text = "".join(body)
-    for name, ns in prefixes.items():
-        if f"{name}:" in text:
-            used.add(name)
+    # The names the body uses are those its compacted IRIs were written with.
+    used = {form.partition(":")[0] for form in compacted.values() if not form.startswith("<")}
     for name in sorted(used):
         out.append(f"@prefix {name}: <{prefixes[name]}> .\n")
     if out and body:

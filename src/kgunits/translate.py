@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import vocab
 from .errors import PatternError
-from .logic import Atom, LogicProgram, Rule, is_variable, parse_rules
+from .logic import Atom, AtomIndex, JoinStep, LogicProgram, Rule, is_variable, parse_rules
 from .owl import (
     AllValuesFrom,
     ClassAssertion,
@@ -391,53 +391,8 @@ def builtin_patterns(
 # ---------------------------------------------------------------------------
 
 
-class _ModelIndex:
-    """Model atoms by predicate, sign and arity, each group in key order,
-    hashed on first use by the values at a tuple of argument positions."""
-
-    def __init__(self, model):
-        self.groups: dict[tuple, list[tuple[str, ...]]] = {}
-        for atom in sorted(model, key=lambda a: a.key()):
-            signature = (atom.predicate, atom.negated, len(atom.terms))
-            self.groups.setdefault(signature, []).append(atom.terms)
-        self.tables: dict[tuple, dict[tuple, list[tuple[str, ...]]]] = {}
-
-    def lookup(self, signature: tuple, positions: tuple[int, ...], values: tuple):
-        table = self.tables.get((signature, positions))
-        if table is None:
-            table = self.tables[(signature, positions)] = {}
-            for terms in self.groups.get(signature, ()):
-                table.setdefault(tuple(terms[i] for i in positions), []).append(terms)
-        return table.get(values, ())
-
-
 def _bound_values(slots, binding: tuple) -> tuple:
     return tuple(binding[s] if isinstance(s, int) else s for s in slots)
-
-
-def _match_positive(guard: Atom, variables: dict[str, int], index, bindings: list[tuple]):
-    """Extend each binding (values by variable index) by every model atom
-    the guard matches; ``_`` matches anything and binds nothing."""
-    known = len(variables)
-    fixed, fixed_slots, new, repeats = [], [], {}, []
-    for position, slot in enumerate(guard.slots(variables)):
-        if slot == WILDCARD:
-            continue
-        if isinstance(slot, str) or slot < known:
-            fixed.append(position)
-            fixed_slots.append(slot)
-        elif slot in new:
-            repeats.append((position, new[slot]))
-        else:
-            new[slot] = position
-    signature = (guard.predicate, guard.negated, len(guard.terms))
-    fixed, fresh = tuple(fixed), tuple(new.values())
-    extended = []
-    for binding in bindings:
-        for terms in index.lookup(signature, fixed, _bound_values(fixed_slots, binding)):
-            if all(terms[a] == terms[b] for a, b in repeats):
-                extended.append(binding + tuple(terms[i] for i in fresh))
-    return extended
 
 
 def _negative_holds(signature: tuple, slots, index, binding: tuple) -> bool:
@@ -521,15 +476,13 @@ def translate_to_owl(
     model, patterns: list[TranslationPattern]
 ) -> list[OwlAxiom]:
     """Apply every pattern under every guard-satisfying substitution."""
-    index = _ModelIndex(model)
+    index = AtomIndex(sorted(model, key=Atom.key))
     axioms: set[OwlAxiom] = set()
     for pattern in patterns:
         variables: dict[str, int] = {}
         bindings: list[tuple] = [()]
-        for guard in pattern.positive:
-            bindings = _match_positive(guard, variables, index, bindings)
-            if not bindings:
-                break
+        for step in JoinStep.plan(pattern.positive, variables, WILDCARD):
+            bindings = index.extend(step, bindings)
         negative = [
             ((a.predicate, a.negated, len(a.terms)), a.slots(variables))
             for a in pattern.negative

@@ -1,9 +1,11 @@
 """Reference implementations of grounding and the least model.
 
-These are the straightforward versions that the compiled grounding and
-the counter-based least model in ``kgunits.logic`` replace: every rule
-instance is built by substituting a binding dict into each atom, and the
-least model is reached by re-scanning all rules until nothing changes;
+These are the straightforward versions that the relevance grounding, the
+Herbrand count and the counter-based least model in ``kgunits.logic``
+replace: the whole Herbrand instantiation is built, every rule instance by
+substituting a binding dict into each atom, its relevant part is filtered
+from it afterwards, and the least model is reached by re-scanning all
+rules until nothing changes;
 ``stable_models`` enumerates reducts over them, copying every rule. The
 guard matching of ``translate_to_owl`` tests every model atom of the
 guard's predicate term by term. They serve as the oracle for differential
@@ -54,6 +56,13 @@ def ground_program(program: LogicProgram, facts: list[Atom] = ()) -> LogicProgra
                 seen.add(key)
                 ground_rules.append(grounded)
     return LogicProgram(tuple(ground_rules))
+
+
+def relevant_rules(program: LogicProgram) -> set[Rule]:
+    """The rules of a ground program whose positive body lies in the least
+    model of its positive projection (every rule with ``not`` dropped)."""
+    derivable = least_model(tuple(Rule(r.head, r.positive) for r in program.rules))
+    return {r for r in program.rules if derivable.issuperset(r.positive)}
 
 
 def _substitute(atom: Atom, binding: dict[str, str]) -> Atom:

@@ -4,7 +4,8 @@ These are the straightforward versions that the whole-token scans and the
 per-call compaction memo in ``kgunits.rdfio`` replace: the scanner reads
 every IRI, string and run of whitespace one character at a time
 through ``eof``/``peek``/``advance``, the serializer compacts every IRI
-occurrence by scanning the whole prefix table, and ``_escape`` walks the
+occurrence by scanning the whole prefix table (and declares the prefixes
+those compactions used), and ``_escape`` walks the
 lexical form character by character. The parsers themselves are the
 library's own; only the scanner under them is swapped. They serve as the
 oracle for differential tests.
@@ -70,6 +71,8 @@ class Scanner(rdfio._Scanner):
             if ch == "\n":
                 raise self.error("newline in single-quoted string literal")
             if ch == "\\":
+                if self.eof():
+                    raise self.error("unterminated string literal")
                 esc = self.advance()
                 if esc in _ESCAPES:
                     out.append(_ESCAPES[esc])
@@ -94,6 +97,8 @@ class Scanner(rdfio._Scanner):
                 return "".join(out)
             ch = self.advance()
             if ch == "\\":
+                if self.eof():
+                    raise self.error("unterminated long string literal")
                 esc = self.advance()
                 if esc in _ESCAPES:
                     out.append(_ESCAPES[esc])
@@ -182,35 +187,38 @@ def _compact(iri: str, prefixes: dict[str, str]) -> str:
     return f"{best_name}:{iri[len(prefixes[best_name]):]}"
 
 
-def _term_trig(term: Term, prefixes: dict[str, str]) -> str:
+def _term_trig(term: Term, compact) -> str:
     if isinstance(term, Iri):
-        return _compact(term.value, prefixes)
+        return compact(term.value)
     if term.language is not None:
         return f'"{_escape(term.lexical)}"@{term.language}'
     if term.datatype == vocab.XSD_STRING:
         return f'"{_escape(term.lexical)}"'
-    return f'"{_escape(term.lexical)}"^^{_compact(term.datatype, prefixes)}'
+    return f'"{_escape(term.lexical)}"^^{compact(term.datatype)}'
 
 
 def serialize_trig(dataset: QuadDataset, prefixes: dict[str, str] | None = None) -> str:
     prefixes = dict(sorted((prefixes or vocab.PREFIXES).items()))
-    out = []
     used = set()
+
+    def compact(iri: str) -> str:
+        form = _compact(iri, prefixes)
+        if not form.startswith("<"):
+            used.add(form.split(":", 1)[0])
+        return form
+
+    out = []
     body = []
     for name in dataset.graph_names():
-        body.append(f"{_compact(name, prefixes)} {{\n")
+        body.append(f"{compact(name)} {{\n")
         for q in dataset.graph(name):
             line = (
-                f"    {_compact(q.subject, prefixes)} "
-                f"{_compact(q.predicate, prefixes)} "
-                f"{_term_trig(q.object, prefixes)} .\n"
+                f"    {compact(q.subject)} "
+                f"{compact(q.predicate)} "
+                f"{_term_trig(q.object, compact)} .\n"
             )
             body.append(line)
         body.append("}\n")
-    text = "".join(body)
-    for name, ns in prefixes.items():
-        if f"{name}:" in text:
-            used.add(name)
     for name in sorted(used):
         out.append(f"@prefix {name}: <{prefixes[name]}> .\n")
     if out and body:

@@ -80,6 +80,14 @@ def test_malformed_input_is_data_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_truncated_escape_is_data_error(capsys, tmp_path):
+    bad = tmp_path / "bad.trig"
+    bad.write_text('@prefix ex: <https://example.org/> .\nex:s ex:p "abc\\u12', encoding="utf-8")
+    assert main(["partition", str(bad), *common(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "truncated unicode escape" in err and "Traceback" not in err
+
+
 def test_partition_summary_and_artifacts(capsys, tmp_path):
     code, summary = run(
         capsys, "partition", str(FIXTURES / "hand_assertional.trig"), *common(tmp_path)
@@ -380,11 +388,34 @@ def test_translate_with_custom_pattern_file(capsys, tmp_path):
 
 
 def test_bound_exceeded_exit_code(capsys, tmp_path):
+    """Even negative loops over six constants leave twelve atoms under
+    default negation in the relevant program, more than the bound."""
+    rules = tmp_path / "loops.lp"
+    rules.write_text(
+        "p(X) :- r(X), not q(X).\nq(X) :- r(X), not p(X).\n"
+        + "".join(f"r(c{i}).\n" for i in range(6)),
+        encoding="utf-8",
+    )
     code = main(
         [
             "reason",
             str(FIXTURES / "publication_frames.trig"),
-            *common(tmp_path, "--rules", str(FIXTURES / "thumb.lp"), "--bound", "4"),
+            *common(tmp_path, "--rules", str(rules), "--bound", "4"),
         ]
     )
     assert code == 3
+    err = capsys.readouterr().err
+    assert "default-negation support has 12 atoms, solver bound is 4" in err
+
+
+def test_bound_counts_only_the_relevant_negated_atoms(capsys, tmp_path):
+    """The thumb default is grounded only for hands; this input has none,
+    so nothing sits under default negation and a small bound suffices."""
+    code, summary = run(
+        capsys,
+        "reason",
+        str(FIXTURES / "publication_frames.trig"),
+        *common(tmp_path, "--rules", str(FIXTURES / "thumb.lp"), "--bound", "4"),
+    )
+    assert code == 0
+    assert summary["models"] == "1"

@@ -14,6 +14,7 @@ from kgunits.logic import (
     LogicProgram,
     Rule,
     ground_program,
+    herbrand_size,
     least_model,
     parse_rules,
     program_atoms,
@@ -79,16 +80,34 @@ def test_unsafe_negative_variable_rejected():
 def test_grounding_counts():
     # one variable over the one-constant universe {x1}: a single instance
     program = parse_rules("hasthumb(X) :- hand(X), not thumbless(X).")
-    ground = ground_program(program, [Atom("hand", ("x1",))])
+    facts = [Atom("hand", ("x1",))]
+    ground = ground_program(program, facts)
     non_fact = [r for r in ground.rules if not r.is_fact]
     assert len(non_fact) == 1
-    # two variables over three constants: nine instances
+    assert herbrand_size(program, facts) == 1 + 1
+    # two variables over three constants: nine Herbrand instances, of
+    # which the two with q(X) and r(Y) among the facts are relevant
     program = parse_rules("p(X, Y) :- q(X), r(Y).")
-    ground = ground_program(
-        program, [Atom("q", ("a",)), Atom("r", ("b",)), Atom("q", ("c",))]
-    )
+    facts = [Atom("q", ("a",)), Atom("r", ("b",)), Atom("q", ("c",))]
+    ground = ground_program(program, facts)
     non_fact = [r for r in ground.rules if not r.is_fact]
-    assert len(non_fact) == 9
+    assert {r.head for r in non_fact} == {Atom("p", ("a", "b")), Atom("p", ("c", "b"))}
+    assert herbrand_size(program, facts) == 3 + 9
+
+
+def test_herbrand_size_is_counted_not_built():
+    """Over 200 constants: the first rule has 200^2 instances; the second
+    and the third 200^2 each, less the 200 with X = Y they share with the
+    first (they share none with each other); the fourth 200^3, less the
+    union of all three; the fifth has a shape of its own."""
+    program = parse_rules(
+        "p(X, X, Z) :- q(X, X, Z). p(X, Y, a) :- q(X, Y, a). p(X, Y, b) :- q(X, Y, b).\n"
+        "p(X, Y, Z) :- q(X, Y, Z). p(X, Y) :- q(X, Y, a)."
+    )
+    facts = [Atom("q", (f"c{i}", "a", "b")) for i in range(198)]
+    n = 200
+    expected = 198 + n**2 + 2 * (n**2 - n) + (n**3 - (3 * n**2 - 2 * n)) + n**2
+    assert herbrand_size(program, facts) == expected
 
 
 def test_nonground_fact_rejected():
@@ -167,6 +186,16 @@ def test_monotone_fragment_equals_forward_chaining():
         assert models[0] == least_model(program.rules)
 
 
+def test_bound_counts_default_negated_atoms_only():
+    # twenty atoms, one of them under default negation
+    rules = [Rule(Atom(f"p{i}")) for i in range(18)] + [Rule(Atom("q"), (Atom("p0"),), (Atom("r"),))]
+    (model,) = stable_models(LogicProgram(tuple(rules)), bound=1)
+    assert Atom("q") in model
+    rules.append(Rule(Atom("r"), (), (Atom("q"),)))
+    with pytest.raises(BoundExceededError, match="support has 2 atoms, solver bound is 1"):
+        stable_models(LogicProgram(tuple(rules)), bound=1)
+
+
 def test_bound_enforced_for_default_negation():
     rules = [Rule(Atom(f"p{i}"), (), (Atom(f"q{i}"),)) for i in range(20)]
     program = LogicProgram(tuple(rules))
@@ -201,7 +230,7 @@ def test_solver_matches_brute_force_oracle_randomized():
 # ---------------------------------------------------------------------------
 
 PREDICATES = ("p", "q", "r")
-CONSTANTS = ("a", "b", '"s"', "1")
+CONSTANTS = ("a", "b", '"s"', "1", "_")  # "_" is a constant in rules, a wildcard only in guards
 VARIABLES = ("X", "Y", "Z")
 
 
@@ -238,38 +267,48 @@ def _renamed(rule: Rule, mapping: dict[str, str]) -> Rule:
 
 @st.composite
 def _programs(draw):
-    """Random rules, some repeated verbatim or with variables renamed so
-    that several rules ground to the same instances, plus ground facts over
-    a few constants the rules may not mention."""
+    """Random rules, some repeated verbatim, with variables renamed or with
+    a variable fixed to a constant, so that several rules ground to some
+    or all of the same instances, plus ground facts over a few constants
+    the rules may not mention."""
     rules = draw(st.lists(_rules(), max_size=4))
     for rule in list(rules):
         if draw(st.booleans()):
             order = draw(st.permutations(VARIABLES))
             rules.append(_renamed(rule, dict(zip(VARIABLES, order))))
+        if draw(st.booleans()):
+            # the same rule with one variable fixed: part of its instances
+            rules.append(_renamed(rule, {draw(st.sampled_from(VARIABLES)): draw(st.sampled_from(CONSTANTS))}))
     facts = draw(st.lists(_atoms(st.sampled_from(CONSTANTS + ("c",))), max_size=4))
     return LogicProgram(tuple(draw(st.permutations(rules)))), facts
 
 
-def _stable_or_error(solve, program):
+def _check_against_herbrand(program: LogicProgram, facts) -> LogicProgram:
+    """The relevant grounding against the Herbrand instantiation: equal to
+    its relevant part as a set, with no rule twice; its size counted
+    exactly; and the same stable models wherever the oracle solves."""
+    ground = ground_program(program, facts)
+    herbrand = oracle.ground_program(program, facts)
+    assert set(ground.rules) == oracle.relevant_rules(herbrand)
+    assert len(ground.rules) == len(set(ground.rules))
+    assert herbrand_size(program, facts) == len(herbrand.rules)
+    assert least_model(ground.rules) == oracle.least_model(ground.rules)
     try:
-        return solve(program, bound=40)
-    except BoundExceededError as exc:
-        return str(exc)
+        expected = oracle.stable_models(herbrand, bound=40)
+    except BoundExceededError:
+        return ground
+    assert stable_models(ground, bound=40) == expected
+    return ground
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_programs())
 def test_grounding_matches_substituting_oracle(case):
     program, facts = case
-    ground = ground_program(program, facts)
-    assert ground.rules == oracle.ground_program(program, facts).rules
-    assert least_model(ground.rules) == oracle.least_model(ground.rules)
-    assert _stable_or_error(stable_models, ground) == _stable_or_error(
-        oracle.stable_models, ground
-    )
+    _check_against_herbrand(program, facts)
 
 
-def test_cross_rule_dedup_keeps_first_instance_order():
+def test_cross_rule_dedup_keeps_each_instance_once():
     # The fact, the variable-free rule and the renamed copy repeat
     # instances of earlier rules. Instances that differ only in arity
     # (p(a, b) :- q(a) against p(a) :- q(b, a)) or only in where a body
@@ -278,13 +317,31 @@ def test_cross_rule_dedup_keeps_first_instance_order():
         "p(X, Y) :- q(X), r(Y). p(a, b) :- q(a), r(b). p(Y, X) :- q(Y), r(X). q(a).\n"
         "p(X, b) :- q(X). p(a) :- q(b, a). s(a) :- q(a). s(a) :- not q(a)."
     )
-    facts = [Atom("q", ("a",)), Atom("r", ("b",))]
-    ground = ground_program(program, facts)
-    assert ground.rules == oracle.ground_program(program, facts).rules
-    assert len(ground.rules) == len(set(ground.rules))
+    facts = [Atom("q", ("a",)), Atom("r", ("b",)), Atom("q", ("b", "a"))]
+    ground = _check_against_herbrand(program, facts)
     assert Rule(Atom("p", ("a", "b")), (Atom("q", ("a",)),)) in ground.rules
     assert Rule(Atom("p", ("a",)), (Atom("q", ("b", "a")),)) in ground.rules
     assert Rule(Atom("s", ("a",)), (), (Atom("q", ("a",)),)) in ground.rules
+    # Without the fact q(b, a) its rule has a Herbrand instance but no
+    # relevant one.
+    ground = _check_against_herbrand(program, facts[:2])
+    assert not any(r.head == Atom("p", ("a",)) for r in ground.rules)
+
+
+def test_relevant_grounding_joins_over_several_rounds():
+    # a chain of derivations; bodies whose later atoms arrive in later
+    # rounds than their first, joined through index tables built in an
+    # earlier round; a body with a constant and a repeated variable
+    program = parse_rules(
+        "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y), edge(Y, Z).\n"
+        "loop(X) :- path(X, X). hub(X) :- path(a, X), not loop(X).\n"
+        "from(X, Z) :- edge(X, Y), path(Y, Z). two(X, Z) :- path(X, Y), path(Y, Z)."
+    )
+    facts = [Atom("edge", pair) for pair in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))]
+    ground = _check_against_herbrand(program, facts)
+    (model,) = stable_models(ground)
+    assert {a.terms[0] for a in model if a.predicate == "loop"} == {"a", "b", "c"}
+    assert {a.terms[0] for a in model if a.predicate == "hub"} == {"d"}
 
 
 def test_stable_models_reports_nonground_atom():

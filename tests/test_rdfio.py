@@ -106,6 +106,37 @@ ex:s ex:p "x"@en.
     assert parse_quads(serialize_quads(ds, "trig"), "trig") == ds
 
 
+@pytest.mark.parametrize(
+    "separator, obj",
+    [("\r\n ", "ex:C"), ("#c\n", "ex:C"), ("\r", "ex:C"), ("", f"<{EX}C>"), ("", '"C"')],
+)
+def test_trig_a_keyword_ends_at_any_delimiter(separator, obj):
+    """``a`` is the keyword whenever the next character cannot continue a
+    prefixed name; ``a:b`` and ``ab:c`` stay names."""
+    text = f"@prefix ex: <{EX}> .\n@prefix a: <{REL}> .\nex:s a{separator}{obj} ; a:b ex:o .\n"
+    predicates = {q.predicate for q in parse_trig(text)}
+    assert predicates == {vocab.RDF_TYPE, REL + "b"}
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ['"abc\\u12', '"abc\\', '"""ab\\U0001F6', f"<{EX}\\u00", f"<{EX}\\"],
+)
+def test_trig_escape_truncated_at_end_of_input(tail):
+    with pytest.raises(ParseError) as err:
+        parse_trig(f"@prefix ex: <{EX}> .\nex:s ex:p {tail}")
+    assert err.value.line == 2
+
+
+def test_unused_prefix_is_not_declared():
+    """A literal holding ``owl:`` declares no prefix; only the names the
+    compacted IRIs use are declared."""
+    ds = QuadDataset([Quad(EX + "s", REL + "p", Literal("see owl: docs"), EX + "g")])
+    text = serialize_trig(ds, {"ex": EX, "owl": vocab.OWL_NS, "rel": REL, "x": REL})
+    assert text.startswith(f"@prefix ex: <{EX}> .\n@prefix rel: <{REL}> .\n\nex:g {{\n")
+    assert parse_trig(text) == ds
+
+
 def test_trig_undeclared_prefix_errors():
     with pytest.raises(ParseError):
         parse_quads("ex:g { ex:s ex:p ex:o . }", "trig")
@@ -217,7 +248,7 @@ def _outcome(parse, text):
         return (type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
 
 
-_ws = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", " # note\n", "\n# <x> \"y\n  "])
+_ws = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\r", "#c\n", " # note\n", "\n# <x> \"y\n  "])
 # Mostly characters an IRI may hold; the rest make it invalid once unescaped.
 _esc_char = st.sampled_from(["é", "x", "-", "\U0001F600"] * 4 + [">", " ", '"', "\\"])
 
@@ -305,9 +336,14 @@ def _nquads_documents(draw):
 
 def _mutate(draw, text):
     i = draw(st.integers(0, len(text)))
-    how = draw(st.sampled_from(["truncate", "delete", "insert"]))
+    how = draw(st.sampled_from(["truncate", "delete", "insert", "escape"]))
     if how == "truncate":
         return text[:i]
+    if how == "escape":
+        # End the input inside an escape, mostly within a string or an IRI.
+        opens = [j + 1 for j, ch in enumerate(text) if ch in '<"']
+        i = draw(st.sampled_from(opens)) if opens else i
+        return text[:i] + draw(st.sampled_from(["\\", "\\u", "\\u12", "\\U0001F6"]))
     if how == "delete":
         return text[:i] + text[i + 1 :]
     return text[:i] + draw(st.sampled_from(list('<>"\\\n#.{}:x ;,@^_[u'))) + text[i:]
@@ -345,6 +381,9 @@ _HEAD = f"@prefix ex: <{EX}> .\nex:g {{\n  ex:s ex:p "
         _HEAD + "<relative/iri> . }",  # relative IRI
         _HEAD + "<https://exa\nmple.org/> . }",  # newline inside an IRI
         _HEAD + "+.5 . }",  # sign without digits
+        _HEAD + '"abc\\u12',  # input ends inside a string's unicode escape
+        _HEAD + '"abc\\',  # input ends after a string's backslash
+        _HEAD + f"<{EX}\\U0001",  # input ends inside an IRI's unicode escape
     ],
 )
 def test_malformed_trig_fails_like_character_scanner(text):
@@ -390,6 +429,7 @@ def _serializable_quads(draw):
         obj = Iri(draw(_any_iri))
     else:
         lexical = draw(st.text(alphabet=st.sampled_from(list('ab"\\\n\r\t\x00\x1f\x7f é')), max_size=6))
+        lexical += draw(st.sampled_from(["", " ex: ", "kg:x", "see rel: docs"]))
         if draw(st.booleans()):
             obj = Literal(lexical, language="en")
         else:
@@ -407,8 +447,17 @@ def test_serialize_matches_unmemoized_writer(quads, prefixes):
     namespace and local names valid only under the shorter namespace."""
     ds = QuadDataset(quads)
     assert serialize_trig(ds, prefixes) == rdfio_oracle.serialize_trig(ds, prefixes)
-    assert serialize_trig(ds, _PREFIX_TABLE) == rdfio_oracle.serialize_trig(ds, _PREFIX_TABLE)
+    text = serialize_trig(ds, _PREFIX_TABLE)
+    assert text == rdfio_oracle.serialize_trig(ds, _PREFIX_TABLE)
     assert serialize_nquads(ds) == rdfio_oracle.serialize_nquads(ds)
+    # The declared prefixes are exactly those of the compacted IRIs.
+    iris = {v for q in ds for v in (q.subject, q.predicate, q.graph)}
+    iris |= {q.object.value for q in ds if isinstance(q.object, Iri)}
+    iris |= {q.object.datatype for q in ds if isinstance(q.object, Literal)
+             and q.object.language is None and q.object.datatype != vocab.XSD_STRING}
+    forms = [rdfio_oracle._compact(iri, _PREFIX_TABLE) for iri in iris]
+    declared = {line.split()[1][:-1] for line in text.splitlines() if line.startswith("@prefix ")}
+    assert declared == {f.split(":", 1)[0] for f in forms if not f.startswith("<")}
 
 
 def test_compaction_picks_the_longest_namespace_with_a_valid_local_name():
