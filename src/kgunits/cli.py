@@ -5,11 +5,11 @@ byte-reproducible when seeded. A stage reads what it needs (dataset,
 partition, facts, models) from one ``Products`` object per input, which
 computes each product once, so ``pipeline`` partitions, grounds and solves
 its input once and every artifact of a run names the same UPRIs, seeded or
-not. The downstream stages (``nanopub``, ``acl``) read ``compounds.trig``
-through a fresh ``Products``, exactly as a stage-by-stage run would. Every
-command prints a ``key=value`` summary to stdout and writes artifacts
-atomically (temp file + rename), so a failed run never leaves a partial
-file behind.
+not. The downstream stages (``nanopub``, ``acl``) receive the dataset
+``compounds.trig`` holds, in memory, and write the same bytes as a
+stage-by-stage run on that file. Every command prints a ``key=value``
+summary to stdout and writes artifacts atomically (temp file + rename), so
+a failed run never leaves a partial file behind.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 solver bound exceeded.
 """
@@ -194,14 +194,17 @@ class Context:
 
 
 class Products:
-    """What the stages compute from one input dataset: the dataset, its
-    partition, its facts, and the ground rule count and stable models of
-    the rules over those facts. Each is computed on first use and kept, so
-    every stage of a run reads the same partition (and the same UPRIs)."""
+    """What the stages compute from one input dataset (parsed, or given): the
+    dataset, its partition, its compound units, its facts, and the ground
+    rule count and stable models of the rules over those facts. Each is
+    computed on first use and kept, so every stage of a run reads the same
+    partition (and the same UPRIs)."""
 
-    def __init__(self, ctx: Context, paths: list[str]):
+    def __init__(self, ctx: Context, paths: list[str] = (), dataset: QuadDataset | None = None):
         self.ctx = ctx
         self.paths = paths
+        if dataset is not None:
+            self.dataset = dataset  # shadows the cached property: nothing is parsed
 
     @cached_property
     def dataset(self) -> QuadDataset:
@@ -214,6 +217,14 @@ class Products:
     def partition(self):
         ctx = self.ctx
         return run_partition(self.dataset, ctx.schemas, ctx.catalog, ctx.minter("partition"))
+
+    @cached_property
+    def compounds(self):
+        """The compound units built over the partition, and the partition's
+        dataset merged with their quads (what ``compounds.trig`` holds)."""
+        result, catalog = self.partition, self.ctx.catalog
+        compounds = build_all(result, catalog, self.ctx.minter("compound"))
+        return compounds, result.dataset.merge(compound_quads(list(compounds.all_units()), catalog))
 
     @cached_property
     def facts(self):
@@ -301,12 +312,9 @@ def stage_partition(ctx: Context) -> dict:
 
 
 def stage_compound(ctx: Context) -> dict:
-    result = ctx.products.partition
-    compounds = build_all(result, ctx.catalog, ctx.minter("compound"))
-    all_units = compounds.all_units()
-    merged = result.dataset.merge(compound_quads(list(all_units), ctx.catalog))
+    compounds, merged = ctx.products.compounds
     _write_trig(ctx, "compounds.trig", merged)
-    _write_atomic(ctx.out / "compounds.tsv", render_report(list(all_units)))
+    _write_atomic(ctx.out / "compounds.tsv", render_report(list(compounds.all_units())))
     return {
         "typed_units": len(compounds.typed),
         "quality_measurement_units": len(compounds.quality),
@@ -384,20 +392,18 @@ def stage_nanopub(ctx: Context) -> dict:
     stamp = ctx.timestamp()
     prov = ProvenanceRecord(creator=ctx.creator, created=stamp)
     pub = ProvenanceRecord(creator=ctx.creator, created=stamp)
-    quads = []
-    count = 0
-    for unit in sorted(result.units, key=lambda u: u.upri):
-        np = emit_nanopublication(
-            unit, prov, pub, ctx.catalog, schema_upri=unit.schema_class
-        )
-        quads.extend(np.dataset())
-        count += 1
-    for compound in reconstruct_compounds(result.dataset, ctx.catalog):
-        np = emit_nanopublication(compound, prov, pub, ctx.catalog)
-        quads.extend(np.dataset())
-        count += 1
+    nanopubs = [
+        emit_nanopublication(unit, prov, pub, ctx.catalog, schema_upri=unit.schema_class)
+        for unit in sorted(result.units, key=lambda u: u.upri)
+    ]
+    nanopubs += [
+        emit_nanopublication(compound, prov, pub, ctx.catalog)
+        for compound in reconstruct_compounds(result.dataset, ctx.catalog)
+    ]
+    # One dataset sorts and deduplicates the quads of all nanopublications.
+    quads = [q for np in nanopubs for q in np.head + np.assertion + np.provenance + np.pubinfo]
     _write_trig(ctx, "nanopubs.trig", QuadDataset(quads))
-    return {"nanopubs": count}
+    return {"nanopubs": len(nanopubs)}
 
 
 def stage_align(ctx: Context) -> dict:
@@ -444,10 +450,10 @@ def stage_pipeline(ctx: Context) -> dict:
     summary: dict[str, object] = {}
     for name in ("ingest", "partition", "compound", "label", "reason", "translate"):
         summary.update(_STAGES[name](ctx))
-    # Downstream stages read the compound stage's artifact, exactly as a
-    # stage-by-stage invocation would. The input's products are dropped
-    # first, so they are not held while the artifact is partitioned.
-    ctx.products = Products(ctx, [str(ctx.out / "compounds.trig")])
+    # Downstream stages receive the dataset compounds.trig holds, in memory:
+    # it parses back to the same dataset, so the bytes are those of a
+    # stage-by-stage run. The input's other products are dropped with it.
+    ctx.products = Products(ctx, dataset=ctx.products.compounds[1])
     for name in ("nanopub", "acl") if ctx.policy_path else ("nanopub",):
         summary.update(_STAGES[name](ctx))
     return summary

@@ -26,10 +26,11 @@ full sweep. ``bound`` caps the number of those negated atoms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
 
@@ -68,24 +69,27 @@ class Atom:
         return (self.predicate, self.terms, self.negated)
 
     def render(self, prefixes: Mapping[str, str] | None = None) -> str:
-        return _render(self, _by_namespace_length(prefixes))
+        ordered = _by_namespace_length(prefixes)
+        return _render(self, lambda token: _shorten(token, ordered))
 
 
 def render_atoms(atoms: Iterable[Atom], prefixes: Mapping[str, str] | None = None) -> list[str]:
     """Render each atom, shortening IRIs against ``prefixes`` (longest
-    namespace first, ties in table order); the table is sorted once."""
+    namespace first, ties in table order); the table is sorted once and
+    each distinct token is shortened once."""
     ordered = _by_namespace_length(prefixes)
-    return [_render(atom, ordered) for atom in atoms]
+    shorten = functools.cache(lambda token: _shorten(token, ordered))
+    return [_render(atom, shorten) for atom in atoms]
 
 
 def _by_namespace_length(prefixes: Mapping[str, str] | None) -> list[tuple[str, str]]:
     return sorted((prefixes or {}).items(), key=lambda kv: -len(kv[1]))
 
 
-def _render(atom: Atom, ordered: list[tuple[str, str]]) -> str:
-    text = ("-" if atom.negated else "") + _shorten(atom.predicate, ordered)
+def _render(atom: Atom, shorten: Callable[[str], str]) -> str:
+    text = ("-" if atom.negated else "") + shorten(atom.predicate)
     if atom.terms:
-        text += f"({', '.join(_shorten(t, ordered) for t in atom.terms)})"
+        text += f"({', '.join(map(shorten, atom.terms))})"
     return text
 
 

@@ -39,6 +39,7 @@ _TOKEN_RE = re.compile(rf"(?:{_NAME_CHAR}|\.+(?={_NAME_CHAR}))*")
 # Whitespace and comments; between the terms of an N-Quads line, no newline.
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _INLINE_WS_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 
 
 class _Scanner:
@@ -119,7 +120,8 @@ class _Scanner:
 
     def _read_unicode_escape(self) -> str:
         """The character of a ``\\u`` or ``\\U`` escape, read after its
-        backslash; input that ends inside the escape is a ParseError."""
+        backslash; anything but 4 or 8 ASCII hex digits naming a Unicode
+        scalar value (no surrogate, which UTF-8 cannot hold) is a ParseError."""
         kind = "" if self.eof() else self.advance()
         if kind not in ("u", "U"):
             raise self.error(f"invalid escape \\{kind} in IRI" if kind else "truncated escape at end of input")
@@ -128,10 +130,10 @@ class _Scanner:
         self._skip_to(self.pos + len(digits))
         if len(digits) < width:
             raise self.error(f"truncated unicode escape \\{kind}{digits} at end of input")
-        try:
-            return chr(int(digits, 16))
-        except ValueError:
-            raise self.error(f"invalid unicode escape \\{kind}{digits}") from None
+        code = int(digits, 16) if _HEX_RE.fullmatch(digits) else -1
+        if not (0 <= code < 0xD800 or 0xE000 <= code <= 0x10FFFF):
+            raise self.error(f"invalid unicode escape \\{kind}{digits}")
+        return chr(code)
 
     def read_string(self) -> str:
         self.expect('"')

@@ -88,6 +88,15 @@ def test_truncated_escape_is_data_error(capsys, tmp_path):
     assert "truncated unicode escape" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("obj", ['"x\\u+041"', "<https://example.org/x\\u0_41>", '"x\\uD800"'])
+def test_non_hex_escape_digit_is_data_error(capsys, tmp_path, obj):
+    bad = tmp_path / "bad.trig"
+    bad.write_text(f"@prefix ex: <https://example.org/> .\nex:s ex:p {obj} .\n", encoding="utf-8")
+    assert main(["partition", str(bad), *common(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid unicode escape" in err and "Traceback" not in err
+
+
 def test_partition_summary_and_artifacts(capsys, tmp_path):
     code, summary = run(
         capsys, "partition", str(FIXTURES / "hand_assertional.trig"), *common(tmp_path)
@@ -175,11 +184,15 @@ def test_pipeline_matches_stagewise_composition(capsys, tmp_path):
     assert_pipeline_matches_stages(capsys, tmp_path, str(FIXTURES / "weight.trig"))
 
 
-def test_pipeline_with_policy_matches_stagewise_composition(capsys, tmp_path):
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.trig")))
+def test_pipeline_with_policy_matches_stagewise_composition(capsys, tmp_path, fixture):
+    """``pipeline`` hands ``nanopub`` and ``acl`` the compound dataset in
+    memory; on every fixture that must write what the stages write when
+    they read ``compounds.trig``."""
     assert_pipeline_matches_stages(
         capsys,
         tmp_path,
-        str(FIXTURES / "endangered.trig"),
+        str(FIXTURES / fixture),
         extra=("--policy", str(FIXTURES / "endangered.pol")),
         artifacts=("visible.trig",),
     )
@@ -247,14 +260,16 @@ def counting(monkeypatch, calls, name):
 @pytest.mark.parametrize(
     "stage, expected",
     [
-        ("pipeline", {"run_partition": 2, "ground_program": 1, "stable_models": 1}),
-        ("reason", {"run_partition": 1, "ground_program": 1, "stable_models": 1}),
-        ("translate", {"run_partition": 1, "ground_program": 1, "stable_models": 1}),
+        ("pipeline", {"_parse": 1, "run_partition": 2, "ground_program": 1, "stable_models": 1}),
+        ("reason", {"_parse": 1, "run_partition": 1, "ground_program": 1, "stable_models": 1}),
+        ("translate", {"_parse": 1, "run_partition": 1, "ground_program": 1, "stable_models": 1}),
     ],
 )
 def test_each_product_is_computed_once(capsys, tmp_path, monkeypatch, stage, expected):
-    """``pipeline`` partitions its input and ``compounds.trig`` once each
-    and grounds and solves once; a lone stage partitions once."""
+    """``pipeline`` parses its input once, partitions it and the compound
+    dataset once each (the latter in memory, never parsed back from
+    ``compounds.trig``) and grounds and solves once; a lone stage parses and
+    partitions once."""
     calls: Counter = Counter()
     for name in expected:
         counting(monkeypatch, calls, name)
@@ -262,6 +277,24 @@ def test_each_product_is_computed_once(capsys, tmp_path, monkeypatch, stage, exp
     assert main([stage, str(FIXTURES / "endangered.trig"), *common(tmp_path, *extra)]) == 0
     capsys.readouterr()
     assert dict(calls) == expected
+
+
+def test_nanopub_stage_writes_the_union_of_each_nanopublication(capsys, tmp_path, monkeypatch):
+    """One final dataset sorts the quads of all nanopublications; it holds
+    exactly the quads of each one's own dataset."""
+    emitted = []
+    real = cli.emit_nanopublication
+
+    def recorded(*args, **kwargs):
+        emitted.append(real(*args, **kwargs))
+        return emitted[-1]
+
+    monkeypatch.setattr(cli, "emit_nanopublication", recorded)
+    code, summary = run(capsys, "pipeline", str(FIXTURES / "travel.trig"), *common(tmp_path))
+    assert code == 0 and int(summary["nanopubs"]) == len(emitted) > 1
+    assert any(not np.assertion for np in emitted)  # compound units too
+    written = parse_trig((tmp_path / "nanopubs.trig").read_text(encoding="utf-8"))
+    assert written == emitted[0].dataset().merge(*(np.dataset() for np in emitted[1:]))
 
 
 def test_label_stage_resolves_templates_once(capsys, tmp_path, monkeypatch):

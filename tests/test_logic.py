@@ -369,3 +369,34 @@ def test_render_atoms_tries_the_longest_namespace_first():
         "https://example.org/kg/p(https://example.org/ab/x, https://example.org/kg/, C)",
         "-https://example.org/q",
     ]
+
+
+# Nested namespaces and two of equal length; a prefix table may also give
+# one namespace two names.
+_RENDER_NAMESPACES = [
+    "https://example.org/",
+    "https://example.org/kg/",
+    "https://example.org/kg/x/",
+    "https://example.org/ab/",
+    "https://example.org/k",
+]
+_render_token = st.one_of(
+    st.tuples(st.sampled_from(_RENDER_NAMESPACES), st.sampled_from(["", "p", "kg/", "x/y", "k"])).map("".join),
+    st.sampled_from(["X", "c", '"lit"', "42", "https://other.example/z"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(Atom, _render_token, st.lists(_render_token, max_size=3).map(tuple), st.booleans()),
+        max_size=8,
+    ),
+    st.dictionaries(
+        st.sampled_from(["ex", "kg", "kgx", "ab", "k", "alias"]), st.sampled_from(_RENDER_NAMESPACES), max_size=6
+    ),
+)
+def test_render_atoms_matches_atom_render(atoms, prefixes):
+    """Shortening each distinct token once per call gives what rendering
+    atom by atom gives, under any prefix table."""
+    assert render_atoms(atoms, prefixes) == [a.render(prefixes) for a in atoms]

@@ -128,6 +128,31 @@ def test_trig_escape_truncated_at_end_of_input(tail):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("position", ["string", "iri"])
+@pytest.mark.parametrize(
+    "escape",
+    ["\\u+041", "\\u 41 ", "\\u0_41", "\\U0000_041", "\\U+0000041", "\\u\u0660\u0660\u0664\u0661",
+     "\\uD800", "\\U0000DFFF", "\\U00110000"],
+)
+def test_unicode_escape_takes_only_hex_digits(escape, position):
+    """A sign, a space, ``_`` or a non-ASCII digit is not a hex digit, though
+    ``int(digits, 16)`` would read each of them; a surrogate or a number
+    past U+10FFFF names no character that UTF-8 can write."""
+    obj = f'"x{escape}"' if position == "string" else f"<{EX}x{escape}>"
+    for parse in (parse_trig, parse_nquads):
+        with pytest.raises(ParseError, match="invalid unicode escape") as err:
+            parse(f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> {obj} .\n")
+        assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "escape, char", [("\\u0041", "A"), ("\\u00e9", "\u00e9"), ("\\U0001F600", "\U0001F600")]
+)
+def test_unicode_escape_with_hex_digits(escape, char):
+    for obj, expected in ((f'"x{escape}"', Literal("x" + char)), (f"<{EX}x{escape}>", Iri(EX + "x" + char))):
+        assert [q.object for q in parse_trig(f"<{EX}s> <{EX}p> {obj} .")] == [expected]
+
+
 def test_unused_prefix_is_not_declared():
     """A literal holding ``owl:`` declares no prefix; only the names the
     compacted IRIs use are declared."""
@@ -340,10 +365,13 @@ def _mutate(draw, text):
     if how == "truncate":
         return text[:i]
     if how == "escape":
-        # End the input inside an escape, mostly within a string or an IRI.
+        # Mostly within a string or an IRI: end the input inside an escape,
+        # or put in an escape whose digits are not all hex.
         opens = [j + 1 for j, ch in enumerate(text) if ch in '<"']
         i = draw(st.sampled_from(opens)) if opens else i
-        return text[:i] + draw(st.sampled_from(["\\", "\\u", "\\u12", "\\U0001F6"]))
+        if draw(st.booleans()):
+            return text[:i] + draw(st.sampled_from(["\\", "\\u", "\\u12", "\\U0001F6"]))
+        return text[:i] + draw(st.sampled_from(["\\u+041", "\\u 41 ", "\\u0_41", "\\U0000_041"])) + text[i:]
     if how == "delete":
         return text[:i] + text[i + 1 :]
     return text[:i] + draw(st.sampled_from(list('<>"\\\n#.{}:x ;,@^_[u'))) + text[i:]
