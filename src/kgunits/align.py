@@ -8,12 +8,23 @@ shared vocabulary (unit classes, subject classes, canonicalized data
 graphs), so uniformly renaming instance identifiers on one side changes
 nothing. Matching is greedy with a lexicographic tie-break; scores are
 exact rationals (Jaccard overlap), and score 1 means structural identity.
+
+The greedy takes candidate pairs in ``(-score, left, right)`` order and
+keeps each pair whose two ids are still free. It never scores all pairs:
+a score is 1 exactly when the two signatures are equal (two empty
+signatures included), so the right ids are bucketed by signature and each
+left id, in sorted order, takes the smallest free right id of its bucket;
+these are the pairs the greedy would take first. No pair left over then
+has equal signatures, and a score is above 0 exactly when the two
+signatures share a key, so an inverted index from key to the remaining
+right ids yields the only pairs that need a score.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,9 +67,6 @@ class ProcessedGraph:
     compounds: CompoundResult
     catalog: VocabularyCatalog
 
-    def statement_units(self) -> tuple[StatementUnit, ...]:
-        return self.partition.units
-
     def items(self) -> tuple[CompoundUnit, ...]:
         return self.compounds.items
 
@@ -73,6 +81,14 @@ class ProcessedGraph:
             if unit.is_identification:
                 classes.setdefault(unit.subject, set()).update(unit.argument_iris())
         return {resource: frozenset(c) for resource, c in classes.items()}
+
+    @cached_property
+    def units_by_upri(self) -> dict[str, StatementUnit]:
+        return {u.upri: u for u in self.partition.units}
+
+    @cached_property
+    def items_by_upri(self) -> dict[str, CompoundUnit]:
+        return {i.upri: i for i in self.compounds.items}
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +153,7 @@ def _statement_signature(
 
 
 def _item_signature(graph: ProcessedGraph, item: CompoundUnit) -> Counter:
-    lookup = {u.upri: u for u in graph.partition.units}
+    lookup = graph.units_by_upri
     bag: Counter = Counter()
     for c in item.classes:
         bag[("class", c)] += 1
@@ -150,8 +166,8 @@ def _item_signature(graph: ProcessedGraph, item: CompoundUnit) -> Counter:
 
 
 def _group_signature(graph: ProcessedGraph, group: CompoundUnit) -> Counter:
-    items_by_upri = {i.upri: i for i in graph.items()}
-    lookup = {u.upri: u for u in graph.partition.units}
+    items_by_upri = graph.items_by_upri
+    lookup = graph.units_by_upri
     bag: Counter = Counter()
     for member in group.associated:
         item = items_by_upri.get(member)
@@ -188,19 +204,40 @@ def _jaccard_bags(a: Counter, b: Counter) -> Fraction:
 
 
 def _greedy_match(
-    left: list[str], right: list[str], score
+    left: Iterable[str], right: Iterable[str], sig_l: dict, sig_r: dict, jaccard
 ) -> list[tuple[str, str, Fraction]]:
-    """Injective matching, best scores first, ties broken by identifier."""
+    """Injective matching, best scores first, ties broken by identifier.
+
+    The same list as scoring every pair with ``jaccard`` and taking the
+    pairs above 0 in ``(-score, l, r)`` order (see the module docstring).
+    """
+
+    def hashable(sig):
+        return frozenset(sig.items()) if isinstance(sig, Counter) else sig
+
+    buckets: dict = {}
+    for r in sorted(set(right), reverse=True):
+        buckets.setdefault(hashable(sig_r[r]), []).append(r)
+    out = []
+    rest: list[str] = []
+    for l in sorted(set(left)):
+        equal = buckets.get(hashable(sig_l[l]))
+        if equal:
+            out.append((l, equal.pop(), Fraction(1)))
+        else:
+            rest.append(l)
+    index: dict = {}
+    for unused in buckets.values():
+        for r in unused:
+            for key in sig_r[r]:
+                index.setdefault(key, []).append(r)
     pairs = []
-    for l in left:
-        for r in right:
-            s = score(l, r)
-            if s > 0:
-                pairs.append((s, l, r))
+    for l in rest:
+        for r in {r for key in sig_l[l] for r in index.get(key, ())}:
+            pairs.append((jaccard(sig_l[l], sig_r[r]), l, r))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
     used_l: set[str] = set()
     used_r: set[str] = set()
-    out = []
     for s, l, r in pairs:
         if l in used_l or r in used_r:
             continue
@@ -235,11 +272,7 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     groups_b = {g.upri: g for g in b.groups()}
     sig_ga = {u: _group_signature(a, g) for u, g in groups_a.items()}
     sig_gb = {u: _group_signature(b, g) for u, g in groups_b.items()}
-    group_pairs = _greedy_match(
-        sorted(groups_a),
-        sorted(groups_b),
-        lambda l, r: _jaccard_bags(sig_ga[l], sig_gb[r]),
-    )
+    group_pairs = _greedy_match(groups_a, groups_b, sig_ga, sig_gb, _jaccard_bags)
     matched_ga = {l for l, _, _ in group_pairs}
     matched_gb = {r for _, r, _ in group_pairs}
     correspondences += [
@@ -249,18 +282,16 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     unmatched_right += [(LEVEL_GROUP, u) for u in sorted(set(groups_b) - matched_gb)]
 
     # Level 2: item units inside matched groups.
-    items_a = {i.upri: i for i in a.items()}
-    items_b = {i.upri: i for i in b.items()}
+    items_a = a.items_by_upri
+    items_b = b.items_by_upri
     sig_ia = {u: _item_signature(a, i) for u, i in items_a.items()}
     sig_ib = {u: _item_signature(b, i) for u, i in items_b.items()}
     item_pairs: list[tuple[str, str, Fraction]] = []
     for gl, gr, _ in group_pairs:
-        left_items = sorted(u for u in groups_a[gl].associated if u in items_a)
-        right_items = sorted(u for u in groups_b[gr].associated if u in items_b)
+        left_items = [u for u in groups_a[gl].associated if u in items_a]
+        right_items = [u for u in groups_b[gr].associated if u in items_b]
         item_pairs += _greedy_match(
-            left_items,
-            right_items,
-            lambda l, r: _jaccard_bags(sig_ia[l], sig_ib[r]),
+            left_items, right_items, sig_ia, sig_ib, _jaccard_bags
         )
     matched_ia = {l for l, _, _ in item_pairs}
     matched_ib = {r for _, r, _ in item_pairs}
@@ -270,21 +301,20 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
 
     # Level 3: statement units inside matched items, then orphans inside
     # matched groups, then units outside any group.
-    units_a = {u.upri: u for u in a.partition.units}
-    units_b = {u.upri: u for u in b.partition.units}
+    units_a = a.units_by_upri
+    units_b = b.units_by_upri
     sig_sa = {u.upri: _statement_signature(a, u) for u in a.partition.units}
     sig_sb = {u.upri: _statement_signature(b, u) for u in b.partition.units}
-
-    def statement_score(l, r):
-        return _jaccard_sets(sig_sa[l], sig_sb[r])
 
     statement_pairs: list[tuple[str, str, Fraction]] = []
     used_a: set[str] = set()
     used_b: set[str] = set()
     for il, ir, _ in item_pairs:
-        left_units = sorted(u for u in items_a[il].associated if u in units_a)
-        right_units = sorted(u for u in items_b[ir].associated if u in units_b)
-        for l, r, s in _greedy_match(left_units, right_units, statement_score):
+        left_units = [u for u in items_a[il].associated if u in units_a]
+        right_units = [u for u in items_b[ir].associated if u in units_b]
+        for l, r, s in _greedy_match(
+            left_units, right_units, sig_sa, sig_sb, _jaccard_sets
+        ):
             if l not in used_a and r not in used_b:
                 statement_pairs.append((l, r, s))
                 used_a.add(l)
@@ -292,25 +322,27 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     in_items_a = {m for i in items_a.values() for m in i.associated}
     in_items_b = {m for i in items_b.values() for m in i.associated}
     for gl, gr, _ in group_pairs:
-        left_units = sorted(
+        left_units = [
             u
             for u in groups_a[gl].associated
             if u in units_a and u not in in_items_a and u not in used_a
-        )
-        right_units = sorted(
+        ]
+        right_units = [
             u
             for u in groups_b[gr].associated
             if u in units_b and u not in in_items_b and u not in used_b
-        )
-        for l, r, s in _greedy_match(left_units, right_units, statement_score):
+        ]
+        for l, r, s in _greedy_match(
+            left_units, right_units, sig_sa, sig_sb, _jaccard_sets
+        ):
             statement_pairs.append((l, r, s))
             used_a.add(l)
             used_b.add(r)
     in_groups_a = {m for g in groups_a.values() for m in g.associated} | in_items_a
     in_groups_b = {m for g in groups_b.values() for m in g.associated} | in_items_b
-    free_a = sorted(u for u in units_a if u not in in_groups_a and u not in used_a)
-    free_b = sorted(u for u in units_b if u not in in_groups_b and u not in used_b)
-    for l, r, s in _greedy_match(free_a, free_b, statement_score):
+    free_a = [u for u in units_a if u not in in_groups_a and u not in used_a]
+    free_b = [u for u in units_b if u not in in_groups_b and u not in used_b]
+    for l, r, s in _greedy_match(free_a, free_b, sig_sa, sig_sb, _jaccard_sets):
         statement_pairs.append((l, r, s))
         used_a.add(l)
         used_b.add(r)

@@ -333,8 +333,11 @@ def stage_label(ctx: Context) -> dict:
     result = ctx.products.partition
     templates = label_templates(ctx.schemas, ctx.catalog)
     rows = []
+    warned: set[str] = set()
     for u in result.units:
-        label = render_dynamic_label(u, result.dataset, ctx.catalog, templates=templates)
+        label = render_dynamic_label(
+            u, result.dataset, ctx.catalog, templates=templates, warned=warned
+        )
         rows.append(f"{u.upri}\t{label}\n")
     _write_atomic(ctx.out / "labels.tsv", "".join(rows))
     return {"labels": len(rows)}

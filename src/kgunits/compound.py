@@ -331,42 +331,41 @@ def build_item_group_units(
     for i in items:
         inside_items.update(i.associated)
 
-    # Orphans attach to the group whose item subjects or data resources
-    # they touch.
-    resources_by_component: dict[str, set[str]] = {}
+    # Orphans attach to the first group, in sorted order, whose item
+    # subjects or data resources they touch.
+    first_component: dict[str, str] = {}
     lookup = {u.upri: u for u in partition.units}
-    for root, comp_items in components.items():
-        resources: set[str] = set()
-        for item in comp_items:
-            resources.add(item.subject)
+    for root in sorted(components):
+        for item in components[root]:
+            first_component.setdefault(item.subject, root)
             for member in item.associated:
                 unit = lookup.get(member)
                 if unit is not None:
                     for q in unit.quads:
-                        resources.add(q.subject)
+                        first_component.setdefault(q.subject, root)
                         if isinstance(q.object, Iri):
-                            resources.add(q.object.value)
-        resources_by_component[root] = resources
-
+                            first_component.setdefault(q.object.value, root)
     orphans_by_component: dict[str, list[str]] = {root: [] for root in components}
     for u in sorted(partition.units, key=lambda u: u.upri):
         if u.upri in inside_items:
             continue
-        touched = {u.subject} | set(u.argument_iris())
-        for root in sorted(components):
-            if touched & resources_by_component[root]:
-                orphans_by_component[root].append(u.upri)
-                break
+        roots = [
+            first_component[r]
+            for r in (u.subject, *u.argument_iris())
+            if r in first_component
+        ]
+        if roots:
+            orphans_by_component[min(roots)].append(u.upri)
+
+    links_by_component: dict[str, list[tuple[str, str, str]]] = {}
+    for link in links:
+        links_by_component.setdefault(find(link[1]), []).append(link)
 
     out: list[CompoundUnit] = []
     for root in sorted(components):
         comp_items = sorted(components[root], key=lambda i: i.upri)
         member_upris = [i.upri for i in comp_items] + orphans_by_component[root]
-        comp_links = tuple(
-            (via, a, b)
-            for via, a, b in links
-            if find(a) == root
-        )
+        comp_links = tuple(links_by_component.get(root, ()))
         subject_kinds = {
             _resource_kind(partition.dataset, i.subject, catalog) for i in comp_items
         }

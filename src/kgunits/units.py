@@ -808,15 +808,18 @@ def render_dynamic_label(
     schemas: list[StatementSchema] | None = None,
     *,
     templates: Mapping[str, tuple[str, tuple[str, ...]]] | None = None,
+    warned: set[str] | None = None,
 ) -> str:
     """Substitute resource labels into the unit's label template.
 
     The template comes from ``schemas`` or, for a pass over many units,
     from ``templates``: the ``label_templates`` of the schemas, resolved
     once. Pass one or the other. Resources without a label fall back to
-    their IRI local name (with a logged warning); literals render as their
-    lexical form. A placeholder naming an adjunct the unit left unbound is
-    dropped together with the template text since the previous placeholder.
+    their IRI local name, with a warning logged once per resource not yet
+    in ``warned`` (a pass over many units shares one set); literals render
+    as their lexical form. A placeholder naming an adjunct the unit left
+    unbound is dropped together with the template text since the previous
+    placeholder.
     """
     from .errors import LabelError
 
@@ -839,6 +842,8 @@ def render_dynamic_label(
         template = " ".join(parts)
 
     labels = label_index(dataset, catalog)
+    if warned is None:
+        warned = set()
     bindings = dict(unit.bindings)
     bindings.setdefault("s", Iri(unit.subject))
     if unit.objects and "o" not in bindings:
@@ -854,7 +859,9 @@ def render_dynamic_label(
             return term.lexical
         label = labels.get(term.value)
         if label is None:
-            log.warning("no label for %s; using local name", term.value)
+            if term.value not in warned:
+                warned.add(term.value)
+                log.warning("no label for %s; using local name", term.value)
             return local_name(term.value)
         return label
 

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgunits import align
 from kgunits.align import (
     LEVEL_GROUP,
     LEVEL_ITEM,
@@ -16,9 +22,20 @@ from kgunits.rdfio import parse_quads
 from kgunits.store import Iri, Literal, Quad, QuadDataset
 from kgunits.units import partition
 
+from align_oracle import greedy_match_signatures
 from conftest import fixture_text
 
 EX = "https://example.org/kg/"
+REL = "https://example.org/rel/"
+# Fixtures merged into one larger graph for the generated version pairs.
+MERGED = (
+    "publication_frames.trig",
+    "weight.trig",
+    "travel.trig",
+    "antenna_item.trig",
+    "endangered.trig",
+    "hand_assertional.trig",
+)
 
 
 def _process(dataset, catalog, schemas, seed):
@@ -52,8 +69,8 @@ def test_same_source_different_seeds_full_statement_correspondence(catalog, sche
     assert not [u for level, u in report.unmatched_left if level == LEVEL_STATEMENT]
 
 
-def test_uniform_instance_renaming_preserves_report(catalog, schemas):
-    dataset = parse_quads(fixture_text("publication_frames.trig"), "trig")
+def _renamed(dataset, catalog) -> QuadDataset:
+    """The dataset with every instance IRI moved under ``EX/mirror/``."""
     # Instance resources are everything except class-position resources
     # (objects of the class-affiliation predicates) and predicates.
     classes = {
@@ -67,7 +84,7 @@ def test_uniform_instance_renaming_preserves_report(catalog, schemas):
             return iri
         return iri.replace(EX, EX + "mirror/")
 
-    renamed = QuadDataset(
+    return QuadDataset(
         [
             Quad(
                 rename(q.subject),
@@ -78,6 +95,43 @@ def test_uniform_instance_renaming_preserves_report(catalog, schemas):
             for q in dataset
         ]
     )
+
+
+def _merged_dataset() -> QuadDataset:
+    return QuadDataset(
+        [q for name in MERGED for q in parse_quads(fixture_text(name), "trig")]
+    )
+
+
+def _edited(dataset: QuadDataset, edits: int) -> QuadDataset:
+    """The dataset with its first ``edits`` edits applied, cycling through
+    a changed literal, a dropped relation and an added relation."""
+    quads = list(dataset)
+    literals = [i for i, q in enumerate(quads) if isinstance(q.object, Literal)]
+    relations = [i for i, q in enumerate(quads) if q.predicate.startswith(REL)]
+    graph = quads[0].graph
+    drop: set[int] = set()
+    for k in range(edits):
+        if k % 3 == 0:
+            i = literals[k // 3]
+            quads[i] = Quad(
+                quads[i].subject,
+                quads[i].predicate,
+                Literal(quads[i].object.lexical + " (edited)", quads[i].object.datatype),
+                quads[i].graph,
+            )
+        elif k % 3 == 1:
+            drop.add(relations[-1 - k // 3])
+        else:
+            quads.append(
+                Quad(EX + f"added{k}", REL + "has-part", Iri(EX + f"added{k}-part"), graph)
+            )
+    return QuadDataset([q for i, q in enumerate(quads) if i not in drop])
+
+
+def test_uniform_instance_renaming_preserves_report(catalog, schemas):
+    dataset = parse_quads(fixture_text("publication_frames.trig"), "trig")
+    renamed = _renamed(dataset, catalog)
     a = _process(dataset, catalog, schemas, seed=100)
     b = _process(renamed, catalog, schemas, seed=100)
     c = _process(dataset, catalog, schemas, seed=100)
@@ -162,3 +216,133 @@ def test_report_rendering(catalog, schemas):
     text = render_report(align_graphs(graph, graph))
     assert "statement\t" in text
     assert "\t1\n" in text
+
+
+# ---------------------------------------------------------------------------
+# The bucketed matcher against the all-pairs oracle
+# ---------------------------------------------------------------------------
+
+_KEYS = st.sampled_from(["p", "q", "r", "s", "t"])
+_BAGS = st.dictionaries(_KEYS, st.integers(1, 3), max_size=4).map(Counter)
+_SETS = st.frozensets(_KEYS, max_size=4)
+
+
+@st.composite
+def _matching_case(draw, signatures):
+    """Unique left and right ids (lengths drawn independently), each with a
+    signature from a small pool, so ties, empty signatures and ids sharing
+    one signature are common."""
+    pool = draw(st.lists(signatures, min_size=1, max_size=5))
+    left = draw(st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=8))
+    right = draw(st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=8))
+    sig_l = {l: draw(st.sampled_from(pool) | signatures) for l in left}
+    sig_r = {r: draw(st.sampled_from(pool) | signatures) for r in right}
+    return left, right, sig_l, sig_r
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_case(_BAGS))
+def test_greedy_match_equals_all_pairs_oracle_on_bags(case):
+    left, right, sig_l, sig_r = case
+    assert align._greedy_match(
+        left, right, sig_l, sig_r, align._jaccard_bags
+    ) == greedy_match_signatures(left, right, sig_l, sig_r, align._jaccard_bags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_case(_SETS))
+def test_greedy_match_equals_all_pairs_oracle_on_sets(case):
+    left, right, sig_l, sig_r = case
+    assert align._greedy_match(
+        left, right, sig_l, sig_r, align._jaccard_sets
+    ) == greedy_match_signatures(left, right, sig_l, sig_r, align._jaccard_sets)
+
+
+_EMPTY, _P, _PQ = frozenset(), frozenset("p"), frozenset("pq")
+
+
+@pytest.mark.parametrize(
+    "left, right, sig_l, sig_r, expected",
+    [
+        # Two empty signatures score 1; empty against non-empty scores 0.
+        (["a", "b"], ["x"], {"a": _EMPTY, "b": _PQ}, {"x": _EMPTY}, [("a", "x", 1)]),
+        # Equal signatures: each left id takes the smallest free right id.
+        (
+            ["b", "a"],
+            ["y", "x", "z"],
+            {"a": _PQ, "b": _PQ},
+            {"x": _PQ, "y": _PQ, "z": _P},
+            [("a", "x", 1), ("b", "y", 1)],
+        ),
+        # A tie below 1 is broken by the left id, then by the right id.
+        (
+            ["a", "b"],
+            ["x", "y"],
+            {"a": _PQ, "b": _PQ},
+            {"x": frozenset("pr"), "y": frozenset("qr")},
+            [("a", "x", Fraction(1, 3)), ("b", "y", Fraction(1, 3))],
+        ),
+    ],
+)
+def test_greedy_match_named_cases(left, right, sig_l, sig_r, expected):
+    got = align._greedy_match(left, right, sig_l, sig_r, align._jaccard_sets)
+    assert got == expected
+    assert got == greedy_match_signatures(left, right, sig_l, sig_r, align._jaccard_sets)
+
+
+def _version_pair(name, catalog, schemas):
+    if name == "generated":
+        dataset = _merged_dataset()
+        changed = _edited(_renamed(dataset, catalog), edits=6)
+        return (
+            _process(dataset, catalog, schemas, seed=100),
+            _process(changed, catalog, schemas, seed=200),
+        )
+    dataset = parse_quads(fixture_text(name), "trig")
+    return (
+        _process(dataset, catalog, schemas, seed=100),
+        _process(_edited(dataset, edits=2), catalog, schemas, seed=200),
+    )
+
+
+@pytest.mark.parametrize("name", ["publication_frames.trig", "weight.trig", "generated"])
+def test_align_graphs_equals_all_pairs_oracle(catalog, schemas, monkeypatch, name):
+    a, b = _version_pair(name, catalog, schemas)
+    report = align_graphs(a, b)
+    monkeypatch.setattr(align, "_greedy_match", greedy_match_signatures)
+    assert report == align_graphs(a, b)
+    assert any(c.score != 1 for c in report.correspondences)
+
+
+def _count_scores(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for name in ("_jaccard_bags", "_jaccard_sets"):
+        real = getattr(align, name)
+
+        def counted(x, y, real=real, name=name):
+            calls[name] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(align, name, counted)
+    return calls
+
+
+def test_self_alignment_scores_no_pair(catalog, schemas, monkeypatch):
+    """Every signature has an equal partner, so buckets match everything."""
+    graph = _process(_merged_dataset(), catalog, schemas, seed=100)
+    calls = _count_scores(monkeypatch)
+    report = align_graphs(graph, graph)
+    assert report.unmatched_left == () and report.unmatched_right == ()
+    assert sum(calls.values()) == 0
+
+
+def test_one_edit_scores_few_pairs(catalog, schemas, monkeypatch):
+    """One changed record leaves only a handful of pairs to score, not
+    every left x right pair."""
+    dataset = _merged_dataset()
+    a = _process(dataset, catalog, schemas, seed=100)
+    b = _process(_edited(_renamed(dataset, catalog), edits=1), catalog, schemas, seed=200)
+    calls = _count_scores(monkeypatch)
+    report = align_graphs(a, b)
+    assert any(c.score != 1 for c in report.correspondences)
+    assert 0 < sum(calls.values()) <= 8

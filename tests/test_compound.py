@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgunits import vocab
 from kgunits.compound import (
@@ -26,6 +28,7 @@ from kgunits.fdo import UpriMinter
 from kgunits.store import Iri, Quad, QuadDataset
 from kgunits.units import partition
 
+from compound_oracle import build_item_group_units as oracle_item_group_units
 from conftest import fixture_dataset, partitioned
 
 EX = "https://example.org/kg/"
@@ -252,6 +255,40 @@ def test_every_item_in_exactly_one_group(catalog, schemas):
                 membership.setdefault(member, []).append(group.upri)
         for item in compounds.items:
             assert len(membership.get(item.upri, [])) == 1, name
+
+
+_NODES = st.integers(0, 7)
+_RELATIONS = st.sampled_from(["has-part", "part-of", "found-at", "longer-than"])
+
+
+@st.composite
+def _item_graphs(draw):
+    """A random graph of relations and class affiliations over eight
+    resources, and a random subset of its item units to group: the units
+    of the items left out become orphans that may touch several groups."""
+    quads = [
+        Quad(f"{EX}r{s}", REL + rel, Iri(f"{EX}r{o}"), EX + "g")
+        for s, rel, o in draw(st.lists(st.tuples(_NODES, _RELATIONS, _NODES), max_size=14))
+    ]
+    quads += [
+        Quad(f"{EX}r{n}", vocab.RDF_TYPE, Iri(EX + cls), EX + "g")
+        for n, cls in draw(st.lists(st.tuples(_NODES, st.sampled_from("AB")), max_size=6))
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=8, max_size=8))
+    return QuadDataset(quads), keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(_item_graphs())
+def test_item_groups_equal_the_rescanning_oracle(catalog, schemas, case):
+    dataset, keep = case
+    result = partition(dataset, schemas, catalog, UpriMinter(seed=4))
+    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=5))
+    items = build_item_units(result, typed, [], catalog, UpriMinter(seed=6))
+    items = [i for i, k in zip(items, keep) if k]
+    assert build_item_group_units(
+        items, result, catalog, UpriMinter(seed=7)
+    ) == oracle_item_group_units(items, result, catalog, UpriMinter(seed=7))
 
 
 # -- granularity trees ----------------------------------------------------------

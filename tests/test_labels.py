@@ -4,13 +4,14 @@ import logging
 
 import pytest
 
+from kgunits.cli import main
 from kgunits.errors import LabelError
 from kgunits.fdo import UpriMinter
 from kgunits.schemas import compile_schema
 from kgunits.store import Iri, Quad, QuadDataset
 from kgunits.units import label_templates, partition, render_dynamic_label
 
-from conftest import fixture_dataset, partitioned
+from conftest import FIXTURES, fixture_dataset, partitioned
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -104,6 +105,30 @@ def test_missing_label_falls_back_to_local_name(catalog, schemas, caplog):
         label = render_dynamic_label(unit, dataset, catalog, schemas)
     assert label == "LarsRightHand has part LarsRightThumb"
     assert any("no label" in r.message for r in caplog.records)
+
+
+def test_label_stage_warns_once_per_unlabelled_resource(catalog, schemas, caplog, tmp_path):
+    """endangered.trig names some unlabelled resources in several units."""
+
+    def warned(records):
+        return [r.args[0] for r in records if r.msg.startswith("no label")]
+
+    result = partitioned("endangered.trig", catalog, schemas, seed=1)
+    per_unit = []
+    for unit in result.units:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kgunits"):
+            render_dynamic_label(unit, result.dataset, catalog, schemas)
+        per_unit += warned(caplog.records)
+    assert len(per_unit) > len(set(per_unit))
+
+    caplog.clear()
+    argv = ["label", str(FIXTURES / "endangered.trig"), "--out", str(tmp_path)]
+    argv += ["--schemas", str(FIXTURES / "schemas.sus")]
+    argv += ["--catalog", str(FIXTURES / "catalog.cat"), "--seed", "1"]
+    with caplog.at_level(logging.WARNING, logger="kgunits"):
+        assert main(argv) == 0
+    assert sorted(warned(caplog.records)) == sorted(set(per_unit))
 
 
 def test_unbound_placeholder_raises(catalog):
