@@ -430,13 +430,14 @@ def build_granularity_tree_units(
             for obj in u.argument_iris():
                 edges.setdefault((u.subject, obj), []).append(u)
         nodes = sorted({n for e in edges for n in e})
-        adjacency: dict[str, set[str]] = {n: set() for n in nodes}
-        for a, b in edges:
-            adjacency[a].add(b)
-
         components = _weak_components(nodes, edges)
-        for comp in components:
-            comp_edges = {e for e in edges if e[0] in comp}
+        # The edges of each component, in the order of ``edges``.
+        component_of = {n: i for i, comp in enumerate(components) for n in comp}
+        by_component: list[dict] = [{} for _ in components]
+        for (a, b), us in edges.items():
+            by_component[component_of[a]][a, b] = us
+        for comp, comp_edge_units in zip(components, by_component):
+            comp_edges = set(comp_edge_units)
             cycle = _find_cycle(comp, comp_edges)
             if cycle:
                 cycles.append(
@@ -445,7 +446,7 @@ def build_granularity_tree_units(
                 continue
             reduced = _transitive_reduction(comp, comp_edges)
             incoming = {b for _, b in reduced}
-            roots = sorted(n for n in comp if n not in incoming and any(a == n for a, _ in reduced))
+            roots = sorted({a for a, _ in reduced} - incoming)
             if not roots and len(comp) == 1:
                 continue
             for root in roots:
@@ -456,7 +457,7 @@ def build_granularity_tree_units(
                 member_units = sorted(
                     {
                         u.upri
-                        for (a, b), us in edges.items()
+                        for (a, b), us in comp_edge_units.items()
                         if a in reachable and b in reachable
                         for u in us
                     }
@@ -585,12 +586,13 @@ def build_granular_item_groups(
 ) -> list[CompoundUnit]:
     """Derived view joining each granularity tree with the item units whose
     subjects are tree nodes."""
+    items_about: dict[str, list[str]] = {}
+    for i in items:
+        items_about.setdefault(i.subject, []).append(i.upri)
     out: list[CompoundUnit] = []
     for tree in sorted(trees, key=lambda t: t.upri):
         tree_nodes = {n for e in tree.edges for n in e}
-        member_items = sorted(
-            i.upri for i in items if i.subject in tree_nodes
-        )
+        member_items = sorted(u for n in tree_nodes for u in items_about.get(n, ()))
         if not member_items:
             continue
         out.append(

@@ -74,12 +74,18 @@ class Atom:
 
 
 def render_atoms(atoms: Iterable[Atom], prefixes: Mapping[str, str] | None = None) -> list[str]:
-    """Render each atom, shortening IRIs against ``prefixes`` (longest
-    namespace first, ties in table order); the table is sorted once and
-    each distinct token is shortened once."""
-    ordered = _by_namespace_length(prefixes)
-    shorten = functools.cache(lambda token: _shorten(token, ordered))
+    """Render each atom, shortening IRIs against ``prefixes`` as
+    ``_shortener`` does."""
+    shorten = _shortener(prefixes)
     return [_render(atom, shorten) for atom in atoms]
+
+
+def _shortener(prefixes: Mapping[str, str] | None) -> Callable[[str], str]:
+    """Shortens IRIs against ``prefixes`` (longest namespace first, ties in
+    table order); the table is sorted once and each distinct token is
+    shortened once."""
+    ordered = _by_namespace_length(prefixes)
+    return functools.cache(lambda token: _shorten(token, ordered))
 
 
 def _by_namespace_length(prefixes: Mapping[str, str] | None) -> list[tuple[str, str]]:

@@ -2,24 +2,22 @@
 
 The translation emits axioms as abstract syntax rather than RDF: complex
 class expressions would need blank nodes in an RDF mapping, and the whole
-point of the model is to have none. Entities are plain IRI strings; the
-renderer compacts them against a prefix map.
+point of the model is to have none. Entities are plain IRI strings.
+
+Every node renders as ``Name(arg, ...)``: its class name, then its fields
+in declaration order, with a tuple field spread into one argument per
+element and an ``int`` printed as it is. An entity is shortened against a
+prefix map: the longest namespace it extends wins, ties in table order.
+The field annotations also tell the pattern parser (``translate``) what may
+stand in each argument of an ``emit`` expression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
-ClassExpr = Union[
-    str,
-    "SomeValuesFrom",
-    "AllValuesFrom",
-    "ComplementOf",
-    "IntersectionOf",
-    "OneOf",
-    "QualifiedCardinality",
-]
+from .logic import _shortener
 
 
 @dataclass(frozen=True)
@@ -82,92 +80,43 @@ class SubClassOf:
     sup: ClassExpr
 
 
-@dataclass(frozen=True)
-class CollectionMembership:
-    collection: str
-    member: str
-
+ClassExpr = Union[
+    str,
+    SomeValuesFrom,
+    AllValuesFrom,
+    ComplementOf,
+    IntersectionOf,
+    OneOf,
+    QualifiedCardinality,
+]
 
 OwlAxiom = Union[
     ClassAssertion,
     ObjectPropertyAssertion,
     NegativeObjectPropertyAssertion,
     SubClassOf,
-    CollectionMembership,
 ]
 
 
-def _entity(value: str, prefixes: dict[str, str]) -> str:
-    best = None
-    best_len = -1
-    for name, ns in prefixes.items():
-        if value.startswith(ns) and len(ns) > best_len and len(value) > len(ns):
-            best, best_len = name, len(ns)
-    if best is None:
-        return value
-    return f"{best}:{value[best_len:]}"
-
-
-def render_expr(expr: ClassExpr, prefixes: dict[str, str]) -> str:
-    if isinstance(expr, str):
-        return _entity(expr, prefixes)
-    if isinstance(expr, SomeValuesFrom):
-        return (
-            f"SomeValuesFrom({_entity(expr.property, prefixes)}, "
-            f"{render_expr(expr.filler, prefixes)})"
-        )
-    if isinstance(expr, AllValuesFrom):
-        return (
-            f"AllValuesFrom({_entity(expr.property, prefixes)}, "
-            f"{render_expr(expr.filler, prefixes)})"
-        )
-    if isinstance(expr, ComplementOf):
-        return f"ComplementOf({render_expr(expr.expr, prefixes)})"
-    if isinstance(expr, IntersectionOf):
-        inner = ", ".join(render_expr(e, prefixes) for e in expr.operands)
-        return f"IntersectionOf({inner})"
-    if isinstance(expr, OneOf):
-        inner = ", ".join(_entity(i, prefixes) for i in expr.individuals)
-        return f"OneOf({inner})"
-    if isinstance(expr, QualifiedCardinality):
-        return (
-            f"QualifiedCardinality({_entity(expr.property, prefixes)}, "
-            f"{expr.cardinality}, {render_expr(expr.filler, prefixes)})"
-        )
-    raise TypeError(f"not a class expression: {expr!r}")
-
-
 def render_axiom(axiom: OwlAxiom, prefixes: dict[str, str] | None = None) -> str:
-    prefixes = prefixes or {}
-    if isinstance(axiom, ClassAssertion):
-        return (
-            f"ClassAssertion({render_expr(axiom.expr, prefixes)}, "
-            f"{_entity(axiom.individual, prefixes)})"
-        )
-    if isinstance(axiom, ObjectPropertyAssertion):
-        return (
-            f"ObjectPropertyAssertion({_entity(axiom.property, prefixes)}, "
-            f"{_entity(axiom.source, prefixes)}, {_entity(axiom.target, prefixes)})"
-        )
-    if isinstance(axiom, NegativeObjectPropertyAssertion):
-        return (
-            f"NegativeObjectPropertyAssertion({_entity(axiom.property, prefixes)}, "
-            f"{_entity(axiom.source, prefixes)}, {_entity(axiom.target, prefixes)})"
-        )
-    if isinstance(axiom, SubClassOf):
-        return (
-            f"SubClassOf({render_expr(axiom.sub, prefixes)}, "
-            f"{render_expr(axiom.sup, prefixes)})"
-        )
-    if isinstance(axiom, CollectionMembership):
-        return (
-            f"CollectionMembership({_entity(axiom.collection, prefixes)}, "
-            f"{_entity(axiom.member, prefixes)})"
-        )
-    raise TypeError(f"not an axiom: {axiom!r}")
+    return _render(axiom, _shortener(prefixes))
 
 
 def render_axioms(axioms, prefixes: dict[str, str] | None = None) -> str:
-    """One axiom per line, sorted; equal inputs render byte-identically."""
-    lines = sorted(render_axiom(a, prefixes) for a in axioms)
+    """One axiom per line, sorted; equal inputs render byte-identically.
+    Each distinct entity is shortened once per call."""
+    shorten = _shortener(prefixes)
+    lines = sorted(_render(a, shorten) for a in axioms)
     return "".join(line + "\n" for line in lines)
+
+
+def _render(node, shorten) -> str:
+    if isinstance(node, str):
+        return shorten(node)
+    if isinstance(node, int):
+        return str(node)
+    args = []
+    for f in fields(node):
+        value = getattr(node, f.name)
+        args.extend(value if isinstance(value, tuple) else (value,))
+    return f"{type(node).__name__}({', '.join(_render(a, shorten) for a in args)})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -372,7 +372,7 @@ class VocabularyCatalog:
     def description(self) -> str:
         return self.terms.get("description", vocab.DESCRIPTION)
 
-    @property
+    @cached_property
     def structural_properties(self) -> frozenset[str]:
         return frozenset(
             {
@@ -384,7 +384,7 @@ class VocabularyCatalog:
             }
         )
 
-    @property
+    @cached_property
     def kind_predicates(self) -> frozenset[str]:
         return frozenset({self.type, self.some_instance_of, self.every_instance_of})
 
@@ -444,7 +444,21 @@ class ResourceKind(Enum):
 
 class ResourceKinds:
     """The kind of every resource of a dataset, from one pass over its data
-    layer. ``kind_of`` answers as ``classify_resource`` documents."""
+    layer. ``kind_of`` answers as ``classify_resource`` documents;
+    ``category_of`` is the lenient subject-category reading partition uses."""
+
+    # The statement-unit category a subject of each instance-like kind gives.
+    CATEGORIES = {
+        ResourceKind.NAMED_INDIVIDUAL: vocab.ASSERTIONAL_STATEMENT_UNIT,
+        ResourceKind.SEMANTIC_UNIT_RESOURCE: vocab.ASSERTIONAL_STATEMENT_UNIT,
+        ResourceKind.SOME_INSTANCE: vocab.CONTINGENT_STATEMENT_UNIT,
+        ResourceKind.EVERY_INSTANCE: vocab.UNIVERSAL_STATEMENT_UNIT,
+    }
+
+    @staticmethod
+    def of(dataset: QuadDataset, catalog: VocabularyCatalog) -> "ResourceKinds":
+        """The table of ``dataset``, built once per catalog."""
+        return dataset._view("kinds", catalog, lambda: ResourceKinds(dataset, catalog))
 
     def __init__(self, dataset: QuadDataset, catalog: VocabularyCatalog):
         self._resources = dataset.resources()
@@ -455,6 +469,7 @@ class ResourceKinds:
             catalog.every_instance_of: ResourceKind.EVERY_INSTANCE,
         }
         self._affiliations: dict[str, set[ResourceKind]] = {}
+        self._iri_affiliations: dict[str, set[ResourceKind]] = {}
         self._classes: set[str] = set()  # objects of a class affiliation
         self._predicates: set[str] = set()
         self._nodes: set[str] = set()
@@ -472,6 +487,7 @@ class ResourceKinds:
                 self._affiliations.setdefault(q.subject, set()).add(kind)
                 if obj is not None:
                     self._classes.add(obj)
+                    self._iri_affiliations.setdefault(q.subject, set()).add(kind)
 
     def kind_of(self, resource: str) -> ResourceKind:
         if resource not in self._resources:
@@ -501,6 +517,15 @@ class ResourceKinds:
             f"resource kind of {resource} cannot be resolved from the dataset"
         )
 
+    def category_of(self, resource: str) -> str | None:
+        """The category of ``resource`` as a unit subject, or ``None``. Only
+        affiliations with an IRI object count, mixed ones give ``None``, and
+        a unit resource is assertional. Unlike ``kind_of`` it never raises."""
+        if resource in self._units:
+            return self.CATEGORIES[ResourceKind.SEMANTIC_UNIT_RESOURCE]
+        kinds = self._iri_affiliations.get(resource, ())
+        return self.CATEGORIES[next(iter(kinds))] if len(kinds) == 1 else None
+
 
 def classify_resource(
     dataset: QuadDataset, resource: str, catalog: VocabularyCatalog
@@ -513,5 +538,4 @@ def classify_resource(
     when a data graph types it, since units are the individuals the
     discursive layer talks about.
     """
-    kinds = dataset._view("kinds", catalog, lambda: ResourceKinds(dataset, catalog))
-    return kinds.kind_of(resource)
+    return ResourceKinds.of(dataset, catalog).kind_of(resource)

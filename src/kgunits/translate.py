@@ -17,7 +17,8 @@ translation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import get_args
 
 from . import vocab
 from .errors import PatternError
@@ -25,6 +26,7 @@ from .logic import Atom, AtomIndex, JoinStep, LogicProgram, Rule, is_variable, p
 from .owl import (
     AllValuesFrom,
     ClassAssertion,
+    ClassExpr,
     ComplementOf,
     IntersectionOf,
     NegativeObjectPropertyAssertion,
@@ -86,46 +88,17 @@ class TranslationPattern:
 
 
 def _template_variables(node) -> set[str]:
-    out: set[str] = set()
+    """The variables a template mentions; a ``Fresh`` contributes its keys,
+    never its tag."""
     if isinstance(node, str):
-        if is_variable(node):
-            out.add(node)
-        return out
+        return {node} if is_variable(node) else set()
+    if isinstance(node, int):
+        return set()
     if isinstance(node, Fresh):
-        for key in node.keys:
-            if is_variable(key):
-                out.add(key)
-        return out
-    if isinstance(node, (ClassAssertion,)):
-        return _template_variables(node.expr) | _template_variables(node.individual)
-    if isinstance(node, (ObjectPropertyAssertion, NegativeObjectPropertyAssertion)):
-        return (
-            _template_variables(node.property)
-            | _template_variables(node.source)
-            | _template_variables(node.target)
-        )
-    if isinstance(node, SubClassOf):
-        return _template_variables(node.sub) | _template_variables(node.sup)
-    if isinstance(node, (SomeValuesFrom, AllValuesFrom)):
-        return _template_variables(node.property) | _template_variables(node.filler)
-    if isinstance(node, ComplementOf):
-        return _template_variables(node.expr)
-    if isinstance(node, IntersectionOf):
-        out = set()
-        for operand in node.operands:
-            out |= _template_variables(operand)
-        return out
-    if isinstance(node, OneOf):
-        out = set()
-        for i in node.individuals:
-            out |= _template_variables(i)
-        return out
-    if isinstance(node, QualifiedCardinality):
-        out = _template_variables(node.property) | _template_variables(node.filler)
-        if isinstance(node.cardinality, str):
-            out |= _template_variables(node.cardinality)
-        return out
-    return out
+        node = node.keys
+    if isinstance(node, tuple):
+        return set().union(*map(_template_variables, node))
+    return set().union(*(_template_variables(getattr(node, f.name)) for f in fields(node)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,59 +377,23 @@ def _negative_holds(signature: tuple, slots, index, binding: tuple) -> bool:
 
 
 def _instantiate(node, binding: dict[str, str]):
+    """The template with its variables bound and each ``Fresh`` minted; a
+    bound cardinality slot becomes an ``int``."""
     if isinstance(node, str):
-        if is_variable(node):
-            return binding[node]
+        return binding[node] if is_variable(node) else node
+    if isinstance(node, int):
         return node
+    if isinstance(node, tuple):
+        return tuple(_instantiate(n, binding) for n in node)
     if isinstance(node, Fresh):
-        keys = tuple(binding.get(k, k) if is_variable(k) else k for k in node.keys)
-        return skolem(node.tag, *keys)
-    if isinstance(node, ClassAssertion):
-        return ClassAssertion(
-            _instantiate(node.expr, binding), _instantiate(node.individual, binding)
-        )
-    if isinstance(node, ObjectPropertyAssertion):
-        return ObjectPropertyAssertion(
-            _instantiate(node.property, binding),
-            _instantiate(node.source, binding),
-            _instantiate(node.target, binding),
-        )
-    if isinstance(node, NegativeObjectPropertyAssertion):
-        return NegativeObjectPropertyAssertion(
-            _instantiate(node.property, binding),
-            _instantiate(node.source, binding),
-            _instantiate(node.target, binding),
-        )
-    if isinstance(node, SubClassOf):
-        return SubClassOf(_instantiate(node.sub, binding), _instantiate(node.sup, binding))
-    if isinstance(node, SomeValuesFrom):
-        return SomeValuesFrom(
-            _instantiate(node.property, binding), _instantiate(node.filler, binding)
-        )
-    if isinstance(node, AllValuesFrom):
-        return AllValuesFrom(
-            _instantiate(node.property, binding), _instantiate(node.filler, binding)
-        )
-    if isinstance(node, ComplementOf):
-        return ComplementOf(_instantiate(node.expr, binding))
-    if isinstance(node, IntersectionOf):
-        return IntersectionOf(tuple(_instantiate(o, binding) for o in node.operands))
-    if isinstance(node, OneOf):
-        return OneOf(tuple(_instantiate(i, binding) for i in node.individuals))
-    if isinstance(node, QualifiedCardinality):
-        cardinality = node.cardinality
-        if isinstance(cardinality, str):
-            value = _instantiate(cardinality, binding)
-            try:
-                cardinality = int(value)
-            except ValueError as exc:
-                raise PatternError(
-                    f"cardinality slot bound to non-integer {value!r}"
-                ) from exc
-        return QualifiedCardinality(
-            _instantiate(node.property, binding), cardinality, _instantiate(node.filler, binding)
-        )
-    raise PatternError(f"cannot instantiate template node {node!r}")
+        return skolem(node.tag, *_instantiate(node.keys, binding))
+    if isinstance(node, QualifiedCardinality) and isinstance(node.cardinality, str):
+        value = _instantiate(node.cardinality, binding)
+        try:
+            node = replace(node, cardinality=int(value))
+        except ValueError as exc:
+            raise PatternError(f"cardinality slot bound to non-integer {value!r}") from exc
+    return type(node)(*(_instantiate(getattr(node, f.name), binding) for f in fields(node)))
 
 
 def _axiom_well_formed(axiom) -> bool:
@@ -495,7 +432,7 @@ def translate_to_owl(
                 axiom = _instantiate(template, binding)
                 if _axiom_well_formed(axiom):
                     axioms.add(axiom)
-    return sorted(axioms, key=lambda a: render_axiom(a))
+    return sorted(axioms, key=render_axiom)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +505,14 @@ def parse_patterns(
 
     ``when`` atoms follow the rule syntax (``not`` for default negation);
     ``emit`` takes one axiom expression per line; ``fresh(tag, X)`` mints a
-    Skolem constant.
+    Skolem constant. Each argument must have the type its field declares
+    in ``owl``: an ``emit`` starts with ``ClassAssertion``,
+    ``ObjectPropertyAssertion``, ``NegativeObjectPropertyAssertion`` or
+    ``SubClassOf``; an entity position (and each ``OneOf`` member) takes a
+    name or ``fresh(...)``; a class position also takes a class
+    expression; a cardinality takes an integer or a name bound to one; and
+    ``fresh(...)`` takes names and integers only. Anything else is a
+    ``PatternError``.
     """
     prefixes = prefixes or {}
     patterns: list[TranslationPattern] = []
@@ -610,85 +554,108 @@ def parse_patterns(
     return patterns
 
 
-_AXIOM_HEADS = {
-    "ClassAssertion": (ClassAssertion, 2),
-    "ObjectPropertyAssertion": (ObjectPropertyAssertion, 3),
-    "NegativeObjectPropertyAssertion": (NegativeObjectPropertyAssertion, 3),
-    "SubClassOf": (SubClassOf, 2),
-    "SomeValuesFrom": (SomeValuesFrom, 2),
-    "AllValuesFrom": (AllValuesFrom, 2),
-    "ComplementOf": (ComplementOf, 1),
-    "IntersectionOf": (IntersectionOf, None),
-    "OneOf": (OneOf, None),
-    "QualifiedCardinality": (QualifiedCardinality, 3),
+# An expression head names an OWL class; the annotation of the field an
+# argument fills says what may stand there. The top of an ``emit`` line is
+# an ``OwlAxiom``; ``fresh(...)`` takes leaves only.
+_HEADS = {cls.__name__: cls for cls in get_args(OwlAxiom) + get_args(ClassExpr)[1:]}
+_SLOTS = {
+    "OwlAxiom": ("an axiom", get_args(OwlAxiom)),
+    "ClassExpr": ("a class expression", get_args(ClassExpr) + (Fresh,)),
+    "str": ("an entity", (str, Fresh)),
+    "int": ("an integer", (str, int)),
+    "leaf": ("a name or integer", (str, int)),
 }
 
 
 def _parse_axiom_expr(text: str, prefixes: dict[str, str], lineno: int):
-    expr, rest = _parse_expr(text.strip(), prefixes, lineno)
+    expr, rest = _parse_expr(text, prefixes, lineno, "OwlAxiom")
     if rest.strip():
         raise PatternError(f"line {lineno}: trailing text after expression: {rest!r}")
     return expr
 
 
-def _parse_expr(text: str, prefixes: dict[str, str], lineno: int):
+def _parse_expr(text: str, prefixes: dict[str, str], lineno: int, slot: str):
+    """The expression at the start of ``text`` and the text after it. The
+    expression must be what ``slot``, a key of ``_SLOTS``, admits."""
     text = text.lstrip()
-    for head, (cls, arity) in _AXIOM_HEADS.items():
-        if text.startswith(head + "("):
-            rest = text[len(head) + 1 :]
-            args = []
-            while True:
-                arg, rest = _parse_expr(rest, prefixes, lineno)
-                args.append(arg)
-                rest = rest.lstrip()
-                if rest.startswith(","):
-                    rest = rest[1:]
-                    continue
-                if rest.startswith(")"):
-                    rest = rest[1:]
-                    break
-                raise PatternError(f"line {lineno}: expected ',' or ')' in {head}")
-            if arity is not None and len(args) != arity:
-                raise PatternError(
-                    f"line {lineno}: {head} takes {arity} arguments, got {len(args)}"
-                )
-            if cls is IntersectionOf:
-                return IntersectionOf(tuple(args)), rest
-            if cls is OneOf:
-                return OneOf(tuple(args)), rest
-            return cls(*args), rest
-    if text.startswith("fresh("):
-        rest = text[len("fresh(") :]
-        args = []
-        while True:
-            arg, rest = _parse_expr(rest, prefixes, lineno)
-            args.append(arg)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:]
-                continue
-            if rest.startswith(")"):
-                rest = rest[1:]
-                break
-            raise PatternError(f"line {lineno}: expected ',' or ')' in fresh()")
-        if not args:
-            raise PatternError(f"line {lineno}: fresh() needs a tag")
-        return Fresh(str(args[0]), tuple(str(a) for a in args[1:])), rest
-    # Leaf: IRI, prefixed name, variable, integer, or bare symbol.
-    i = 0
     if text.startswith("<"):
-        i = text.index(">") + 1
-        leaf = text[1 : i - 1]
-        return leaf, text[i:]
-    while i < len(text) and text[i] not in ",() \t":
-        i += 1
-    token = text[:i]
-    if not token:
-        raise PatternError(f"line {lineno}: expected expression near {text[:20]!r}")
+        end = text.find(">")
+        if end < 0:
+            raise PatternError(f"line {lineno}: unterminated IRI near {text[:20]!r}")
+        expr, rest = text[1:end], text[end + 1 :]
+    else:
+        i = 0
+        while i < len(text) and text[i] not in ",() \t":
+            i += 1
+        token, rest = text[:i], text[i:]
+        if not token:
+            raise PatternError(f"line {lineno}: expected expression near {text[:20]!r}")
+        if rest.startswith("("):
+            expr, rest = _parse_call(token, rest[1:], prefixes, lineno)
+        else:
+            expr = _parse_leaf(token, prefixes, lineno)
+    what, admitted = _SLOTS[slot]
+    if not isinstance(expr, admitted):
+        raise PatternError(f"line {lineno}: expected {what}, got {_describe(expr)}")
+    return expr, rest
+
+
+def _describe(expr) -> str:
+    if isinstance(expr, (str, int)):
+        return repr(expr)
+    return "fresh(...)" if isinstance(expr, Fresh) else f"{type(expr).__name__}(...)"
+
+
+def _parse_call(head: str, text: str, prefixes: dict[str, str], lineno: int):
+    if head == "fresh":
+        args, rest = _parse_args(head, text, prefixes, lineno, [], "leaf")
+        return Fresh(str(args[0]), tuple(str(a) for a in args[1:])), rest
+    cls = _HEADS.get(head)
+    if cls is None:
+        raise PatternError(f"line {lineno}: unknown expression head {head!r}")
+    *fixed, last = [f.type for f in fields(cls)]
+    if not last.startswith("tuple["):
+        args, rest = _parse_args(head, text, prefixes, lineno, fixed + [last], None)
+        return cls(*args), rest
+    spread = last.removeprefix("tuple[").removesuffix(", ...]")
+    args, rest = _parse_args(head, text, prefixes, lineno, fixed, spread)
+    return cls(*args[: len(fixed)], tuple(args[len(fixed) :])), rest
+
+
+def _parse_args(head, text, prefixes, lineno, fixed: list[str], spread: str | None):
+    """The arguments of ``head(`` up to its ``)``, each checked against its
+    field's type: one per ``fixed`` field, then any number of ``spread``."""
+    args = []
+    rest = text
+    while True:
+        slot = fixed[len(args)] if len(args) < len(fixed) else spread
+        if slot is None:
+            raise PatternError(f"line {lineno}: {head} takes {len(fixed)} arguments")
+        arg, rest = _parse_expr(rest, prefixes, lineno, slot)
+        args.append(arg)
+        rest = rest.lstrip()
+        if rest.startswith(","):
+            rest = rest[1:]
+            continue
+        if rest.startswith(")"):
+            rest = rest[1:]
+            break
+        raise PatternError(f"line {lineno}: expected ',' or ')' in {head}")
+    if len(args) < len(fixed):
+        raise PatternError(
+            f"line {lineno}: {head} takes {len(fixed)} arguments, got {len(args)}"
+        )
+    return args, rest
+
+
+def _parse_leaf(token: str, prefixes: dict[str, str], lineno: int):
+    """A prefixed name, variable, integer or bare symbol."""
     if ":" in token:
         prefix, _, local = token.partition(":")
         if prefix in prefixes:
-            return prefixes[prefix] + local, text[i:]
+            return prefixes[prefix] + local
     if token.isdigit():
-        return int(token), text[i:]
-    return token, text[i:]
+        if not token.isdecimal():
+            raise PatternError(f"line {lineno}: not an integer: {token!r}")
+        return int(token)
+    return token

@@ -34,7 +34,7 @@ from .store import (
     Literal,
     Quad,
     QuadDataset,
-    ResourceKind,
+    ResourceKinds,
     Term,
     VocabularyCatalog,
     classify_resource,
@@ -50,13 +50,6 @@ _KIND_TO_IDENTIFICATION_CLASS = {
     "type": vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT,
     "someInstanceOf": vocab.SOME_INSTANCE_IDENTIFICATION_UNIT,
     "everyInstanceOf": vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT,
-}
-
-_CATEGORY_BY_KIND = {
-    ResourceKind.NAMED_INDIVIDUAL: vocab.ASSERTIONAL_STATEMENT_UNIT,
-    ResourceKind.SEMANTIC_UNIT_RESOURCE: vocab.ASSERTIONAL_STATEMENT_UNIT,
-    ResourceKind.SOME_INSTANCE: vocab.CONTINGENT_STATEMENT_UNIT,
-    ResourceKind.EVERY_INSTANCE: vocab.UNIVERSAL_STATEMENT_UNIT,
 }
 
 
@@ -342,7 +335,7 @@ def partition(
     adopted_quads = [q for q in data if q.graph in unit_graphs]
     fresh_quads = [q for q in data if q.graph not in unit_graphs]
 
-    category_of = _category_index(dataset, catalog)
+    category_of = ResourceKinds.of(dataset, catalog).category_of
     adopted_units = _adopt_units(adopted_quads, units_layer, schemas, catalog)
     adopted_units = [
         _enrich_adopted(u, category_of, catalog) for u in adopted_units
@@ -555,37 +548,6 @@ def _pending_fallback(quad: Quad) -> dict:
     }
 
 
-def _category_index(dataset: QuadDataset, catalog: VocabularyCatalog):
-    """One-pass subject-category lookup; equivalent to classifying every
-    subject individually but linear in the dataset size."""
-    data, _ = dataset.split_layers(catalog)
-    unit_resources = dataset.unit_resources(catalog)
-    tags: dict[str, str] = {}
-    mixed: set[str] = set()
-    kind_preds = {
-        catalog.type: vocab.ASSERTIONAL_STATEMENT_UNIT,
-        catalog.some_instance_of: vocab.CONTINGENT_STATEMENT_UNIT,
-        catalog.every_instance_of: vocab.UNIVERSAL_STATEMENT_UNIT,
-    }
-    for q in data:
-        category = kind_preds.get(q.predicate)
-        if category is None or not isinstance(q.object, Iri):
-            continue
-        previous = tags.get(q.subject)
-        if previous is not None and previous != category:
-            mixed.add(q.subject)
-        tags[q.subject] = category
-
-    def lookup(subject: str) -> str | None:
-        if subject in unit_resources:
-            return vocab.ASSERTIONAL_STATEMENT_UNIT
-        if subject in mixed:
-            return None
-        return tags.get(subject)
-
-    return lookup
-
-
 def _enrich_adopted(
     unit: StatementUnit, category_of, catalog: VocabularyCatalog
 ) -> StatementUnit:
@@ -751,7 +713,7 @@ def classify_unit(
         raise ClassificationError(
             f"subject kind of {unit.subject} unresolvable: {exc}"
         ) from exc
-    category = _CATEGORY_BY_KIND.get(kind)
+    category = ResourceKinds.CATEGORIES.get(kind)
     if category is None:
         raise ClassificationError(
             f"subject {unit.subject} of {unit.upri} is a {kind.value}; "

@@ -1,17 +1,31 @@
-"""The item-group builder that `kgunits.compound` used before it attached
-orphans through a resource-to-component map and grouped links by root.
+"""Compound builders as `kgunits.compound` wrote them before they became
+linear: the item-group builder before it attached orphans through a
+resource-to-component map and grouped links by root, and the granularity
+builders before they grouped edges by component and items by subject.
 
-Kept as the oracle of the differential test in `test_compound.py`: each
-orphan walks every component in sorted order, and each component rescans
-every link, so it is obviously the rule the docstring states.
+Kept as the oracles of the differential tests in `test_compound.py`: each
+orphan walks every component in sorted order, each component rescans every
+link, each tree root rescans every edge and each tree rescans every item,
+so each is obviously the rule its docstring states.
 """
 
 from __future__ import annotations
 
 from kgunits import vocab
-from kgunits.compound import ITEM_GROUP, CompoundUnit, _resource_kind
+from kgunits.compound import (
+    GRANULAR_ITEM_GROUP,
+    GRANULARITY_TREE,
+    ITEM_GROUP,
+    CompoundUnit,
+    TreeResult,
+    _find_cycle,
+    _reachable,
+    _resource_kind,
+    _transitive_reduction,
+    _weak_components,
+)
 from kgunits.store import Iri, ResourceKind, VocabularyCatalog
-from kgunits.units import PartitionResult
+from kgunits.units import PartitionResult, StatementUnit
 
 
 def build_item_group_units(
@@ -124,6 +138,114 @@ def build_item_group_units(
                 associated=tuple(dict.fromkeys(member_upris)),
                 subject=None,
                 links=comp_links,
+            )
+        )
+    return out
+
+
+def build_granularity_tree_units(
+    partition: PartitionResult,
+    catalog: VocabularyCatalog,
+    minter,
+    typed: list[CompoundUnit] | None = None,
+) -> TreeResult:
+    """Trees induced by the catalog's partial-order predicates.
+
+    Antisymmetry is checked operationally: a directed cycle in the edge set
+    disqualifies its whole component. Transitive edges are dropped for the
+    tree shape but their statement units stay associated with the tree.
+    """
+    typed = typed or []
+    typed_by_ref: dict[str, str] = {t.associated[0]: t.upri for t in typed}
+    trees: list[CompoundUnit] = []
+    cycles: list[str] = []
+    for predicate in sorted(catalog.partial_orders):
+        units = [
+            u
+            for u in partition.units
+            if u.anchor_predicate == predicate and not u.is_identification
+        ]
+        if not units:
+            continue
+        edges: dict[tuple[str, str], list[StatementUnit]] = {}
+        for u in units:
+            for obj in u.argument_iris():
+                edges.setdefault((u.subject, obj), []).append(u)
+        nodes = sorted({n for e in edges for n in e})
+        adjacency: dict[str, set[str]] = {n: set() for n in nodes}
+        for a, b in edges:
+            adjacency[a].add(b)
+
+        components = _weak_components(nodes, edges)
+        for comp in components:
+            comp_edges = {e for e in edges if e[0] in comp}
+            cycle = _find_cycle(comp, comp_edges)
+            if cycle:
+                cycles.append(
+                    f"{predicate}: cycle through {' -> '.join(cycle)}; component skipped"
+                )
+                continue
+            reduced = _transitive_reduction(comp, comp_edges)
+            incoming = {b for _, b in reduced}
+            roots = sorted(n for n in comp if n not in incoming and any(a == n for a, _ in reduced))
+            if not roots and len(comp) == 1:
+                continue
+            for root in roots:
+                reachable = _reachable(root, reduced)
+                tree_edges = tuple(
+                    sorted((a, b) for a, b in reduced if a in reachable and b in reachable)
+                )
+                member_units = sorted(
+                    {
+                        u.upri
+                        for (a, b), us in edges.items()
+                        if a in reachable and b in reachable
+                        for u in us
+                    }
+                )
+                associated = list(member_units)
+                for m in member_units:
+                    t = typed_by_ref.get(m)
+                    if t:
+                        associated.append(t)
+                trees.append(
+                    CompoundUnit(
+                        upri=minter(),
+                        kind=GRANULARITY_TREE,
+                        classes=frozenset({vocab.GRANULARITY_TREE_UNIT}),
+                        associated=tuple(associated),
+                        subject=root,
+                        edges=tree_edges,
+                        order_predicate=predicate,
+                    )
+                )
+    return TreeResult(units=tuple(trees), cycles=tuple(cycles))
+
+
+def build_granular_item_groups(
+    trees: list[CompoundUnit],
+    items: list[CompoundUnit],
+    partition: PartitionResult,
+    minter,
+) -> list[CompoundUnit]:
+    """Derived view joining each granularity tree with the item units whose
+    subjects are tree nodes."""
+    out: list[CompoundUnit] = []
+    for tree in sorted(trees, key=lambda t: t.upri):
+        tree_nodes = {n for e in tree.edges for n in e}
+        member_items = sorted(
+            i.upri for i in items if i.subject in tree_nodes
+        )
+        if not member_items:
+            continue
+        out.append(
+            CompoundUnit(
+                upri=minter(),
+                kind=GRANULAR_ITEM_GROUP,
+                classes=frozenset({vocab.GRANULAR_ITEM_GROUP_UNIT}),
+                associated=tuple([tree.upri] + member_items),
+                subject=tree.subject,
+                order_predicate=tree.order_predicate,
             )
         )
     return out

@@ -8,6 +8,7 @@ for differential tests.
 
 from __future__ import annotations
 
+from kgunits import vocab
 from kgunits.errors import AmbiguousResourceKindError, UnknownResourceError
 from kgunits.store import Iri, Literal, Quad, QuadDataset, ResourceKind, VocabularyCatalog
 
@@ -157,3 +158,35 @@ def classify_resource(
     raise UnknownResourceError(
         f"resource kind of {resource} cannot be resolved from the dataset"
     )
+
+
+def category_index(dataset: QuadDataset, catalog: VocabularyCatalog):
+    """The separate lenient pass that ``ResourceKinds.category_of`` replaced:
+    the subject category of each resource, from its class affiliations with
+    an IRI object; mixed affiliations give ``None``."""
+    data, _ = dataset.split_layers(catalog)
+    unit_resources = dataset.unit_resources(catalog)
+    tags: dict[str, str] = {}
+    mixed: set[str] = set()
+    kind_preds = {
+        catalog.type: vocab.ASSERTIONAL_STATEMENT_UNIT,
+        catalog.some_instance_of: vocab.CONTINGENT_STATEMENT_UNIT,
+        catalog.every_instance_of: vocab.UNIVERSAL_STATEMENT_UNIT,
+    }
+    for q in data:
+        category = kind_preds.get(q.predicate)
+        if category is None or not isinstance(q.object, Iri):
+            continue
+        previous = tags.get(q.subject)
+        if previous is not None and previous != category:
+            mixed.add(q.subject)
+        tags[q.subject] = category
+
+    def lookup(subject: str) -> str | None:
+        if subject in unit_resources:
+            return vocab.ASSERTIONAL_STATEMENT_UNIT
+        if subject in mixed:
+            return None
+        return tags.get(subject)
+
+    return lookup

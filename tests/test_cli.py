@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from collections import Counter
 from pathlib import Path
@@ -165,10 +167,13 @@ STAGEWISE_ARTIFACTS = (
 
 def assert_pipeline_matches_stages(capsys, tmp_path, source, extra=(), artifacts=()):
     """``pipeline`` writes the same bytes as the stages run one by one, the
-    downstream ones on the compound stage's ``compounds.trig``."""
+    downstream ones on the compound stage's ``compounds.trig``. Returns the
+    sha256 of each pipeline artifact and of the pipeline's stdout."""
     pipe_out = tmp_path / "pipe"
     stage_out = tmp_path / "stages"
     assert main(["pipeline", source, *common(pipe_out, *extra)]) == 0
+    digests = {p.name: sha256(p.read_bytes()) for p in sorted(pipe_out.iterdir())}
+    digests["stdout"] = sha256(capsys.readouterr().out.encode("utf-8"))
     for stage in ("ingest", "partition", "compound", "label", "reason", "translate"):
         assert main([stage, source, *common(stage_out, *extra)]) == 0, stage
     downstream = ("nanopub", "acl") if "--policy" in extra else ("nanopub",)
@@ -178,6 +183,16 @@ def assert_pipeline_matches_stages(capsys, tmp_path, source, extra=(), artifacts
     capsys.readouterr()
     for name in STAGEWISE_ARTIFACTS + tuple(artifacts):
         assert (pipe_out / name).read_bytes() == (stage_out / name).read_bytes(), name
+    return digests
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Recorded with Python 3.11. A mismatch on another interpreter is a
+# determinism bug in the pipeline, not a reason to re-record.
+PIPELINE_DIGESTS = json.loads((FIXTURES / "pipeline_digests.json").read_text(encoding="utf-8"))
 
 
 def test_pipeline_matches_stagewise_composition(capsys, tmp_path):
@@ -188,14 +203,16 @@ def test_pipeline_matches_stagewise_composition(capsys, tmp_path):
 def test_pipeline_with_policy_matches_stagewise_composition(capsys, tmp_path, fixture):
     """``pipeline`` hands ``nanopub`` and ``acl`` the compound dataset in
     memory; on every fixture that must write what the stages write when
-    they read ``compounds.trig``."""
-    assert_pipeline_matches_stages(
+    they read ``compounds.trig``. Its artifacts and stdout also keep the
+    bytes recorded in ``pipeline_digests.json``."""
+    digests = assert_pipeline_matches_stages(
         capsys,
         tmp_path,
         str(FIXTURES / fixture),
         extra=("--policy", str(FIXTURES / "endangered.pol")),
         artifacts=("visible.trig",),
     )
+    assert digests == PIPELINE_DIGESTS[fixture]
 
 
 @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.trig")))
@@ -418,6 +435,32 @@ def test_translate_with_custom_pattern_file(capsys, tmp_path):
     assert code == 0
     axioms = (tmp_path / "axioms.txt").read_text(encoding="utf-8")
     assert "ex:Labelled" in axioms
+
+
+@pytest.mark.parametrize(
+    "emit",
+    [
+        "ClassAssertion(<http://x, Y)",
+        "ClassAssertion(ex:C, \u00b2)",
+        "<http://x/C>",
+        "fresh(t, U)",
+        "ClassAssertion(SubClassOf(ex:A, ex:B), U)",
+    ],
+)
+def test_malformed_pattern_file_is_data_error(capsys, tmp_path, emit):
+    pattern_file = tmp_path / "bad.pat"
+    pattern_file.write_text(
+        "pattern bad\nwhen su:NegationUnit(U), su:hasSemanticUnitSubject(U, Y)\n"
+        f"emit {emit}\n",
+        encoding="utf-8",
+    )
+    code = main([
+        "translate", str(FIXTURES / "fruit_negation.trig"),
+        *common(tmp_path, "--patterns", str(pattern_file)),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 3:" in err and "Traceback" not in err
 
 
 def test_bound_exceeded_exit_code(capsys, tmp_path):

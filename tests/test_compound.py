@@ -14,6 +14,7 @@ from kgunits.compound import (
     SET,
     build_all,
     build_context_units,
+    build_granular_item_groups,
     build_granularity_tree_units,
     build_item_group_units,
     build_item_units,
@@ -28,6 +29,7 @@ from kgunits.fdo import UpriMinter
 from kgunits.store import Iri, Quad, QuadDataset
 from kgunits.units import partition
 
+import compound_oracle
 from compound_oracle import build_item_group_units as oracle_item_group_units
 from conftest import fixture_dataset, partitioned
 
@@ -289,6 +291,40 @@ def test_item_groups_equal_the_rescanning_oracle(catalog, schemas, case):
     assert build_item_group_units(
         items, result, catalog, UpriMinter(seed=7)
     ) == oracle_item_group_units(items, result, catalog, UpriMinter(seed=7))
+
+
+@st.composite
+def _order_graphs(draw):
+    """Random edges of the two partial orders over eight resources, with
+    relations and class affiliations: several components per order, cycles,
+    transitive edges, roots sharing nodes, and items about tree nodes."""
+    orders = st.sampled_from(["has-part", "before", "found-at"])
+    quads = [
+        Quad(f"{EX}r{s}", REL + rel, Iri(f"{EX}r{o}"), EX + "g")
+        for s, rel, o in draw(st.lists(st.tuples(_NODES, orders, _NODES), max_size=16))
+    ]
+    quads += [
+        Quad(f"{EX}r{n}", vocab.RDF_TYPE, Iri(EX + cls), EX + "g")
+        for n, cls in draw(st.lists(st.tuples(_NODES, st.sampled_from("AB")), max_size=6))
+    ]
+    return QuadDataset(quads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_order_graphs())
+def test_granularity_builders_equal_the_rescanning_oracles(catalog, schemas, dataset):
+    result = partition(dataset, schemas, catalog, UpriMinter(seed=4))
+    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=5))
+    items = build_item_units(result, typed, [], catalog, UpriMinter(seed=6))
+    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8), typed)
+    assert trees == compound_oracle.build_granularity_tree_units(
+        result, catalog, UpriMinter(seed=8), typed
+    )
+    assert build_granular_item_groups(
+        list(trees.units), items, result, UpriMinter(seed=9)
+    ) == compound_oracle.build_granular_item_groups(
+        list(trees.units), items, result, UpriMinter(seed=9)
+    )
 
 
 # -- granularity trees ----------------------------------------------------------

@@ -22,6 +22,7 @@ from kgunits.store import (
     Quad,
     QuadDataset,
     ResourceKind,
+    ResourceKinds,
     classify_resource,
     load_catalog,
 )
@@ -106,15 +107,20 @@ _NAMED_CASES = [
     [_quad(EX + "a", EX + "b", EX + "c"), _quad(EX + "b", C.label, Literal("part of"))],
     # a resource occurring only as a graph name or a label subject
     [_quad(EX + "a", C.label, Literal("x"))],
+    # a literal-object affiliation does not make the category mixed
+    [_quad(EX + "a", C.type, Literal("x")), _quad(EX + "a", C.some_instance_of, EX + "c")],
     [],
 ]
 
 
 def _assert_kinds_match(dataset, catalog):
+    category_of = ResourceKinds.of(dataset, catalog).category_of
+    lenient = scan_oracle.category_index(dataset, catalog)
     for resource in sorted(scan_oracle.resources(dataset)) + NODES + [ABSENT]:
         assert _outcome(classify_resource, dataset, resource, catalog) == _outcome(
             scan_oracle.classify_resource, dataset, resource, catalog
         ), resource
+        assert category_of(resource) == lenient(resource), resource
 
 
 @settings(max_examples=150, deadline=None)

@@ -188,3 +188,11 @@ def test_catalog_rejects_duplicate_iris():
 def test_catalog_partial_orders_load(catalog):
     assert REL + "has-part" in catalog.partial_orders
     assert DEFAULT_CATALOG.partial_orders == ()
+
+
+def test_catalog_predicate_sets_are_built_once(catalog):
+    assert catalog.kind_predicates is catalog.kind_predicates
+    assert catalog.structural_properties is catalog.structural_properties
+    assert catalog.kind_predicates == {catalog.type, catalog.some_instance_of,
+                                       catalog.every_instance_of}
+    assert catalog.index in catalog.structural_properties

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logic_oracle as oracle
+import owl_oracle
 from kgunits import vocab
 from kgunits.errors import PatternError
 from kgunits.logic import Atom, ground_program, stable_models
 from kgunits.owl import (
+    AllValuesFrom,
     ClassAssertion,
     ComplementOf,
+    IntersectionOf,
     NegativeObjectPropertyAssertion,
     ObjectPropertyAssertion,
+    OneOf,
+    QualifiedCardinality,
     SomeValuesFrom,
     SubClassOf,
     render_axiom,
@@ -21,6 +28,8 @@ from kgunits.owl import (
 from kgunits.translate import (
     Fresh,
     TranslationPattern,
+    _instantiate,
+    _template_variables,
     builtin_patterns,
     check_conflicts,
     default_rules,
@@ -274,6 +283,69 @@ emit ClassAssertion(fresh(witness, U), Y)
     assert isinstance(pattern.outputs[1].expr, Fresh)
 
 
+def test_parse_patterns_reads_every_head(catalog):
+    text = """
+pattern all-heads
+when su:NegationUnit(U), su:asserts(U, Y, rdf:type, Z)
+emit SubClassOf(IntersectionOf(Z, ComplementOf(OneOf(Y, fresh(t, U)))), AllValuesFrom(rel:p, Z))
+emit ClassAssertion(QualifiedCardinality(rel:p, 3, SomeValuesFrom(rel:q, Z)), fresh(t, U, 7))
+emit ObjectPropertyAssertion(rel:p, Y, <https://example.org/kg/o>)
+emit NegativeObjectPropertyAssertion(rel:p, Y, ex:o)
+emit ClassAssertion(QualifiedCardinality(rel:p, U, Z), Y)
+"""
+    (pattern,) = parse_patterns(text, catalog.prefixes)
+    rel, u, y, z = REL, "U", "Y", "Z"
+    assert pattern.outputs == (
+        SubClassOf(
+            IntersectionOf((z, ComplementOf(OneOf((y, Fresh("t", (u,))))))),
+            AllValuesFrom(rel + "p", z),
+        ),
+        ClassAssertion(
+            QualifiedCardinality(rel + "p", 3, SomeValuesFrom(rel + "q", z)),
+            Fresh("t", (u, "7")),
+        ),
+        ObjectPropertyAssertion(rel + "p", y, EX + "o"),
+        NegativeObjectPropertyAssertion(rel + "p", y, EX + "o"),
+        ClassAssertion(QualifiedCardinality(rel + "p", u, z), y),
+    )
+
+
+@pytest.mark.parametrize(
+    "emit, message",
+    [
+        ("ClassAssertion(<http://x, Y)", "unterminated IRI"),
+        ("ClassAssertion(ex:C\u00b2, \u00b2)", "not an integer: '\u00b2'"),
+        ("QualifiedCardinality(rel:p, \u00b2, Z)", "not an integer"),
+        ("<http://x/C>", "expected an axiom, got 'http://x/C'"),
+        ("Y", "expected an axiom, got 'Y'"),
+        ("fresh(t, U)", "expected an axiom, got fresh(...)"),
+        ("ComplementOf(Z)", "expected an axiom, got ComplementOf(...)"),
+        ("ClassAssertion(SubClassOf(Z, Z), U)", "expected a class expression, got SubClassOf(...)"),
+        ("ClassAssertion(Z, ComplementOf(Z))", "expected an entity, got ComplementOf(...)"),
+        ("ClassAssertion(Z, 3)", "expected an entity, got 3"),
+        ("ClassAssertion(3, Y)", "expected a class expression, got 3"),
+        ("ClassAssertion(OneOf(Y, ComplementOf(Z)), Y)", "expected an entity"),
+        ("ObjectPropertyAssertion(fresh(t, Y), Y, SomeValuesFrom(rel:p, Z))", "expected an entity"),
+        ("ClassAssertion(QualifiedCardinality(rel:p, fresh(t, U), Z), Y)", "expected an integer"),
+        ("ClassAssertion(Z, fresh(t, ComplementOf(Z)))", "expected a name or integer"),
+        ("ClassAssertion(Z, fresh(t, fresh(u, Y)))", "expected a name or integer"),
+        ("ClassAssertion(Z)", "ClassAssertion takes 2 arguments, got 1"),
+        ("SubClassOf(Z, Z, Z)", "SubClassOf takes 2 arguments"),
+        ("ClassAssertion(Frob(Z), Y)", "unknown expression head 'Frob'"),
+        ("ClassAssertion(Z Y)", "expected ',' or ')' in ClassAssertion"),
+        ("ClassAssertion(, Y)", "expected expression"),
+        ("ClassAssertion(Z, Y) Y", "trailing text"),
+    ],
+)
+def test_malformed_emit_is_a_pattern_error(catalog, emit, message):
+    text = (
+        "pattern bad\nwhen su:NegationUnit(U), su:asserts(U, Y, rdf:type, Z)\n"
+        f"emit {emit}\n"
+    )
+    with pytest.raises(PatternError, match="line 3: .*" + re.escape(message)):
+        parse_patterns(text, catalog.prefixes)
+
+
 def test_translate_is_deterministic_output_order(catalog, schemas):
     axioms, _, _ = _axioms("publication_frames.trig", catalog, schemas)
     rendered = [render_axiom(a) for a in axioms]
@@ -339,3 +411,71 @@ def test_guard_repeated_variable_and_wildcards():
     # default negation: q(b, ·) exists, so X = b is suppressed.
     assert run((Atom("p", (b, "Y")),), (Atom("q", (b, "Y")),)) == set()
     assert run((Atom("p", ("X", "Y")),), (Atom("q", ("Y", "X")),)) == {bound(a, a), bound(b, "_")}
+
+
+# -- the field walk against the per-class ladders (owl_oracle) ------------------
+
+_NS = ("https://ex.org/a/", "https://ex.org/a/b/", "https://ex.org/c#")
+_TEMPLATE_VARS = ("X", "Y", "N")
+_LEAVES = st.sampled_from(
+    _TEMPLATE_VARS + tuple(ns + local for ns in _NS for local in ("", "k", "b/k")) + ("plain",)
+)
+# A tag that looks like a variable must still not be substituted.
+_FRESH = st.builds(
+    Fresh, st.sampled_from(("inst", "X")), st.lists(_LEAVES, max_size=2).map(tuple)
+)
+_ENTITIES = st.one_of(_LEAVES, _FRESH)
+_CLASSES = st.recursive(
+    _ENTITIES,
+    lambda inner: st.one_of(
+        st.builds(SomeValuesFrom, _ENTITIES, inner),
+        st.builds(AllValuesFrom, _ENTITIES, inner),
+        st.builds(ComplementOf, inner),
+        st.builds(IntersectionOf, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(OneOf, st.lists(_ENTITIES, max_size=3).map(tuple)),
+        st.builds(
+            QualifiedCardinality, _ENTITIES, st.one_of(st.integers(0, 12), st.just("N")), inner
+        ),
+    ),
+    max_leaves=8,
+)
+_TEMPLATES = st.one_of(
+    st.builds(ClassAssertion, _CLASSES, _ENTITIES),
+    st.builds(ObjectPropertyAssertion, _ENTITIES, _ENTITIES, _ENTITIES),
+    st.builds(NegativeObjectPropertyAssertion, _ENTITIES, _ENTITIES, _ENTITIES),
+    st.builds(SubClassOf, _CLASSES, _CLASSES),
+)
+_BINDINGS = st.fixed_dictionaries(
+    {
+        "X": st.sampled_from(_NS + tuple(ns + "x" for ns in _NS)),
+        "Y": st.sampled_from(tuple(ns + "b/y" for ns in _NS)),
+        # A cardinality slot bound to an integer or to a non-integer.
+        "N": st.sampled_from(("0", "3", "12", "three", "3.5", _NS[0] + "n")),
+    }
+)
+# Nested namespaces, and aliases: two names for one namespace tie on
+# length, and the earlier one in the table wins.
+_PREFIX_TABLES = st.lists(
+    st.tuples(st.sampled_from("pqrs"), st.sampled_from(_NS)), unique_by=lambda kv: kv[0], max_size=4
+).map(dict)
+
+
+def _instantiated(instantiate, template, binding):
+    try:
+        return instantiate(template, binding)
+    except PatternError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEMPLATES, min_size=1, max_size=4), _BINDINGS, _PREFIX_TABLES)
+def test_owl_walk_equals_the_per_class_ladders(templates, binding, prefixes):
+    axioms = []
+    for template in templates:
+        assert _template_variables(template) == owl_oracle.template_variables(template)
+        axiom = _instantiated(_instantiate, template, binding)
+        assert axiom == _instantiated(owl_oracle.instantiate, template, binding)
+        if not isinstance(axiom, str):
+            axioms.append(axiom)
+            assert render_axiom(axiom, prefixes) == owl_oracle.render_axiom(axiom, prefixes)
+    assert render_axioms(axioms, prefixes) == owl_oracle.render_axioms(axioms, prefixes)
