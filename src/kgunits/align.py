@@ -83,10 +83,6 @@ class ProcessedGraph:
         return {resource: frozenset(c) for resource, c in classes.items()}
 
     @cached_property
-    def units_by_upri(self) -> dict[str, StatementUnit]:
-        return {u.upri: u for u in self.partition.units}
-
-    @cached_property
     def items_by_upri(self) -> dict[str, CompoundUnit]:
         return {i.upri: i for i in self.compounds.items}
 
@@ -153,7 +149,7 @@ def _statement_signature(
 
 
 def _item_signature(graph: ProcessedGraph, item: CompoundUnit) -> Counter:
-    lookup = graph.units_by_upri
+    lookup = graph.partition.units_by_upri
     bag: Counter = Counter()
     for c in item.classes:
         bag[("class", c)] += 1
@@ -167,7 +163,7 @@ def _item_signature(graph: ProcessedGraph, item: CompoundUnit) -> Counter:
 
 def _group_signature(graph: ProcessedGraph, group: CompoundUnit) -> Counter:
     items_by_upri = graph.items_by_upri
-    lookup = graph.units_by_upri
+    lookup = graph.partition.units_by_upri
     bag: Counter = Counter()
     for member in group.associated:
         item = items_by_upri.get(member)
@@ -301,8 +297,8 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
 
     # Level 3: statement units inside matched items, then orphans inside
     # matched groups, then units outside any group.
-    units_a = a.units_by_upri
-    units_b = b.units_by_upri
+    units_a = a.partition.units_by_upri
+    units_b = b.partition.units_by_upri
     sig_sa = {u.upri: _statement_signature(a, u) for u in a.partition.units}
     sig_sb = {u.upri: _statement_signature(b, u) for u in b.partition.units}
 

@@ -21,8 +21,10 @@ from .store import (
     ResourceKind,
     VocabularyCatalog,
     classify_resource,
+    declaration_quads,
+    read_declarations,
 )
-from .units import ARGUMENT, PartitionResult, StatementUnit
+from .units import ARGUMENT, PartitionResult, StatementUnit, UnitObject
 
 TYPED_STATEMENT = "typed-statement"
 QUALITY_MEASUREMENT = "quality-measurement"
@@ -160,7 +162,7 @@ def build_quality_measurement_units(
 ) -> list[CompoundUnit]:
     """Group each qualitative typed unit with every quantitative typed unit
     whose subject is one of its object arguments."""
-    lookup = {u.upri: u for u in partition.units}
+    lookup = partition.units_by_upri
 
     def reference(compound: CompoundUnit) -> StatementUnit:
         return lookup[compound.associated[0]]
@@ -306,25 +308,10 @@ def build_item_group_units(
             if b is not None and b.upri != a.upri:
                 links.append((u.upri, a.upri, b.upri))
 
-    parent: dict[str, str] = {i.upri: i.upri for i in items}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: str, y: str):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for _, a, b in links:
-        union(a, b)
-
+    root_of = _components([i.upri for i in items], [(a, b) for _, a, b in links])
     components: dict[str, list[CompoundUnit]] = {}
     for i in items:
-        components.setdefault(find(i.upri), []).append(i)
+        components.setdefault(root_of[i.upri], []).append(i)
 
     # Units that are members of some item unit.
     inside_items: set[str] = set()
@@ -334,7 +321,7 @@ def build_item_group_units(
     # Orphans attach to the first group, in sorted order, whose item
     # subjects or data resources they touch.
     first_component: dict[str, str] = {}
-    lookup = {u.upri: u for u in partition.units}
+    lookup = partition.units_by_upri
     for root in sorted(components):
         for item in components[root]:
             first_component.setdefault(item.subject, root)
@@ -359,7 +346,7 @@ def build_item_group_units(
 
     links_by_component: dict[str, list[tuple[str, str, str]]] = {}
     for link in links:
-        links_by_component.setdefault(find(link[1]), []).append(link)
+        links_by_component.setdefault(root_of[link[1]], []).append(link)
 
     out: list[CompoundUnit] = []
     for root in sorted(components):
@@ -429,15 +416,15 @@ def build_granularity_tree_units(
         for u in units:
             for obj in u.argument_iris():
                 edges.setdefault((u.subject, obj), []).append(u)
-        nodes = sorted({n for e in edges for n in e})
-        components = _weak_components(nodes, edges)
+        root_of = _components({n for e in edges for n in e}, edges)
         # The edges of each component, in the order of ``edges``.
-        component_of = {n: i for i, comp in enumerate(components) for n in comp}
-        by_component: list[dict] = [{} for _ in components]
+        by_component: dict[str, dict] = {}
         for (a, b), us in edges.items():
-            by_component[component_of[a]][a, b] = us
-        for comp, comp_edge_units in zip(components, by_component):
+            by_component.setdefault(root_of[a], {})[a, b] = us
+        for root in sorted(by_component):
+            comp_edge_units = by_component[root]
             comp_edges = set(comp_edge_units)
+            comp = {n for e in comp_edges for n in e}
             cycle = _find_cycle(comp, comp_edges)
             if cycle:
                 cycles.append(
@@ -481,27 +468,22 @@ def build_granularity_tree_units(
     return TreeResult(units=tuple(trees), cycles=tuple(cycles))
 
 
-def _weak_components(nodes: list[str], edges) -> list[set[str]]:
-    neighbours: dict[str, set[str]] = {n: set() for n in nodes}
+def _components(nodes, edges) -> dict[str, str]:
+    """Map each node to the least node of its component, edges read as
+    undirected; every edge endpoint must be among ``nodes``."""
+    parent = {n: n for n in nodes}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for a, b in edges:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    seen: set[str] = set()
-    out: list[set[str]] = []
-    for n in nodes:
-        if n in seen:
-            continue
-        comp = {n}
-        stack = [n]
-        while stack:
-            cur = stack.pop()
-            for nb in neighbours[cur]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        out.append(comp)
-    return out
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {n: find(n) for n in parent}
 
 
 def _find_cycle(nodes: set[str], edges: set[tuple[str, str]]) -> list[str] | None:
@@ -649,20 +631,7 @@ def build_context_units(
         for obj in u.argument_iris():
             nodes.add(obj)
 
-    parent = {n: n for n in sorted(nodes)}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    component_of = {n: find(n) for n in nodes}
+    component_of = _components(nodes, edges)
     units_by_component: dict[str, list[str]] = {}
     for u in sorted(partition.units, key=lambda u: u.upri):
         if u.upri in is_about_upris:
@@ -701,18 +670,17 @@ def build_context_units(
         )
 
     for u in sorted(is_about_units, key=lambda u: u.upri):
-        subj_root = component_of.get(u.subject)
+        # An endpoint whose component holds no unit has no context unit.
+        subj_ctx = context_by_component.get(component_of.get(u.subject))
         obj_roots = [component_of.get(o) for o in u.argument_iris()]
-        obj_root = obj_roots[0] if obj_roots else None
-        if subj_root is None or obj_root is None:
+        obj_ctx = context_by_component.get(obj_roots[0]) if obj_roots else None
+        if subj_ctx is None or obj_ctx is None:
             degenerate.append(f"{u.upri}: endpoint outside every context unit")
             continue
-        if subj_root == obj_root:
+        if subj_ctx == obj_ctx:
             degenerate.append(f"{u.upri}: both endpoints in one context unit")
             continue
-        boundary_tuples.append(
-            (u.upri, context_by_component[subj_root], context_by_component[obj_root])
-        )
+        boundary_tuples.append((u.upri, subj_ctx, obj_ctx))
 
     return ContextResult(
         units=tuple(contexts),
@@ -764,8 +732,6 @@ def make_collection_unit(
     list_upri = minter()
     memberships: list[StatementUnit] = []
     extra_quads: list[Quad] = []
-    from .units import UnitObject  # local import to avoid a cycle at module load
-
     for position, member in enumerate(members):
         m_upri = minter()
         quad = Quad(list_upri, catalog.child, Iri(member), m_upri)
@@ -858,16 +824,7 @@ def compound_quads(
     graph = vocab.UNITS_GRAPH
     quads: list[Quad] = []
     for c in sorted(compounds, key=lambda c: c.upri):
-        for cls in sorted(c.classes):
-            quads.append(Quad(c.upri, catalog.type, Iri(cls), graph))
-        for member in c.associated:
-            quads.append(
-                Quad(c.upri, catalog.has_associated_semantic_unit, Iri(member), graph)
-            )
-        if c.subject:
-            quads.append(
-                Quad(c.upri, catalog.has_semantic_unit_subject, Iri(c.subject), graph)
-            )
+        quads.extend(declaration_quads(c.upri, c.classes, c.subject, c.associated, catalog))
         for via, a, b in c.links:
             if c.kind == ITEM_GROUP:
                 quads.append(Quad(a, catalog.has_linked_semantic_unit, Iri(b), graph))
@@ -893,16 +850,7 @@ def collection_unit_quads(
     quads: list[Quad] = []
     for member in memberships:
         quads.extend(member.quads)
-        quads.append(
-            Quad(
-                member.upri,
-                catalog.has_semantic_unit_subject,
-                Iri(member.subject),
-                vocab.UNITS_GRAPH,
-            )
-        )
-        for cls in sorted(member.classes):
-            quads.append(Quad(member.upri, catalog.type, Iri(cls), vocab.UNITS_GRAPH))
+        quads.extend(declaration_quads(member.upri, member.classes, member.subject, (), catalog))
     quads.extend(compound_quads([compound], catalog))
     return quads
 
@@ -912,20 +860,7 @@ def reconstruct_compounds(
 ) -> list[CompoundUnit]:
     """Rebuild compound units from their semantic-units-layer declarations
     (association, class, and subject quads)."""
-    associated: dict[str, list[str]] = {}
-    classes: dict[str, set[str]] = {}
-    subjects: dict[str, str] = {}
-    for q in dataset:
-        if q.predicate == catalog.has_associated_semantic_unit and isinstance(
-            q.object, Iri
-        ):
-            associated.setdefault(q.subject, []).append(q.object.value)
-        elif q.predicate == catalog.type and isinstance(q.object, Iri):
-            classes.setdefault(q.subject, set()).add(q.object.value)
-        elif q.predicate == catalog.has_semantic_unit_subject and isinstance(
-            q.object, Iri
-        ):
-            subjects.setdefault(q.subject, q.object.value)
+    classes, subjects, associated = read_declarations(dataset, catalog)
 
     class_to_kind = {cls: kind for kind, cls in _KIND_CLASS.items()}
     out: list[CompoundUnit] = []

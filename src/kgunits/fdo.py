@@ -24,6 +24,7 @@ from .store import (
     Quad,
     QuadDataset,
     VocabularyCatalog,
+    declaration_quads,
     is_absolute_iri,
     local_name,
 )
@@ -225,15 +226,9 @@ def emit_nanopublication(
         Quad(np_upri, vocab.HAS_PROVENANCE, Iri(prov_g), head_g),
         Quad(np_upri, vocab.HAS_PUBLICATION_INFO, Iri(pub_g), head_g),
     ]
-    for cls in sorted(getattr(unit, "classes", ()) or ()):
-        head.append(Quad(unit_upri, catalog.type, Iri(cls), head_g))
+    classes = getattr(unit, "classes", ()) or ()
     subject = getattr(unit, "subject", None)
-    if subject:
-        head.append(Quad(unit_upri, catalog.has_semantic_unit_subject, Iri(subject), head_g))
-    for member in associated:
-        head.append(
-            Quad(unit_upri, catalog.has_associated_semantic_unit, Iri(member), head_g)
-        )
+    head += declaration_quads(unit_upri, classes, subject, associated, catalog, head_g)
 
     # Compound units keep an empty assertion graph; associations live in
     # the head instead.

@@ -6,6 +6,11 @@ own identifier, so referring to the graph refers to the unit. Derived views
 (indexes, the split between the data graph layer and the semantic-units
 graph layer, resource kinds) are computed once and memoized on the
 snapshot, which never changes, so they are no second source of truth.
+
+This module also owns the declaration format of a semantic unit: the
+``rdf:type`` quads of its classes, its ``hasSemanticUnitSubject`` quad and
+its ``hasAssociatedSemanticUnit`` quads. ``declaration_quads`` is the one
+writer and ``read_declarations`` the one reader of that format.
 """
 
 from __future__ import annotations
@@ -248,6 +253,49 @@ class QuadDataset:
             else:
                 data.append(q)
         return tuple(data), tuple(units)
+
+
+# ---------------------------------------------------------------------------
+# Unit declarations
+# ---------------------------------------------------------------------------
+
+
+def declaration_quads(
+    upri: str,
+    classes: Iterable[str],
+    subject: str | None,
+    associated: Iterable[str],
+    catalog: "VocabularyCatalog",
+    graph: str = vocab.UNITS_GRAPH,
+) -> list[Quad]:
+    """The quads in ``graph`` that declare unit ``upri``: one ``rdf:type``
+    per class, its subject if it has one, and its associated units."""
+    quads = [Quad(upri, catalog.type, Iri(cls), graph) for cls in sorted(classes)]
+    if subject:
+        quads.append(Quad(upri, catalog.has_semantic_unit_subject, Iri(subject), graph))
+    quads.extend(
+        Quad(upri, catalog.has_associated_semantic_unit, Iri(member), graph)
+        for member in associated
+    )
+    return quads
+
+
+def read_declarations(
+    quads: Iterable[Quad], catalog: "VocabularyCatalog"
+) -> tuple[dict[str, set[str]], dict[str, str], dict[str, list[str]]]:
+    """The declared classes, first subject and associated units (in quad
+    order) of each resource, from the IRI-object declaration quads."""
+    classes: dict[str, set[str]] = {}
+    subjects: dict[str, str] = {}
+    associated: dict[str, list[str]] = {}
+    for q in quads:
+        if q.predicate == catalog.type and isinstance(q.object, Iri):
+            classes.setdefault(q.subject, set()).add(q.object.value)
+        elif q.predicate == catalog.has_semantic_unit_subject and isinstance(q.object, Iri):
+            subjects.setdefault(q.subject, q.object.value)
+        elif q.predicate == catalog.has_associated_semantic_unit and isinstance(q.object, Iri):
+            associated.setdefault(q.subject, []).append(q.object.value)
+    return classes, subjects, associated
 
 
 # ---------------------------------------------------------------------------

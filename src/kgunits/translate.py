@@ -540,7 +540,8 @@ def parse_patterns(
             if name is None:
                 raise PatternError(f"line {lineno}: 'when' before 'pattern'")
             body = line[len("when ") :].strip().rstrip(".")
-            program = parse_rules(f"__head__ :- {body}.", prefixes)
+            # Leading newlines make the rule parser count lines as the file does.
+            program = parse_rules("\n" * (lineno - 1) + f"__head__ :- {body}.", prefixes)
             rule = program.rules[0]
             positive.extend(rule.positive)
             negative.extend(rule.negative)

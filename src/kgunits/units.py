@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,7 +39,9 @@ from .store import (
     Term,
     VocabularyCatalog,
     classify_resource,
+    declaration_quads,
     local_name,
+    read_declarations,
 )
 
 log = logging.getLogger(__name__)
@@ -105,11 +108,9 @@ class PartitionResult:
     dataset: QuadDataset
     warnings: tuple[str, ...] = ()
 
-    def by_upri(self, upri: str) -> StatementUnit:
-        for u in self.units:
-            if u.upri == upri:
-                return u
-        raise KeyError(upri)
+    @cached_property
+    def units_by_upri(self) -> dict[str, StatementUnit]:
+        return {u.upri: u for u in self.units}
 
     def identification_units(self) -> tuple[StatementUnit, ...]:
         return tuple(u for u in self.units if u.is_identification)
@@ -408,7 +409,7 @@ def partition(
     organized = QuadDataset(
         [q for u in units for q in u.quads]
         + list(units_layer)
-        + list(_units_layer_quads(units, catalog))
+        + [q for u in units for q in declaration_quads(u.upri, u.classes, u.subject, (), catalog)]
     )
     return PartitionResult(
         units=tuple(units),
@@ -599,14 +600,6 @@ def _derive_disagreements(units: list[StatementUnit]) -> list[StatementUnit]:
     return out
 
 
-def _units_layer_quads(units: list[StatementUnit], catalog: VocabularyCatalog):
-    graph = vocab.UNITS_GRAPH
-    for u in units:
-        yield Quad(u.upri, catalog.has_semantic_unit_subject, Iri(u.subject), graph)
-        for cls in sorted(u.classes):
-            yield Quad(u.upri, catalog.type, Iri(cls), graph)
-
-
 # ---------------------------------------------------------------------------
 # Adoption of pre-declared units
 # ---------------------------------------------------------------------------
@@ -622,14 +615,7 @@ def _adopt_units(
     for q in adopted_quads:
         by_graph.setdefault(q.graph, []).append(q)
 
-    subjects: dict[str, str] = {}
-    classes: dict[str, set[str]] = {}
-    for q in units_layer:
-        if q.predicate == catalog.has_semantic_unit_subject and isinstance(q.object, Iri):
-            subjects.setdefault(q.subject, q.object.value)
-        elif q.predicate == catalog.type and isinstance(q.object, Iri):
-            classes.setdefault(q.subject, set()).add(q.object.value)
-
+    classes, subjects, _ = read_declarations(units_layer, catalog)
     by_class: dict[str, StatementSchema] = {s.unit_class: s for s in schemas}
     out: list[StatementUnit] = []
     for upri in sorted(by_graph):

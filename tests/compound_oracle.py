@@ -2,6 +2,10 @@
 linear: the item-group builder before it attached orphans through a
 resource-to-component map and grouped links by root, and the granularity
 builders before they grouped edges by component and items by subject.
+The context builder is kept as it was before its union-find became the
+shared `compound._components`, except that, like the builder, it reads an
+is-about endpoint whose component holds no unit as outside every context
+instead of failing with a `KeyError`.
 
 Kept as the oracles of the differential tests in `test_compound.py`: each
 orphan walks every component in sorted order, each component rescans every
@@ -13,16 +17,17 @@ from __future__ import annotations
 
 from kgunits import vocab
 from kgunits.compound import (
+    CONTEXT,
     GRANULAR_ITEM_GROUP,
     GRANULARITY_TREE,
     ITEM_GROUP,
     CompoundUnit,
+    ContextResult,
     TreeResult,
     _find_cycle,
     _reachable,
     _resource_kind,
     _transitive_reduction,
-    _weak_components,
 )
 from kgunits.store import Iri, ResourceKind, VocabularyCatalog
 from kgunits.units import PartitionResult, StatementUnit
@@ -249,3 +254,133 @@ def build_granular_item_groups(
             )
         )
     return out
+
+
+def _weak_components(nodes: list[str], edges) -> list[set[str]]:
+    neighbours: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen: set[str] = set()
+    out: list[set[str]] = []
+    for n in nodes:
+        if n in seen:
+            continue
+        comp = {n}
+        stack = [n]
+        while stack:
+            cur = stack.pop()
+            for nb in neighbours[cur]:
+                if nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+def build_context_units(
+    partition: PartitionResult,
+    catalog: VocabularyCatalog,
+    minter,
+) -> ContextResult:
+    """Connected components of the data layer once is-about quads are set
+    aside; each is-about statement unit marks the border between the two
+    context units its endpoints fall into.
+
+    Connectivity runs along instance-to-instance edges: class-affiliation
+    predicates and literal objects do not connect, otherwise two unrelated
+    frames sharing an ontology class would collapse into one.
+    """
+    is_about_units = [
+        u for u in partition.units if vocab.IS_ABOUT_STATEMENT_UNIT in u.classes
+    ]
+    is_about_upris = {u.upri for u in is_about_units}
+
+    kind_preds = catalog.kind_predicates
+    nodes: set[str] = set()
+    edges: list[tuple[str, str]] = []
+    for u in partition.units:
+        if u.upri in is_about_upris:
+            continue
+        for q in u.quads:
+            nodes.add(q.subject)
+            if q.predicate in kind_preds:
+                continue
+            if isinstance(q.object, Iri):
+                nodes.add(q.object.value)
+                edges.append((q.subject, q.object.value))
+    for u in is_about_units:
+        nodes.add(u.subject)
+        for obj in u.argument_iris():
+            nodes.add(obj)
+
+    parent = {n: n for n in sorted(nodes)}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    component_of = {n: find(n) for n in nodes}
+    units_by_component: dict[str, list[str]] = {}
+    for u in sorted(partition.units, key=lambda u: u.upri):
+        if u.upri in is_about_upris:
+            continue
+        root = component_of.get(u.subject)
+        if root is None:
+            continue
+        units_by_component.setdefault(root, []).append(u.upri)
+
+    context_by_component: dict[str, str] = {}
+    contexts: list[CompoundUnit] = []
+    boundary_tuples: list[tuple[str, str, str]] = []
+    degenerate: list[str] = []
+    pending_members: dict[str, list[str]] = {
+        root: list(members) for root, members in sorted(units_by_component.items())
+    }
+
+    # is-about units belong to the context of their subject; resolve after
+    # component membership is known.
+    for u in sorted(is_about_units, key=lambda u: u.upri):
+        root = component_of.get(u.subject)
+        if root is not None:
+            pending_members.setdefault(root, []).append(u.upri)
+
+    for root in sorted(pending_members):
+        upri = minter()
+        context_by_component[root] = upri
+        contexts.append(
+            CompoundUnit(
+                upri=upri,
+                kind=CONTEXT,
+                classes=frozenset({vocab.CONTEXT_UNIT}),
+                associated=tuple(dict.fromkeys(pending_members[root])),
+                subject=None,
+            )
+        )
+
+    for u in sorted(is_about_units, key=lambda u: u.upri):
+        # An endpoint whose component holds no unit has no context unit.
+        subj_ctx = context_by_component.get(component_of.get(u.subject))
+        obj_roots = [component_of.get(o) for o in u.argument_iris()]
+        obj_ctx = context_by_component.get(obj_roots[0]) if obj_roots else None
+        if subj_ctx is None or obj_ctx is None:
+            degenerate.append(f"{u.upri}: endpoint outside every context unit")
+            continue
+        if subj_ctx == obj_ctx:
+            degenerate.append(f"{u.upri}: both endpoints in one context unit")
+            continue
+        boundary_tuples.append((u.upri, subj_ctx, obj_ctx))
+
+    return ContextResult(
+        units=tuple(contexts),
+        boundaries=tuple(boundary_tuples),
+        degenerate=tuple(degenerate),
+    )

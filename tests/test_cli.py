@@ -437,21 +437,25 @@ def test_translate_with_custom_pattern_file(capsys, tmp_path):
     assert "ex:Labelled" in axioms
 
 
+_WHEN = "su:NegationUnit(U), su:hasSemanticUnitSubject(U, Y)"
+
+
 @pytest.mark.parametrize(
-    "emit",
+    "when, emit, bad_line",
     [
-        "ClassAssertion(<http://x, Y)",
-        "ClassAssertion(ex:C, \u00b2)",
-        "<http://x/C>",
-        "fresh(t, U)",
-        "ClassAssertion(SubClassOf(ex:A, ex:B), U)",
+        (_WHEN, "ClassAssertion(<http://x, Y)", 3),
+        (_WHEN, "ClassAssertion(ex:C, \u00b2)", 3),
+        (_WHEN, "<http://x/C>", 3),
+        (_WHEN, "fresh(t, U)", 3),
+        (_WHEN, "ClassAssertion(SubClassOf(ex:A, ex:B), U)", 3),
+        # A guard is parsed as a rule; its error names its line in the file.
+        ("su:NegationUnit(U", "ClassAssertion(ex:C, U)", 2),
     ],
 )
-def test_malformed_pattern_file_is_data_error(capsys, tmp_path, emit):
+def test_malformed_pattern_file_is_data_error(capsys, tmp_path, when, emit, bad_line):
     pattern_file = tmp_path / "bad.pat"
     pattern_file.write_text(
-        "pattern bad\nwhen su:NegationUnit(U), su:hasSemanticUnitSubject(U, Y)\n"
-        f"emit {emit}\n",
+        f"pattern bad\nwhen {when}\nemit {emit}\n",
         encoding="utf-8",
     )
     code = main([
@@ -460,7 +464,7 @@ def test_malformed_pattern_file_is_data_error(capsys, tmp_path, emit):
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert "line 3:" in err and "Traceback" not in err
+    assert f"line {bad_line}:" in err and "Traceback" not in err
 
 
 def test_bound_exceeded_exit_code(capsys, tmp_path):

@@ -54,7 +54,7 @@ def test_typed_unit_merges_reference_and_identifications(catalog, schemas):
     (unit,) = typed
     assert len(unit.associated) == 3
     assert gaps == []
-    reference = result.by_upri(unit.associated[0])
+    reference = result.units_by_upri[unit.associated[0]]
     assert reference.schema_class == SUC + "has-part"
     assert unit.subject == reference.subject
 
@@ -157,7 +157,7 @@ def test_instance_item_unit_for_shared_subject(catalog, schemas):
     by_subject = {i.subject: i for i in compounds.items}
     organism = by_subject[EX + "organism1"]
     assert vocab.INSTANCE_ITEM_UNIT in organism.classes
-    member_units = [result.by_upri(u) for u in organism.associated if u in {x.upri for x in result.units}]
+    member_units = [result.units_by_upri[u] for u in organism.associated if u in result.units_by_upri]
     assert all(u.subject == EX + "organism1" for u in member_units)
 
 
@@ -461,14 +461,64 @@ def test_random_k_component_dataset(catalog, schemas):
         assert len(contexts.units) == expected
 
 
-def test_degenerate_is_about_flagged(catalog, schemas):
+_KIND_PREDICATES = st.sampled_from([vocab.RDF_TYPE, vocab.SOME_INSTANCE_OF, vocab.EVERY_INSTANCE_OF])
+
+
+@st.composite
+def _context_graphs(draw):
+    """Instance edges, kind-predicate edges and literal objects over eight
+    resources, plus is-about quads whose endpoints may share a context, lie
+    in two, or lie in none (a literal object, or one no other quad names)."""
+    resource = _NODES.map(lambda n: f"{EX}r{n}")
+    quads = [
+        Quad(s, REL + rel, Iri(o), EX + "g")
+        for s, rel, o in draw(st.lists(st.tuples(resource, _RELATIONS, resource), max_size=12))
+    ]
+    # One kind predicate per resource: partition refuses mixed affiliations.
+    kind = draw(st.lists(_KIND_PREDICATES, min_size=8, max_size=8))
+    quads += [
+        Quad(f"{EX}r{n}", kind[n], Iri(EX + cls), EX + "g")
+        for n, cls in draw(st.lists(st.tuples(_NODES, st.sampled_from("AB")), max_size=6))
+    ]
+    quads += [
+        Quad(s, REL + "weight", _lit(n), EX + "g")
+        for s, n in draw(st.lists(st.tuples(resource, st.integers(0, 3)), max_size=4))
+    ]
+    about = st.one_of(resource.map(Iri), st.just(_lit(1)))
+    quads += [
+        Quad(s, vocab.IS_ABOUT, o, EX + "g")
+        for s, o in draw(st.lists(st.tuples(resource, about), max_size=4))
+    ]
+    return QuadDataset(quads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_context_graphs())
+def test_context_units_equal_the_union_find_oracle(catalog, schemas, dataset):
+    result = partition(dataset, schemas, catalog, UpriMinter(seed=4))
+    assert build_context_units(
+        result, catalog, UpriMinter(seed=8)
+    ) == compound_oracle.build_context_units(result, catalog, UpriMinter(seed=8))
+
+
+@pytest.mark.parametrize(
+    "about, reason",
+    [
+        ("b", "both endpoints in one context unit"),
+        # ex:c occurs only as the object of the is-about quad, so no unit's
+        # subject lies in its component and it has no context unit.
+        ("c", "endpoint outside every context unit"),
+    ],
+)
+def test_degenerate_is_about_flagged(catalog, schemas, about, reason):
     quads = [
         Quad(EX + "a", REL + "has-part", Iri(EX + "b"), EX + "g"),
-        Quad(EX + "a", catalog.is_about, Iri(EX + "b"), EX + "g"),
+        Quad(EX + "a", catalog.is_about, Iri(EX + about), EX + "g"),
     ]
     result = partition(QuadDataset(quads), schemas, catalog, UpriMinter(seed=4))
     contexts = build_context_units(result, catalog, UpriMinter(seed=8))
-    assert len(contexts.degenerate) == 1
+    assert contexts.boundaries == ()
+    assert [d.split(": ", 1)[1] for d in contexts.degenerate] == [reason]
 
 
 # -- collections -------------------------------------------------------------------
