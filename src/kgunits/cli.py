@@ -23,6 +23,7 @@ import tempfile
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 from . import vocab
 from .align import ProcessedGraph, align_graphs, render_report as render_alignment
@@ -45,7 +46,7 @@ from .logic import (
     render_atoms,
     stable_models,
 )
-from .rdfio import parse_quads, serialize_quads
+from .rdfio import parse_quads, trig_pieces
 from .schemas import compile_schema
 from .store import DEFAULT_CATALOG, QuadDataset, load_catalog
 from .translate import (
@@ -69,12 +70,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_atomic(path: Path, content: str):
+def _write_atomic(path: Path, pieces: Iterable[str]):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,7 +84,7 @@ def _write_atomic(path: Path, content: str):
 
 
 def _write_trig(ctx: Context, name: str, dataset: QuadDataset):
-    _write_atomic(ctx.out / name, serialize_quads(dataset, "trig", dict(ctx.catalog.prefixes)))
+    _write_atomic(ctx.out / name, trig_pieces(dataset, dict(ctx.catalog.prefixes)))
 
 
 def _emit(summary: dict[str, object]):
@@ -286,11 +287,10 @@ def stage_ingest(ctx: Context) -> dict:
 def stage_partition(ctx: Context) -> dict:
     result = ctx.products.partition
     _write_trig(ctx, "organized.trig", result.dataset)
-    rows = []
-    for u in result.units:
-        classes = ",".join(sorted(u.classes))
-        rows.append(f"{u.upri}\t{u.subject}\t{classes}\n")
-    _write_atomic(ctx.out / "units.tsv", "".join(rows))
+    _write_atomic(
+        ctx.out / "units.tsv",
+        (f"{u.upri}\t{u.subject}\t{','.join(sorted(u.classes))}\n" for u in result.units),
+    )
     summary = {
         "statement_units": len(result.units),
         "identification_units": sum(1 for u in result.units if u.is_identification),
@@ -314,7 +314,7 @@ def stage_partition(ctx: Context) -> dict:
 def stage_compound(ctx: Context) -> dict:
     compounds, merged = ctx.products.compounds
     _write_trig(ctx, "compounds.trig", merged)
-    _write_atomic(ctx.out / "compounds.tsv", render_report(list(compounds.all_units())))
+    _write_atomic(ctx.out / "compounds.tsv", [render_report(list(compounds.all_units()))])
     return {
         "typed_units": len(compounds.typed),
         "quality_measurement_units": len(compounds.quality),
@@ -339,7 +339,7 @@ def stage_label(ctx: Context) -> dict:
             u, result.dataset, ctx.catalog, templates=templates, warned=warned
         )
         rows.append(f"{u.upri}\t{label}\n")
-    _write_atomic(ctx.out / "labels.tsv", "".join(rows))
+    _write_atomic(ctx.out / "labels.tsv", rows)
     return {"labels": len(rows)}
 
 
@@ -350,7 +350,7 @@ def stage_reason(ctx: Context) -> dict:
         lines.append(f"# model {i}\n")
         atoms = sorted(model, key=lambda a: a.key())
         lines.extend(line + "\n" for line in render_atoms(atoms, ctx.catalog.prefixes))
-    _write_atomic(ctx.out / "models.txt", "".join(lines))
+    _write_atomic(ctx.out / "models.txt", lines)
     return {
         "facts": len(ctx.products.facts),
         "ground_rules": ground_rules,
@@ -370,18 +370,15 @@ def stage_translate(ctx: Context) -> dict:
         if len(models) > 1:
             sections.append(f"# model {i}\n")
         sections.append(render_axioms(axioms, prefixes))
-    _write_atomic(ctx.out / "axioms.txt", "".join(sections))
+    _write_atomic(ctx.out / "axioms.txt", sections)
 
     model = models[0] if models else frozenset()
     report = check_conflicts(model, ctx.products.partition.units, prefixes)
-    lines = []
-    for p, n in report.classical:
-        lines.append(f"classical\t{p}\t{n}\n")
-    for d, target in report.disputes:
-        lines.append(f"dispute\t{d}\t{target}\n")
-    for target in report.suppressed:
-        lines.append(f"suppressed\t{target}\n")
-    _write_atomic(ctx.out / "conflicts.txt", "".join(lines))
+    _write_atomic(ctx.out / "conflicts.txt", [
+        *(f"classical\t{p}\t{n}\n" for p, n in report.classical),
+        *(f"dispute\t{d}\t{target}\n" for d, target in report.disputes),
+        *(f"suppressed\t{target}\n" for target in report.suppressed),
+    ])
     return {
         "models": len(models),
         "axioms": axiom_count,
@@ -420,7 +417,7 @@ def stage_align(ctx: Context) -> dict:
         compounds = build_all(part, ctx.catalog, ctx.minter(f"align-compound-{i}"))
         graphs.append(ProcessedGraph(part.dataset, part, compounds, ctx.catalog))
     report = align_graphs(graphs[0], graphs[1])
-    _write_atomic(ctx.out / "alignment.tsv", render_alignment(report))
+    _write_atomic(ctx.out / "alignment.tsv", [render_alignment(report)])
     perfect = sum(1 for c in report.correspondences if c.score == 1)
     return {
         "correspondences": len(report.correspondences),

@@ -860,17 +860,16 @@ def reconstruct_compounds(
 ) -> list[CompoundUnit]:
     """Rebuild compound units from their semantic-units-layer declarations
     (association, class, and subject quads)."""
-    classes, subjects, associated = read_declarations(dataset, catalog)
+    _, _, associated = read_declarations(
+        (q for q in dataset if q.predicate == catalog.has_associated_semantic_unit), catalog
+    )
+    classes, subjects, _ = read_declarations((q for q in dataset if q.subject in associated), catalog)
 
     class_to_kind = {cls: kind for kind, cls in _KIND_CLASS.items()}
     out: list[CompoundUnit] = []
     for upri in sorted(associated):
         declared = frozenset(classes.get(upri, set()))
-        kind = "compound"
-        for cls in sorted(declared):
-            if cls in class_to_kind:
-                kind = class_to_kind[cls]
-                break
+        kind = next((class_to_kind[c] for c in sorted(declared) if c in class_to_kind), "compound")
         out.append(
             CompoundUnit(
                 upri=upri,

@@ -203,11 +203,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _RuleParser:
     def __init__(self, text: str, prefixes: dict[str, str] | None = None):
         self.tokens = _tokenize(text)
+        # At end of input, errors name the line of the last token.
+        self.end = (None, None, self.tokens[-1][2] if self.tokens else 1)
         self.pos = 0
         self.prefixes = prefixes or {}
 
     def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.end
 
     def _next(self):
         tok = self._peek()

@@ -11,14 +11,16 @@ produce byte-identical documents.
 
 The scanner reads whole tokens: an IRI or string without escapes is one
 ``str.find`` and one slice, and a run of whitespace is one regex match,
-with line and column advanced over the span. The serializer compacts
-each distinct IRI once per ``serialize_trig`` call, through a memo that
-lives only as long as the call.
+with line and column advanced over the span. The TriG serializer
+compacts each distinct IRI once per call, and returns the header and
+each graph as its own piece, so a writer need not join the document.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import attrgetter
 
 from . import vocab
 from .errors import BlankNodeError, ParseError
@@ -505,12 +507,9 @@ def _term_nq(term: Term) -> str:
 
 
 def serialize_nquads(dataset: QuadDataset) -> str:
-    lines = []
-    for q in dataset:
-        lines.append(
-            f"<{q.subject}> <{q.predicate}> {_term_nq(q.object)} <{q.graph}> .\n"
-        )
-    return "".join(lines)
+    return "".join(
+        f"<{q.subject}> <{q.predicate}> {_term_nq(q.object)} <{q.graph}> .\n" for q in dataset
+    )
 
 
 def _compact(iri: str, prefixes: dict[str, str]) -> str:
@@ -530,7 +529,7 @@ def _compact(iri: str, prefixes: dict[str, str]) -> str:
 
 class _Compacted(dict):
     """IRI -> its compacted form under one prefix table, each computed on
-    first use; one per ``serialize_trig`` call, dropped with it."""
+    first use; one per ``trig_pieces`` call, dropped with it."""
 
     def __init__(self, prefixes: dict[str, str]):
         self.prefixes = prefixes
@@ -550,31 +549,32 @@ def _term_trig(term: Term, compacted: _Compacted) -> str:
     return f'"{_escape(term.lexical)}"^^{compacted[term.datatype]}'
 
 
+def trig_pieces(dataset: QuadDataset, prefixes: dict[str, str] | None = None) -> list[str]:
+    """Canonical TriG as pieces: the prefix header, then one string per
+    graph. A writer can write them one by one instead of joining them."""
+    prefixes = dict(sorted((prefixes or vocab.PREFIXES).items()))
+    compacted = _Compacted(prefixes)
+    pieces = [""]
+    # The canonical order sorts by graph first: each graph is one run.
+    for name, quads in groupby(dataset, attrgetter("graph")):
+        lines = [f"{compacted[name]} {{\n"]
+        for q in quads:
+            obj = _term_trig(q.object, compacted)
+            lines.append(f"    {compacted[q.subject]} {compacted[q.predicate]} {obj} .\n")
+        lines.append("}\n")
+        pieces.append("".join(lines))
+    # The names the body uses are those its compacted IRIs were written with;
+    # a name implies a nonempty body, which a blank line parts from the header.
+    used = {form.partition(":")[0] for form in compacted.values() if not form.startswith("<")}
+    if used:
+        pieces[0] = "".join(f"@prefix {name}: <{prefixes[name]}> .\n" for name in sorted(used)) + "\n"
+    return pieces
+
+
 def serialize_trig(dataset: QuadDataset, prefixes: dict[str, str] | None = None) -> str:
     """Canonical TriG: sorted prefix header, graphs in sorted order, one
     triple per line."""
-    prefixes = dict(sorted((prefixes or vocab.PREFIXES).items()))
-    compacted = _Compacted(prefixes)
-    out = []
-    body = []
-    for name in dataset.graph_names():
-        body.append(f"{compacted[name]} {{\n")
-        for q in dataset.graph(name):
-            line = (
-                f"    {compacted[q.subject]} "
-                f"{compacted[q.predicate]} "
-                f"{_term_trig(q.object, compacted)} .\n"
-            )
-            body.append(line)
-        body.append("}\n")
-    # The names the body uses are those its compacted IRIs were written with.
-    used = {form.partition(":")[0] for form in compacted.values() if not form.startswith("<")}
-    for name in sorted(used):
-        out.append(f"@prefix {name}: <{prefixes[name]}> .\n")
-    if out and body:
-        out.append("\n")
-    out.extend(body)
-    return "".join(out)
+    return "".join(trig_pieces(dataset, prefixes))
 
 
 def serialize_quads(

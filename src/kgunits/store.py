@@ -47,7 +47,7 @@ def local_name(iri: str) -> str:
     return iri
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Iri:
     value: str
 
@@ -55,7 +55,7 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     lexical: str
     datatype: str = vocab.XSD_STRING
@@ -79,7 +79,7 @@ def term_key(term: Term) -> tuple:
     return (1, term.lexical, term.datatype, term.language or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quad:
     subject: str
     predicate: str

@@ -5,7 +5,9 @@ builders before they grouped edges by component and items by subject.
 The context builder is kept as it was before its union-find became the
 shared `compound._components`, except that, like the builder, it reads an
 is-about endpoint whose component holds no unit as outside every context
-instead of failing with a `KeyError`.
+instead of failing with a `KeyError`. `reconstruct_compounds` is kept as
+it was when it read the declarations of every typed resource, before it
+read classes and subjects only for the resources with associated units.
 
 Kept as the oracles of the differential tests in `test_compound.py`: each
 orphan walks every component in sorted order, each component rescans every
@@ -24,12 +26,13 @@ from kgunits.compound import (
     CompoundUnit,
     ContextResult,
     TreeResult,
+    _KIND_CLASS,
     _find_cycle,
     _reachable,
     _resource_kind,
     _transitive_reduction,
 )
-from kgunits.store import Iri, ResourceKind, VocabularyCatalog
+from kgunits.store import Iri, QuadDataset, ResourceKind, VocabularyCatalog, read_declarations
 from kgunits.units import PartitionResult, StatementUnit
 
 
@@ -384,3 +387,31 @@ def build_context_units(
         boundaries=tuple(boundary_tuples),
         degenerate=tuple(degenerate),
     )
+
+
+def reconstruct_compounds(
+    dataset: QuadDataset, catalog: VocabularyCatalog
+) -> list[CompoundUnit]:
+    """Rebuild compound units from their semantic-units-layer declarations
+    (association, class, and subject quads)."""
+    classes, subjects, associated = read_declarations(dataset, catalog)
+
+    class_to_kind = {cls: kind for kind, cls in _KIND_CLASS.items()}
+    out: list[CompoundUnit] = []
+    for upri in sorted(associated):
+        declared = frozenset(classes.get(upri, set()))
+        kind = "compound"
+        for cls in sorted(declared):
+            if cls in class_to_kind:
+                kind = class_to_kind[cls]
+                break
+        out.append(
+            CompoundUnit(
+                upri=upri,
+                kind=kind,
+                classes=declared or frozenset({vocab.COMPOUND_UNIT}),
+                associated=tuple(sorted(dict.fromkeys(associated[upri]))),
+                subject=subjects.get(upri),
+            )
+        )
+    return out

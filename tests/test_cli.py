@@ -3,14 +3,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from kgunits import cli, load_catalog, parse_quads, units
+from kgunits import cli, load_catalog, parse_quads, units, vocab
 from kgunits.cli import main
 from kgunits.rdfio import parse_trig, serialize_trig
+from kgunits.store import DEFAULT_CATALOG, Iri, Literal, Quad, QuadDataset
 
 from conftest import FIXTURES, fixture_text
 
@@ -97,6 +100,49 @@ def test_non_hex_escape_digit_is_data_error(capsys, tmp_path, obj):
     assert main(["partition", str(bad), *common(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid unicode escape" in err and "Traceback" not in err
+
+
+def test_write_atomic_failing_partway_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.trig"
+    target.write_bytes(b"old bytes\n")
+
+    def pieces():
+        yield "x" * 100_000  # more than the write buffer: the temp file has bytes
+        raise RuntimeError("piece failed")
+
+    with pytest.raises(RuntimeError, match="piece failed"):
+        cli._write_atomic(target, pieces())
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.trig"]
+
+
+def test_writing_trig_holds_the_document_about_once(tmp_path):
+    """The TriG writer's peak heap stays under 1.5 times the file it writes,
+    on a dataset of many small graphs as ``nanopubs.trig`` has: it holds one
+    string per graph, not a string per line and then the joined document.
+    The compaction memo grows with the distinct IRIs, so they repeat here
+    as they do in a knowledge graph."""
+    ex = "https://example.org/kg/"
+    dataset = QuadDataset(
+        Quad(
+            f"{ex}r{(g + i) % 50}",
+            vocab.RDFS_LABEL if i % 2 else vocab.RDF_TYPE,
+            Literal(f"resource {g}-{i}, as one assertion names it") if i % 2 else Iri(f"{ex}C{i}"),
+            f"{ex}np{g}/assertion",
+        )
+        for g in range(250)
+        for i in range(8)
+    )
+    assert len(dataset) >= 2000
+    ctx = SimpleNamespace(out=tmp_path, catalog=DEFAULT_CATALOG)
+    tracemalloc.start()
+    try:
+        cli._write_trig(ctx, "many.trig", dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "many.trig").stat().st_size
+    assert peak < 1.5 * size, (peak, size)
 
 
 def test_partition_summary_and_artifacts(capsys, tmp_path):
@@ -465,6 +511,23 @@ def test_malformed_pattern_file_is_data_error(capsys, tmp_path, when, emit, bad_
     err = capsys.readouterr().err
     assert code == 2
     assert f"line {bad_line}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p(X) :- q(X).\nr(X) :- p(X)\n",
+        # The error names the line of the last token, not the last line.
+        "p(X) :- q(X).\nr(X) :- p(X)\n\n% no final dot\n",
+    ],
+)
+def test_rule_file_ending_inside_a_rule_is_data_error(capsys, tmp_path, text):
+    rules = tmp_path / "unterminated.lp"
+    rules.write_text(text, encoding="utf-8")
+    code = main(["reason", str(FIXTURES / "weight.trig"), *common(tmp_path, "--rules", str(rules))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2: expected '.' to end rule" in err and "Traceback" not in err
 
 
 def test_bound_exceeded_exit_code(capsys, tmp_path):

@@ -31,7 +31,7 @@ from kgunits.units import partition
 
 import compound_oracle
 from compound_oracle import build_item_group_units as oracle_item_group_units
-from conftest import fixture_dataset, partitioned
+from conftest import FIXTURES, fixture_dataset, partitioned
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -618,3 +618,16 @@ def test_compound_quads_and_reconstruction(catalog, schemas):
         assert compound.upri in by_upri
         assert set(by_upri[compound.upri].associated) == set(compound.associated)
         assert by_upri[compound.upri].subject == compound.subject
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.trig")))
+def test_reconstruction_equals_the_whole_dataset_reader_on_fixtures(catalog, schemas, fixture):
+    """Reading classes and subjects only for the resources with associated
+    units rebuilds what reading every declaration rebuilt, on each fixture
+    as ``pipeline`` hands it to ``nanopub``."""
+    result, compounds = _pipeline(fixture, catalog, schemas)
+    merged = result.dataset.merge(compound_quads(list(compounds.all_units()), catalog))
+    downstream = partition(merged, schemas, catalog, UpriMinter(seed=5)).dataset
+    rebuilt = reconstruct_compounds(downstream, catalog)
+    assert rebuilt
+    assert rebuilt == compound_oracle.reconstruct_compounds(downstream, catalog)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgunits import vocab
@@ -15,6 +15,7 @@ from kgunits.rdfio import (
     serialize_nquads,
     serialize_quads,
     serialize_trig,
+    trig_pieces,
 )
 from kgunits.store import Iri, Literal, Quad, QuadDataset
 
@@ -465,16 +466,30 @@ def _serializable_quads(draw):
     return Quad(draw(_any_iri), draw(_any_iri), obj, draw(_any_iri))
 
 
+_OTHER = "https://other.example/"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(_serializable_quads(), max_size=10),
     st.one_of(st.none(), st.dictionaries(st.sampled_from(sorted(_PREFIX_TABLE)), st.sampled_from(_NAMESPACES))),
 )
+@example([], None)
+@example([Quad(_OTHER + "s", _OTHER + "p", Literal("x", datatype=_OTHER + "d"), _OTHER + "g")], _PREFIX_TABLE)
+@example([Quad(EX + "s", REL + "p", Iri(EX + o), EX + "g") for o in "abc"], _PREFIX_TABLE)
 def test_serialize_matches_unmemoized_writer(quads, prefixes):
     """Byte-identical output under nested namespaces, two names bound to one
-    namespace and local names valid only under the shorter namespace."""
+    namespace and local names valid only under the shorter namespace; also
+    for an empty dataset, one that uses no prefix and one with one graph.
+    The pieces are the header, then one piece per graph."""
     ds = QuadDataset(quads)
+    header, *graphs = trig_pieces(ds, prefixes)
+    assert header + "".join(graphs) == rdfio_oracle.serialize_trig(ds, prefixes)
     assert serialize_trig(ds, prefixes) == rdfio_oracle.serialize_trig(ds, prefixes)
+    assert all(line.startswith("@prefix ") for line in header.rstrip("\n").splitlines())
+    assert len(graphs) == len(ds.graph_names())
+    for name, piece in zip(ds.graph_names(), graphs):
+        assert parse_trig(header + piece) == QuadDataset(ds.graph(name))
     text = serialize_trig(ds, _PREFIX_TABLE)
     assert text == rdfio_oracle.serialize_trig(ds, _PREFIX_TABLE)
     assert serialize_nquads(ds) == rdfio_oracle.serialize_nquads(ds)

@@ -56,6 +56,12 @@ def test_dataset_dedup_and_canonical_order():
     assert ds1.quads == ds2.quads
 
 
+def test_terms_and_quads_carry_no_instance_dict():
+    for value in (Iri(EX + "a"), Literal("x"), Literal("hallo", language="de"),
+                  Quad(EX + "s", EX + "p", Iri(EX + "o"), EX + "g")):
+        assert not hasattr(value, "__dict__")
+
+
 def test_literal_language_forces_langstring_datatype():
     lit = Literal("hallo", language="de")
     assert lit.datatype == vocab.RDF_LANGSTRING
