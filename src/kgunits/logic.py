@@ -10,10 +10,12 @@ positive body lies in the atoms derivable when default negation is
 ignored, found by semi-naive evaluation over the facts (Ullman 1988).
 That is exact: safety puts every variable in the positive body, and every
 stable model lies inside the derivable atoms, so no dropped instance fires
-in any reduct. Rule bodies and the OWL translation's guards join through
-one engine: ``JoinStep`` plans run against a hashed ``AtomIndex`` that
-grows with the fixpoint. The size of the whole Herbrand instantiation, which the ``reason`` summary
-reports, is counted by ``herbrand_size`` without building it.
+in any reduct. Rule bodies, the OWL translation's guards and the templates
+of statement schemas join through one engine: ``JoinStep`` plans run
+against a hashed ``AtomIndex``, which in grounding grows with the
+fixpoint. The size of the whole Herbrand instantiation, which the
+``reason`` summary reports, is counted by ``herbrand_size`` without
+building it.
 
 The solver enumerates candidate sets over the atoms that actually occur
 under default negation (the reduct depends on nothing else), computes the
@@ -38,10 +40,11 @@ from .errors import BoundExceededError, RuleError, UnsafeRuleError
 _VAR_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
 
 
-def is_variable(token: str) -> bool:
+def is_variable(token) -> bool:
     """Bare identifier tokens with an uppercase initial are variables;
-    prefixed names, quoted strings, numbers, and IRIs are constants."""
-    return bool(_VAR_RE.match(token))
+    prefixed names, quoted strings, numbers, IRIs and every term that is
+    not a string are constants."""
+    return isinstance(token, str) and bool(_VAR_RE.match(token))
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +59,7 @@ class Atom:
     def slots(self, variables: dict[str, int]) -> tuple[int | str, ...]:
         """The terms with each variable replaced by its index in
         ``variables`` (numbered in order of first sight when absent);
-        constants stay strings."""
+        constants stay as they are."""
         return tuple(
             variables.setdefault(t, len(variables)) if is_variable(t) else t
             for t in self.terms
@@ -246,7 +249,7 @@ class _RuleParser:
                 break
         kind, value, line = self._next()
         if not (kind == "punct" and value == "."):
-            raise RuleError(f"line {line}: expected '.' to end rule, got {value!r}")
+            raise RuleError(f"line {line}: expected '.' to end rule, got {_shown(value)}")
         return Rule(head, tuple(positive), tuple(negative))
 
     def _atom(self) -> Atom:
@@ -291,7 +294,11 @@ class _RuleParser:
             if value == "not":
                 raise RuleError(f"line {line}: 'not' is a keyword")
             return value
-        raise RuleError(f"line {line}: expected a term, got {value!r}")
+        raise RuleError(f"line {line}: expected a term, got {_shown(value)}")
+
+
+def _shown(value: str | None) -> str:
+    return "end of input" if value is None else repr(value)
 
 
 def parse_rules(text: str, prefixes: dict[str, str] | None = None) -> LogicProgram:
@@ -334,7 +341,7 @@ class JoinStep(NamedTuple):
             for position, slot in enumerate(atom.slots(variables)):
                 if slot == wildcard:
                     continue
-                if isinstance(slot, str) or slot < known:
+                if not isinstance(slot, int) or slot < known:
                     fixed.append(position)
                     fixed_slots.append(slot)
                 elif slot in new:

@@ -42,6 +42,8 @@ _TOKEN_RE = re.compile(rf"(?:{_NAME_CHAR}|\.+(?={_NAME_CHAR}))*")
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _INLINE_WS_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+# Lines per TriG piece: a one-graph document is written in bounded pieces.
+_PIECE_LINES = 256
 
 
 class _Scanner:
@@ -550,8 +552,9 @@ def _term_trig(term: Term, compacted: _Compacted) -> str:
 
 
 def trig_pieces(dataset: QuadDataset, prefixes: dict[str, str] | None = None) -> list[str]:
-    """Canonical TriG as pieces: the prefix header, then one string per
-    graph. A writer can write them one by one instead of joining them."""
+    """Canonical TriG as pieces: the prefix header, then each graph in
+    pieces of at most ``_PIECE_LINES`` lines. A writer can write them one
+    by one instead of joining them, and holds about the document once."""
     prefixes = dict(sorted((prefixes or vocab.PREFIXES).items()))
     compacted = _Compacted(prefixes)
     pieces = [""]
@@ -561,6 +564,9 @@ def trig_pieces(dataset: QuadDataset, prefixes: dict[str, str] | None = None) ->
         for q in quads:
             obj = _term_trig(q.object, compacted)
             lines.append(f"    {compacted[q.subject]} {compacted[q.predicate]} {obj} .\n")
+            if len(lines) == _PIECE_LINES:
+                pieces.append("".join(lines))
+                lines.clear()
         lines.append("}\n")
         pieces.append("".join(lines))
     # The names the body uses are those its compacted IRIs were written with;

@@ -40,7 +40,7 @@ from .owl import (
 )
 from .schemas import QUALITATIVE, StatementSchema
 from .store import Iri, VocabularyCatalog, is_absolute_iri
-from .units import PartitionResult, StatementUnit
+from .units import PartitionResult, StatementUnit, _negated_units
 
 WILDCARD = "_"
 
@@ -471,14 +471,7 @@ def check_conflicts(
     for unit in sorted(units, key=lambda u: u.upri):
         if vocab.DISAGREEMENT_UNIT not in unit.classes:
             continue
-        for q in unit.quads:
-            if (
-                q.predicate == vocab.RDF_TYPE
-                and isinstance(q.object, Iri)
-                and q.object.value == vocab.NEGATION_UNIT
-                and q.subject in unit_upris
-            ):
-                disputes.append((unit.upri, q.subject))
+        disputes.extend((unit.upri, target) for target in _negated_units(unit, unit_upris))
     suppressed = tuple(sorted({target for _, target in disputes}))
     return ConflictReport(
         classical=tuple(classical),

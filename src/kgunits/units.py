@@ -6,6 +6,10 @@ claim their instantiations, and whatever remains becomes a singleton
 fallback unit. Quads already homed in a declared unit data graph are
 adopted unchanged, which makes partitioning idempotent and lets organized
 datasets round-trip through the pipeline stages.
+
+Schema templates join through ``logic``'s engine, as rule bodies and OWL
+guards do: each schema is a plan of ``JoinStep``s over one hashed
+``AtomIndex`` of the quads.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
     OverlapConflictError,
     UnknownResourceError,
 )
+from .logic import Atom, AtomIndex, JoinStep
 from .schemas import (
     QUALITATIVE,
     QUANTITATIVE,
@@ -153,45 +158,6 @@ def _builtin_schemas(
     return schemas + extra
 
 
-def _unify(binding: dict[str, Term], var: str, term: Term) -> dict[str, Term] | None:
-    bound = binding.get(var)
-    if bound is None:
-        out = dict(binding)
-        out[var] = term
-        return out
-    return binding if bound == term else None
-
-
-def _match_template(
-    schema: StatementSchema,
-    template: TripleTemplate,
-    quad: Quad,
-    binding: dict[str, Term],
-) -> dict[str, Term] | None:
-    if template.predicate != quad.predicate:
-        return None
-    if isinstance(template.subject, Var):
-        binding = _unify(binding, template.subject.name, Iri(quad.subject))
-        if binding is None:
-            return None
-    elif template.subject != quad.subject:
-        return None
-    obj = template.object
-    if isinstance(obj, Var):
-        term = quad.object
-        if obj.name in schema.numeric_vars:
-            if not (
-                isinstance(term, Literal) and term.datatype in vocab.NUMERIC_DATATYPES
-            ):
-                return None
-        elif obj.name in schema.argument_vars and schema.relation == QUALITATIVE:
-            # Arguments of a qualitative statement are always resources.
-            if not isinstance(term, Iri):
-                return None
-        return _unify(binding, obj.name, term)
-    return binding if obj == quad.object else None
-
-
 @dataclass
 class _Candidate:
     schema: StatementSchema
@@ -209,79 +175,74 @@ class _Candidate:
         return self.rank + (sorted(self.claimed),)
 
 
-def _enumerate_candidates(
-    schema: StatementSchema, quads_by_pred: dict[str, list[Quad]]
-) -> list[_Candidate]:
+def _quad_index(quads) -> AtomIndex:
+    """The quads, given in canonical order, as atoms ``predicate(graph,
+    Iri(subject), object, quad)``. The subject is an ``Iri`` so that a
+    variable binds the same term in subject and in object position; the
+    quad rides along for the template that matches it to claim."""
+    return AtomIndex(Atom(q.predicate, (q.graph, Iri(q.subject), q.object, q)) for q in quads)
+
+
+def _template_atom(template: TripleTemplate, position: int) -> Atom:
+    """The template as an atom over ``_quad_index``: schema variable ``?x``
+    is ``Vx`` and ``Q<position>`` takes the claimed quad. Every template
+    shares the graph variable ``G``: one schema instantiation never spans
+    input graphs, the locality boundary that keeps co-occurring n-ary
+    statements (e.g. two measurements of one quality) apart."""
+    subject = template.subject if isinstance(template.subject, Var) else Iri(template.subject)
+    terms = [f"V{t.name}" if isinstance(t, Var) else t for t in (subject, template.object)]
+    return Atom(template.predicate, ("G", *terms, f"Q{position}"))
+
+
+def _admitted(schema: StatementSchema, template: TripleTemplate, variables, bindings):
+    """The bindings in which the template's object variable holds a term
+    of the type the schema restricts it to: numeric variables take numeric
+    literals, and the arguments of a qualitative schema take IRIs."""
+    var = template.object.name if isinstance(template.object, Var) else None
+    if var in schema.numeric_vars:
+        i = variables["V" + var]
+        return [
+            b for b in bindings
+            if isinstance(b[i], Literal) and b[i].datatype in vocab.NUMERIC_DATATYPES
+        ]
+    if var in schema.argument_vars and schema.relation == QUALITATIVE:
+        i = variables["V" + var]
+        return [b for b in bindings if isinstance(b[i], Iri)]
+    return bindings
+
+
+def _enumerate_candidates(schema: StatementSchema, index: AtomIndex) -> list[_Candidate]:
+    """Every instantiation of the schema in the ``_quad_index``: the
+    anchor, then the other required templates, joined in that order, and
+    then each adjunct template in order against the binding as it stands.
+    An adjunct's first match in quad order claims its quad and binds its
+    variables for label rendering; without a match it stays unbound."""
     anchor = schema.anchor_template
-    required = list(schema.required_templates())
-    if anchor not in required:
-        required.insert(0, anchor)
-    candidates: list[_Candidate] = []
-    for anchor_quad in quads_by_pred.get(anchor.predicate, ()):
-        binding = _match_template(schema, anchor, anchor_quad, {})
-        if binding is None:
-            continue
-        # One schema instantiation never spans input graphs: the graph is
-        # the locality boundary that keeps co-occurring n-ary statements
-        # (e.g. two measurements of one quality) apart.
-        locality = anchor_quad.graph
-        partials = [(binding, {anchor_quad.key(): anchor_quad})]
-        dead = False
-        for template in required:
-            if template is anchor:
-                continue
-            extended = []
-            for b, claimed in partials:
-                for quad in quads_by_pred.get(template.predicate, ()):
-                    if quad.graph != locality:
-                        continue
-                    nb = _match_template(schema, template, quad, b)
-                    if nb is not None:
-                        nc = dict(claimed)
-                        nc[quad.key()] = quad
-                        extended.append((nb, nc))
-            if not extended:
-                dead = True
-                break
-            partials = extended
-        if dead:
-            continue
-        for b, claimed in partials:
-            matched = len(required)
-            unbound = 0
-            for template in schema.adjunct_templates():
-                hits = 0
-                for quad in quads_by_pred.get(template.predicate, ()):
-                    if quad.graph != locality:
-                        continue
-                    nb = _match_template(schema, template, quad, b)
-                    if nb is not None:
-                        claimed = dict(claimed)
-                        claimed[quad.key()] = quad
-                        hits += 1
-                        # First match (in canonical quad order) binds the
-                        # adjunct variables for label rendering.
-                        if hits == 1:
-                            b = nb
-                if hits:
-                    matched += 1
-                else:
-                    unbound += 1
-            candidates.append(
-                _Candidate(
-                    schema=schema,
-                    binding=b,
-                    claimed=claimed,
-                    templates_matched=matched,
-                    unbound_adjuncts=unbound,
-                )
-            )
-    # Deduplicate candidates that claim exactly the same quads for the same
-    # schema (possible with constant-only templates).
+    required = [anchor, *(t for t in schema.required_templates() if t is not anchor)]
+    adjuncts = schema.adjunct_templates()
+    variables: dict[str, int] = {}
+    bindings: list[tuple] = [()]
+    steps = JoinStep.plan([_template_atom(t, i) for i, t in enumerate(required)], variables)
+    for template, step in zip(required, steps):
+        bindings = _admitted(schema, template, variables, index.extend(step, bindings))
+    # Candidates that claim exactly the same quads for the same schema
+    # (possible with constant-only templates) are one candidate.
     unique: dict[tuple, _Candidate] = {}
-    for cand in candidates:
-        key = (schema.unit_class, tuple(sorted(cand.claimed)))
-        unique.setdefault(key, cand)
+    for binding in bindings:
+        known = variables
+        for i, template in enumerate(adjuncts, len(required)):
+            trial = dict(known)
+            (step,) = JoinStep.plan([_template_atom(template, i)], trial)
+            hits = _admitted(schema, template, trial, index.extend(step, [binding]))
+            if hits:
+                binding, known = hits[0], trial
+        values = dict(zip(known, binding))
+        claimed = {q.key(): q for name, q in values.items() if name[0] == "Q"}
+        binding = {name[1:]: t for name, t in values.items() if name[0] == "V"}
+        matched = sum(name[0] == "Q" for name in known)
+        unmatched = len(required) + len(adjuncts) - matched
+        candidate = _Candidate(schema, binding, claimed, matched, unmatched)
+        unique.setdefault((schema.unit_class, tuple(sorted(claimed))), candidate)
     return list(unique.values())
 
 
@@ -345,15 +306,10 @@ def partition(
     id_groups, remaining = _identification_pass(fresh_quads, catalog)
 
     all_schemas = _builtin_schemas(list(schemas), catalog)
-    quads_by_pred: dict[str, list[Quad]] = {}
-    for q in remaining:
-        quads_by_pred.setdefault(q.predicate, []).append(q)
-    for quads in quads_by_pred.values():
-        quads.sort(key=lambda q: q.key())
-
+    index = _quad_index(remaining)
     candidates: list[_Candidate] = []
     for schema in sorted(all_schemas, key=lambda s: s.unit_class):
-        candidates.extend(_enumerate_candidates(schema, quads_by_pred))
+        candidates.extend(_enumerate_candidates(schema, index))
     winners = _resolve_overlaps(candidates)
 
     claimed_keys = set()
@@ -505,15 +461,6 @@ def _pending_schema_unit(cand: _Candidate) -> dict:
     schema = cand.schema
     subject_term = cand.binding.get(schema.subject_var)
     subject = subject_term.value if isinstance(subject_term, Iri) else str(subject_term)
-    objects: list[UnitObject] = []
-    for var in schema.argument_vars:
-        term = cand.binding.get(var)
-        if term is not None:
-            objects.append(UnitObject(term, ARGUMENT, var))
-    for var in schema.adjunct_vars:
-        term = cand.binding.get(var)
-        if term is not None:
-            objects.append(UnitObject(term, ADJUNCT, var))
     classes = {schema.unit_class}
     classes.add(
         vocab.QUANTITATIVE_STATEMENT_UNIT
@@ -523,7 +470,7 @@ def _pending_schema_unit(cand: _Candidate) -> dict:
     return {
         "subject": subject,
         "classes": classes,
-        "objects": tuple(objects),
+        "objects": _schema_objects(schema, cand.binding),
         "quads": sorted(cand.claimed.values(), key=lambda q: q.key()),
         "schema_class": schema.unit_class,
         "anchor_predicate": schema.anchor_predicate,
@@ -580,20 +527,25 @@ def _enrich_adopted(
     return replace(unit, classes=frozenset(classes))
 
 
+def _negated_units(unit: StatementUnit, upris: set[str]) -> list[str]:
+    """The units among ``upris`` that ``unit``'s data graph types as
+    negation units, in quad order."""
+    return [
+        q.subject
+        for q in unit.quads
+        if q.predicate == vocab.RDF_TYPE
+        and q.object == Iri(vocab.NEGATION_UNIT)
+        and q.subject in upris
+    ]
+
+
 def _derive_disagreements(units: list[StatementUnit]) -> list[StatementUnit]:
     """A statement unit whose data graph types another unit as a negation
     unit is a disagreement unit."""
     unit_upris = {u.upri for u in units}
     out = []
     for u in units:
-        targets_negation = any(
-            q.predicate == vocab.RDF_TYPE
-            and isinstance(q.object, Iri)
-            and q.object.value == vocab.NEGATION_UNIT
-            and q.subject in unit_upris
-            and q.subject != u.upri
-            for q in u.quads
-        )
+        targets_negation = any(s != u.upri for s in _negated_units(u, unit_upris))
         if targets_negation and vocab.DISAGREEMENT_UNIT not in u.classes:
             u = replace(u, classes=u.classes | {vocab.DISAGREEMENT_UNIT})
         out.append(u)
@@ -637,9 +589,7 @@ def _adopt_units(
             objects, bindings = _rebind_schema(schema, quads)
         else:
             anchor = quads[0].predicate
-            objects = tuple(
-                UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject
-            )
+            objects = _untyped_objects(quads, subject)
         out.append(
             StatementUnit(
                 upri=upri,
@@ -657,27 +607,28 @@ def _adopt_units(
 
 
 def _rebind_schema(schema: StatementSchema, quads: list[Quad]):
-    quads_by_pred: dict[str, list[Quad]] = {}
-    for q in quads:
-        quads_by_pred.setdefault(q.predicate, []).append(q)
-    cands = _enumerate_candidates(schema, quads_by_pred)
-    if not cands:
-        subject = quads[0].subject
-        return (
-            tuple(UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject),
-            (),
-        )
-    best = sorted(cands, key=lambda c: c.order_key)[0]
-    objects: list[UnitObject] = []
-    for var in schema.argument_vars:
-        term = best.binding.get(var)
-        if term is not None:
-            objects.append(UnitObject(term, ARGUMENT, var))
-    for var in schema.adjunct_vars:
-        term = best.binding.get(var)
-        if term is not None:
-            objects.append(UnitObject(term, ADJUNCT, var))
-    return tuple(objects), tuple(sorted(best.binding.items()))
+    """Objects and bindings of an adopted unit's best match of ``schema``
+    over its ``quads`` in key order."""
+    candidates = _enumerate_candidates(schema, _quad_index(quads))
+    if not candidates:
+        return _untyped_objects(quads, quads[0].subject), ()
+    best = min(candidates, key=lambda c: c.order_key)
+    return _schema_objects(schema, best.binding), tuple(sorted(best.binding.items()))
+
+
+def _schema_objects(schema: StatementSchema, binding: dict[str, Term]) -> tuple[UnitObject, ...]:
+    """The bound argument variables, then the bound adjunct variables."""
+    return tuple(
+        UnitObject(binding[var], role, var)
+        for role, names in ((ARGUMENT, schema.argument_vars), (ADJUNCT, schema.adjunct_vars))
+        for var in names
+        if var in binding
+    )
+
+
+def _untyped_objects(quads: list[Quad], subject: str) -> tuple[UnitObject, ...]:
+    """The objects of the quads about ``subject``, as unnamed arguments."""
+    return tuple(UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject)
 
 
 # ---------------------------------------------------------------------------

@@ -116,24 +116,26 @@ def test_write_atomic_failing_partway_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.trig"]
 
 
-def test_writing_trig_holds_the_document_about_once(tmp_path):
+@pytest.mark.parametrize("graphs, groups", [(250, 250), (1, 500)], ids=["many-graphs", "one-graph"])
+def test_writing_trig_holds_the_document_about_once(tmp_path, graphs, groups):
     """The TriG writer's peak heap stays under 1.5 times the file it writes,
-    on a dataset of many small graphs as ``nanopubs.trig`` has: it holds one
-    string per graph, not a string per line and then the joined document.
-    The compaction memo grows with the distinct IRIs, so they repeat here
-    as they do in a knowledge graph."""
+    on a dataset of many small graphs as ``nanopubs.trig`` has and on one
+    graph as a raw ``dataset.trig`` has: it holds pieces of a bounded number
+    of lines, not a string per line and then the joined document. The
+    compaction memo grows with the distinct IRIs, so they repeat here as
+    they do in a knowledge graph."""
     ex = "https://example.org/kg/"
     dataset = QuadDataset(
         Quad(
             f"{ex}r{(g + i) % 50}",
             vocab.RDFS_LABEL if i % 2 else vocab.RDF_TYPE,
             Literal(f"resource {g}-{i}, as one assertion names it") if i % 2 else Iri(f"{ex}C{i}"),
-            f"{ex}np{g}/assertion",
+            f"{ex}np{g % graphs}/assertion",
         )
-        for g in range(250)
+        for g in range(groups)
         for i in range(8)
     )
-    assert len(dataset) >= 2000
+    assert len(dataset) >= 2000 and len(dataset.graph_names()) == graphs
     ctx = SimpleNamespace(out=tmp_path, catalog=DEFAULT_CATALOG)
     tracemalloc.start()
     try:

@@ -115,6 +115,20 @@ def test_nonground_fact_rejected():
         ground_program(LogicProgram(), [Atom("p", ("X",))])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("r(X) :- ", "line 1: expected a term, got end of input"),
+        ("p(X) :- q(X,", "line 1: expected a term, got end of input"),
+        ("p(a).\nq(X) :- p(X)\n", "line 2: expected '.' to end rule, got end of input"),
+    ],
+)
+def test_parse_error_at_end_of_input_says_so(text, message):
+    with pytest.raises(RuleError) as info:
+        parse_rules(text)
+    assert str(info.value) == message
+
+
 def test_single_model_example():
     program = ground_program(parse_rules("p. q :- p, not r."), [])
     models = stable_models(program)

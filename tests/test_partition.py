@@ -371,3 +371,127 @@ def test_identification_anchor_is_the_affiliation_with_an_iri_object(catalog, sc
     (twin,) = partition(first.dataset, schemas, catalog, UpriMinter(seed=2)).units
     assert twin.adopted and twin.anchor_predicate == catalog.type
     assert (twin.objects, twin.bindings) == (unit.objects, unit.bindings)
+
+
+import partition_oracle
+from hypothesis import example
+
+from kgunits.schemas import QUALITATIVE, QUANTITATIVE, StatementSchema, TripleTemplate, Var
+from kgunits.units import _enumerate_candidates, _quad_index
+
+_R = [f"{EX}r{i}" for i in range(4)]
+_P = [f"{REL}p{i}" for i in range(3)]
+_G = [f"{EX}g0", f"{EX}g1"]
+_ONE = Literal("1", vocab.XSD_INTEGER)
+_OBJECTS = [Iri(r) for r in _R] + [_ONE, Literal("2.5", vocab.XSD_DECIMAL), Literal("a")]
+_VARS = [Var(name) for name in "sabc"]
+
+
+def _case(relation, templates, arguments, adjuncts, quads, numeric=(), anchor=None):
+    schema = StatementSchema(
+        unit_class=SUC + "random",
+        anchor_predicate=anchor or templates[0].predicate,
+        templates=tuple(templates),
+        subject_var="s",
+        argument_vars=tuple(arguments),
+        adjunct_vars=tuple(adjuncts),
+        numeric_vars=frozenset(numeric),
+        relation=relation,
+    )
+    return schema, [Quad(_R[s], _P[p], o, _G[g]) for s, p, o, g in quads]
+
+
+def _hand_cases():
+    s, a, b, c = _VARS
+    r0, r1, r2, r3 = (Iri(r) for r in _R)
+    # Two graphs; ?a in object position, then in subject position; IRI-only
+    # arguments; two adjunct templates that share ?c, the first of which
+    # has several matching quads; a template of constants only.
+    qualitative = _case(
+        QUALITATIVE,
+        [TripleTemplate(s, _P[0], a), TripleTemplate(a, _P[1], b), TripleTemplate(s, _P[2], c),
+         TripleTemplate(s, _P[1], c), TripleTemplate(_R[3], _P[2], r0)],
+        "ab",
+        "c",
+        [(0, 0, r1, 0), (0, 0, Literal("a"), 0), (1, 1, r2, 0), (0, 2, r2, 0), (0, 2, r3, 0),
+         (0, 1, r2, 0), (3, 2, r0, 0), (0, 0, r1, 1), (1, 1, r2, 1), (1, 1, r3, 1),
+         (0, 2, r3, 1), (3, 2, r0, 1)],
+    )
+    # A numeric argument, a literal argument and an adjunct template with a
+    # constant subject; a required template with a constant object.
+    quantitative = _case(
+        QUANTITATIVE,
+        [TripleTemplate(s, _P[0], a), TripleTemplate(s, _P[1], b), TripleTemplate(_R[0], _P[2], c),
+         TripleTemplate(s, _P[0], _ONE)],
+        "ab",
+        "c",
+        [(0, 0, _ONE, 0), (0, 0, Literal("a"), 0), (0, 0, r1, 0), (0, 1, Literal("a"), 0),
+         (0, 1, r2, 0), (0, 0, Literal("2.5", vocab.XSD_DECIMAL), 1), (0, 0, _ONE, 1),
+         (0, 1, r1, 1), (0, 2, r1, 1), (0, 2, r2, 1)],
+        numeric="a",
+    )
+    return qualitative, quantitative
+
+
+_QUALITATIVE_CASE, _QUANTITATIVE_CASE = _hand_cases()
+
+
+@st.composite
+def _schema_cases(draw):
+    """A schema of one to four templates over a small vocabulary, most of
+    them about ``?s`` and most of their objects variables, which are
+    adjuncts more often than not; and 12 to 40 quads in two graphs."""
+    templates = draw(st.lists(
+        st.builds(
+            TripleTemplate,
+            st.sampled_from(_VARS[:1] * 4 + _VARS[1:] + _R[:2]),
+            st.sampled_from(_P),
+            st.sampled_from(_VARS[1:] * 3 + _OBJECTS),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    used = sorted({v for t in templates for v in t.variables()} - {"s"})
+    roles = [draw(st.sampled_from(["argument", "adjunct", "adjunct", "neither"])) for _ in used]
+    arguments = [v for v, role in zip(used, roles) if role == "argument"]
+    relation = draw(st.sampled_from([QUALITATIVE, QUANTITATIVE]))
+    schema, _ = _case(
+        relation,
+        templates,
+        arguments,
+        [v for v, role in zip(used, roles) if role == "adjunct"],
+        [],
+        numeric=[v for v in arguments if relation == QUANTITATIVE and draw(st.booleans())],
+        anchor=draw(st.sampled_from([t.predicate for t in templates])),
+    )
+    quads = draw(st.lists(
+        st.builds(Quad, st.sampled_from(_R), st.sampled_from(_P), st.sampled_from(_OBJECTS),
+                  st.sampled_from(_G)),
+        min_size=12,
+        max_size=40,
+    ))
+    return schema, quads
+
+
+def _candidate_rows(candidates):
+    return [
+        (c.binding, list(c.claimed.items()), c.templates_matched, c.unbound_adjuncts)
+        for c in candidates
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schema_cases())
+@example(_QUALITATIVE_CASE)
+@example(_QUANTITATIVE_CASE)
+def test_schema_matching_agrees_with_nested_loop_oracle(case):
+    """The join-engine matcher finds the oracle's candidates in the oracle's
+    order, with the same bindings, claimed quads and template counts."""
+    schema, quads = case
+    ordered = list(QuadDataset(quads))
+    expected = partition_oracle.enumerate_candidates(
+        schema, partition_oracle.quads_by_predicate(ordered)
+    )
+    assert _candidate_rows(_enumerate_candidates(schema, _quad_index(ordered))) == (
+        _candidate_rows(expected)
+    )

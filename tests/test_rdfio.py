@@ -481,7 +481,8 @@ def test_serialize_matches_unmemoized_writer(quads, prefixes):
     """Byte-identical output under nested namespaces, two names bound to one
     namespace and local names valid only under the shorter namespace; also
     for an empty dataset, one that uses no prefix and one with one graph.
-    The pieces are the header, then one piece per graph."""
+    The pieces are the header, then one piece per graph, since every graph
+    here is shorter than a piece."""
     ds = QuadDataset(quads)
     header, *graphs = trig_pieces(ds, prefixes)
     assert header + "".join(graphs) == rdfio_oracle.serialize_trig(ds, prefixes)
