@@ -253,16 +253,20 @@ def _nq_object(scanner: _Scanner) -> Term:
     if ch == "<":
         return Iri(scanner.read_iriref())
     if ch == '"':
-        lexical = scanner.read_string()
-        return _literal_suffix(scanner, lexical)
+        return _literal_suffix(scanner, scanner.read_string())
     raise scanner.error("expected IRI or literal object")
 
 
-def _literal_suffix(scanner: _Scanner, lexical: str) -> Literal:
+def _literal_suffix(scanner: _Scanner, lexical: str, expand=None) -> Literal:
+    """The literal ``lexical`` with the datatype or language tag that
+    follows it, if any. A datatype is an IRI reference or, where the syntax
+    has prefixed names, one that ``expand`` turns into an IRI."""
     if scanner.peek() == "^":
         scanner.expect("^")
         scanner.expect("^")
-        return Literal(lexical, datatype=scanner.read_iriref())
+        if expand is None or scanner.peek() == "<":
+            return Literal(lexical, datatype=scanner.read_iriref())
+        return Literal(lexical, datatype=expand(scanner.read_token()))
     if scanner.peek() == "@":
         scanner.advance()
         tag = scanner.read_token()
@@ -428,19 +432,7 @@ class _TrigParser:
         if ch == "<":
             return Iri(self.s.read_iriref())
         if ch == '"':
-            lexical = self.s.read_string()
-            if self.s.peek() == "^":
-                self.s.expect("^")
-                self.s.expect("^")
-                if self.s.peek() == "<":
-                    dt = self.s.read_iriref()
-                else:
-                    dt = self._expand(self.s.read_token())
-                return Literal(lexical, datatype=dt)
-            if self.s.peek() == "@":
-                self.s.advance()
-                return Literal(lexical, language=self.s.read_token())
-            return Literal(lexical)
+            return _literal_suffix(self.s, self.s.read_string(), self._expand)
         if ch.isdigit() or (
             ch in "+-" and self.s.text[self.s.pos + 1 : self.s.pos + 2].isdigit()
         ):

@@ -77,16 +77,18 @@ class StatementSchema:
     def required_templates(self) -> tuple[TripleTemplate, ...]:
         """Templates that must match for the schema to apply.
 
-        A template is optional when the only new thing it binds is adjunct
-        information: all its variables are adjuncts or the subject, and at
-        least one adjunct variable occurs in it.
+        A template other than the anchor is optional when the only new
+        thing it binds is adjunct information: all its variables are
+        adjuncts or the subject, and at least one adjunct variable occurs
+        in it. The anchor is always required.
         """
+        anchor = self.anchor_template
         adjuncts = set(self.adjunct_vars)
         optional_pool = adjuncts | {self.subject_var}
         required = []
         for t in self.templates:
             t_vars = t.variables()
-            if t_vars & adjuncts and t_vars <= optional_pool:
+            if t != anchor and t_vars & adjuncts and t_vars <= optional_pool:
                 continue
             required.append(t)
         return tuple(required)

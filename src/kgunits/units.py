@@ -298,10 +298,9 @@ def partition(
     fresh_quads = [q for q in data if q.graph not in unit_graphs]
 
     category_of = ResourceKinds.of(dataset, catalog).category_of
-    adopted_units = _adopt_units(adopted_quads, units_layer, schemas, catalog)
-    adopted_units = [
-        _enrich_adopted(u, category_of, catalog) for u in adopted_units
-    ]
+    adopted = _adopt_units(adopted_quads, units_layer, schemas, catalog)
+    units = [_completed(u, category_of, catalog) for u in adopted]
+    triple_map: dict[tuple, str] = {q.key(): u.upri for u in units for q in u.quads}
 
     id_groups, remaining = _identification_pass(fresh_quads, catalog)
 
@@ -317,49 +316,27 @@ def partition(
         claimed_keys.update(cand.claimed)
     leftovers = [q for q in remaining if q.key() not in claimed_keys]
 
-    # Assemble new units in a deterministic order, then mint.
-    pending: list[dict] = []
+    # Build new units, their UPRIs still empty, in a deterministic order;
+    # then mint and complete each.
+    fresh: list[StatementUnit] = []
     for (resource, kind), quads in sorted(id_groups.items()):
-        pending.append(_pending_identification(resource, kind, quads, catalog))
-    for cand in sorted(winners, key=lambda c: c.order_key):
-        pending.append(_pending_schema_unit(cand))
-    for quad in sorted(leftovers, key=lambda q: q.key()):
-        pending.append(_pending_fallback(quad))
-
-    units: list[StatementUnit] = list(adopted_units)
-    fallback_units: list[StatementUnit] = []
-    triple_map: dict[tuple, str] = {}
-    for u in adopted_units:
-        for q in u.quads:
-            triple_map[q.key()] = u.upri
-
-    for draft in pending:
+        id_class = _KIND_TO_IDENTIFICATION_CLASS[kind]
+        fresh.append(_identification_unit(resource, sorted(quads, key=Quad.key), catalog, id_class))
+    for c in sorted(winners, key=lambda c: c.order_key):
+        fresh.append(_schema_unit(c.schema, c.binding, sorted(c.claimed.values(), key=Quad.key)))
+    fresh.extend(_untyped_unit(q.subject, [q]) for q in sorted(leftovers, key=Quad.key))
+    for unit in fresh:
         upri = minter()
-        quads = tuple(q.rehome(upri) for q in draft["quads"])
-        classes = set(draft["classes"])
-        category = category_of(draft["subject"])
-        if category is None and draft.get("needs_category"):
-            warnings.append(
-                f"subject {draft['subject']} of unit {upri} has no identification unit"
-            )
-        if category:
-            classes.add(category)
-        unit = StatementUnit(
-            upri=upri,
-            classes=frozenset(classes),
-            subject=draft["subject"],
-            objects=draft["objects"],
-            quads=quads,
-            schema_class=draft.get("schema_class"),
-            anchor_predicate=draft.get("anchor_predicate"),
-            bindings=draft.get("bindings", ()),
-        )
-        units.append(unit)
-        if vocab.UNTYPED_STATEMENT_UNIT in unit.classes:
-            fallback_units.append(unit)
-        for q in draft["quads"]:
+        if unit.schema_class and not unit.is_identification and category_of(unit.subject) is None:
+            warnings.append(f"subject {unit.subject} of unit {upri} has no identification unit")
+        rehomed = tuple(q.rehome(upri) for q in unit.quads)
+        units.append(_completed(unit, category_of, catalog, upri=upri, quads=rehomed))
+        for q in unit.quads:
             triple_map[q.key()] = upri
 
+    fallback_units = tuple(
+        u for u in units if not u.adopted and vocab.UNTYPED_STATEMENT_UNIT in u.classes
+    )
     units = _derive_disagreements(units)
 
     organized = QuadDataset(
@@ -370,7 +347,7 @@ def partition(
     return PartitionResult(
         units=tuple(units),
         triple_map=triple_map,
-        fallback_units=tuple(fallback_units),
+        fallback_units=fallback_units,
         dataset=organized,
         warnings=tuple(warnings),
     )
@@ -411,31 +388,13 @@ def _identification_pass(
     return groups, remaining
 
 
-def _pending_identification(
-    resource: str, kind: str, quads: list[Quad], catalog: VocabularyCatalog
-) -> dict:
-    unit_class = _KIND_TO_IDENTIFICATION_CLASS[kind]
-    quads = sorted(quads, key=lambda q: q.key())
-    objects, bindings, anchor = _identification_parts(resource, quads, catalog)
-    classes = {unit_class, vocab.QUALITATIVE_STATEMENT_UNIT}
-    if any(name == "n" for name, _ in bindings):
-        classes.add(vocab.CARDINALITY_RESTRICTION_UNIT)
-    return {
-        "subject": resource,
-        "classes": classes,
-        "objects": objects,
-        "quads": quads,
-        "schema_class": unit_class,
-        "anchor_predicate": anchor,
-        "bindings": bindings,
-    }
-
-
-def _identification_parts(subject: str, quads: list[Quad], catalog: VocabularyCatalog):
-    """Objects, bindings and anchor predicate of the identification unit of
-    ``subject`` over its ``quads`` in key order, for a new unit and for an
-    adopted one alike. The anchor is the class affiliation with an IRI
-    object, the one that decides the resource's kind."""
+def _identification_unit(
+    subject: str, quads: list[Quad], catalog: VocabularyCatalog, unit_class: str
+) -> StatementUnit:
+    """The unminted identification unit of ``subject`` over its ``quads``
+    in key order. The anchor is the class affiliation with an IRI object,
+    the one that decides the resource's kind. The unit is qualitative even
+    when an affiliation has a numeric literal object."""
     affiliations = (catalog.type, catalog.some_instance_of, catalog.every_instance_of)
     objects: list[UnitObject] = []
     bindings: list[tuple[str, Term]] = [("s", Iri(subject))]
@@ -454,61 +413,78 @@ def _identification_parts(subject: str, quads: list[Quad], catalog: VocabularyCa
         elif q.predicate == catalog.qualified_cardinality:
             objects.append(UnitObject(q.object, ADJUNCT, "n"))
             bindings.append(("n", q.object))
-    return tuple(objects), tuple(bindings), anchor
+    return StatementUnit(
+        "",
+        frozenset({unit_class, vocab.QUALITATIVE_STATEMENT_UNIT}),
+        subject,
+        tuple(objects),
+        tuple(quads),
+        unit_class,
+        anchor,
+        tuple(bindings),
+    )
 
 
-def _pending_schema_unit(cand: _Candidate) -> dict:
-    schema = cand.schema
-    subject_term = cand.binding.get(schema.subject_var)
-    subject = subject_term.value if isinstance(subject_term, Iri) else str(subject_term)
-    classes = {schema.unit_class}
-    classes.add(
+def _schema_unit(
+    schema: StatementSchema, binding: dict[str, Term], quads: list[Quad]
+) -> StatementUnit:
+    """The unminted unit of ``schema`` over ``quads`` in key order, where
+    the schema's variables take ``binding``. Its objects are the bound
+    argument variables, then the bound adjunct variables; the schema's
+    relation, not the terms bound, makes it qualitative or quantitative."""
+    subject = binding.get(schema.subject_var)
+    relation = (
         vocab.QUANTITATIVE_STATEMENT_UNIT
         if schema.relation == QUANTITATIVE
         else vocab.QUALITATIVE_STATEMENT_UNIT
     )
-    return {
-        "subject": subject,
-        "classes": classes,
-        "objects": _schema_objects(schema, cand.binding),
-        "quads": sorted(cand.claimed.values(), key=lambda q: q.key()),
-        "schema_class": schema.unit_class,
-        "anchor_predicate": schema.anchor_predicate,
-        "bindings": tuple(sorted(cand.binding.items())),
-        "needs_category": True,
-    }
-
-
-def _pending_fallback(quad: Quad) -> dict:
-    relation = (
-        vocab.QUANTITATIVE_STATEMENT_UNIT
-        if isinstance(quad.object, Literal)
-        and quad.object.datatype in vocab.NUMERIC_DATATYPES
-        else vocab.QUALITATIVE_STATEMENT_UNIT
+    return StatementUnit(
+        "",
+        frozenset({schema.unit_class, relation}),
+        subject.value if isinstance(subject, Iri) else str(subject),
+        tuple(
+            UnitObject(binding[var], role, var)
+            for role, names in ((ARGUMENT, schema.argument_vars), (ADJUNCT, schema.adjunct_vars))
+            for var in names
+            if var in binding
+        ),
+        tuple(quads),
+        schema.unit_class,
+        schema.anchor_predicate,
+        tuple(sorted(binding.items())),
     )
-    return {
-        "subject": quad.subject,
-        "classes": {vocab.UNTYPED_STATEMENT_UNIT, relation},
-        "objects": (UnitObject(quad.object, ARGUMENT, None),),
-        "quads": [quad],
-        "schema_class": None,
-        "anchor_predicate": quad.predicate,
-    }
 
 
-def _enrich_adopted(
-    unit: StatementUnit, category_of, catalog: VocabularyCatalog
+def _untyped_unit(subject: str, quads: list[Quad]) -> StatementUnit:
+    """The unminted untyped unit of ``quads`` in key order: the objects of
+    the quads about ``subject`` are its unnamed arguments and the first
+    quad's predicate is its anchor."""
+    return StatementUnit(
+        "",
+        frozenset({vocab.UNTYPED_STATEMENT_UNIT}),
+        subject,
+        tuple(UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject),
+        tuple(quads),
+        anchor_predicate=quads[0].predicate,
+    )
+
+
+def _completed(
+    unit: StatementUnit, category_of, catalog: VocabularyCatalog, **minted
 ) -> StatementUnit:
-    """Fill in derivable classes a hand-declared unit may have omitted."""
+    """The unit with the classes its parts imply, for a new unit and for an
+    adopted one alike: its subject's category unless it has one, the
+    qualitative or quantitative class unless it has one (quantitative when
+    an argument is a numeric literal), and the cardinality-restriction
+    class for an identification unit with a qualified cardinality. A new
+    unit passes its minted ``upri`` and re-homed ``quads`` in ``minted``:
+    the completed copy takes them too, so the unit is copied once."""
     classes = set(unit.classes)
-    if not classes & vocab.SUBJECT_CATEGORY_CLASSES:
+    if classes.isdisjoint(vocab.SUBJECT_CATEGORY_CLASSES):
         category = category_of(unit.subject)
         if category:
             classes.add(category)
-    if (
-        vocab.QUALITATIVE_STATEMENT_UNIT not in classes
-        and vocab.QUANTITATIVE_STATEMENT_UNIT not in classes
-    ):
+    if classes.isdisjoint((vocab.QUALITATIVE_STATEMENT_UNIT, vocab.QUANTITATIVE_STATEMENT_UNIT)):
         numeric = any(
             o.role == ARGUMENT
             and isinstance(o.term, Literal)
@@ -518,13 +494,13 @@ def _enrich_adopted(
         classes.add(
             vocab.QUANTITATIVE_STATEMENT_UNIT if numeric else vocab.QUALITATIVE_STATEMENT_UNIT
         )
-    if any(
+    if unit.is_identification and any(
         q.predicate == catalog.qualified_cardinality for q in unit.quads
-    ) and unit.is_identification:
+    ):
         classes.add(vocab.CARDINALITY_RESTRICTION_UNIT)
-    if classes == unit.classes:
+    if classes == unit.classes and not minted:
         return unit
-    return replace(unit, classes=frozenset(classes))
+    return replace(unit, classes=frozenset(classes), **minted)
 
 
 def _negated_units(unit: StatementUnit, upris: set[str]) -> list[str]:
@@ -563,6 +539,9 @@ def _adopt_units(
     schemas: list[StatementSchema],
     catalog: VocabularyCatalog,
 ) -> list[StatementUnit]:
+    """One unit per declared unit data graph, in UPRI order, with the
+    declared classes and subject (by default its first quad's) and the
+    parts its quads give it."""
     by_graph: dict[str, list[Quad]] = {}
     for q in adopted_quads:
         by_graph.setdefault(q.graph, []).append(q)
@@ -571,64 +550,39 @@ def _adopt_units(
     by_class: dict[str, StatementSchema] = {s.unit_class: s for s in schemas}
     out: list[StatementUnit] = []
     for upri in sorted(by_graph):
-        quads = sorted(by_graph[upri], key=lambda q: q.key())
+        quads = sorted(by_graph[upri], key=Quad.key)
         declared = classes.get(upri, set())
         subject = subjects.get(upri) or quads[0].subject
-        objects: tuple[UnitObject, ...]
-        bindings: tuple[tuple[str, Term], ...] = ()
-        schema_class = None
-        anchor = None
         id_class = declared & vocab.IDENTIFICATION_UNIT_CLASSES
         schema = next((by_class[c] for c in sorted(declared) if c in by_class), None)
         if id_class:
-            schema_class = sorted(id_class)[0]
-            objects, bindings, anchor = _identification_parts(subject, quads, catalog)
+            unit = _identification_unit(subject, quads, catalog, min(id_class))
         elif schema is not None:
-            schema_class = schema.unit_class
-            anchor = schema.anchor_predicate
-            objects, bindings = _rebind_schema(schema, quads)
+            unit = _rebind_schema(schema, quads)
         else:
-            anchor = quads[0].predicate
-            objects = _untyped_objects(quads, subject)
-        out.append(
-            StatementUnit(
-                upri=upri,
-                classes=frozenset(declared) if declared else frozenset({vocab.UNTYPED_STATEMENT_UNIT}),
-                subject=subject,
-                objects=objects,
-                quads=tuple(quads),
-                schema_class=schema_class,
-                anchor_predicate=anchor,
-                bindings=bindings,
-                adopted=True,
-            )
-        )
+            unit = _untyped_unit(subject, quads)
+        out.append(replace(
+            unit,
+            upri=upri,
+            classes=frozenset(declared or {vocab.UNTYPED_STATEMENT_UNIT}),
+            subject=subject,
+            adopted=True,
+        ))
     return out
 
 
-def _rebind_schema(schema: StatementSchema, quads: list[Quad]):
-    """Objects and bindings of an adopted unit's best match of ``schema``
-    over its ``quads`` in key order."""
+def _rebind_schema(schema: StatementSchema, quads: list[Quad]) -> StatementUnit:
+    """The unit of ``schema``'s best match over an adopted unit's ``quads``
+    in key order, or without a match, of ``schema`` over its untyped
+    parts."""
     candidates = _enumerate_candidates(schema, _quad_index(quads))
-    if not candidates:
-        return _untyped_objects(quads, quads[0].subject), ()
-    best = min(candidates, key=lambda c: c.order_key)
-    return _schema_objects(schema, best.binding), tuple(sorted(best.binding.items()))
-
-
-def _schema_objects(schema: StatementSchema, binding: dict[str, Term]) -> tuple[UnitObject, ...]:
-    """The bound argument variables, then the bound adjunct variables."""
-    return tuple(
-        UnitObject(binding[var], role, var)
-        for role, names in ((ARGUMENT, schema.argument_vars), (ADJUNCT, schema.adjunct_vars))
-        for var in names
-        if var in binding
+    if candidates:
+        return _schema_unit(schema, min(candidates, key=lambda c: c.order_key).binding, quads)
+    return replace(
+        _untyped_unit(quads[0].subject, quads),
+        schema_class=schema.unit_class,
+        anchor_predicate=schema.anchor_predicate,
     )
-
-
-def _untyped_objects(quads: list[Quad], subject: str) -> tuple[UnitObject, ...]:
-    """The objects of the quads about ``subject``, as unnamed arguments."""
-    return tuple(UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject)
 
 
 # ---------------------------------------------------------------------------

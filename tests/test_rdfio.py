@@ -410,6 +410,7 @@ _HEAD = f"@prefix ex: <{EX}> .\nex:g {{\n  ex:s ex:p "
         _HEAD + "<relative/iri> . }",  # relative IRI
         _HEAD + "<https://exa\nmple.org/> . }",  # newline inside an IRI
         _HEAD + "+.5 . }",  # sign without digits
+        _HEAD + '"x"@ . }',  # empty language tag, which N-Quads cannot write back
         _HEAD + '"abc\\u12',  # input ends inside a string's unicode escape
         _HEAD + '"abc\\',  # input ends after a string's backslash
         _HEAD + f"<{EX}\\U0001",  # input ends inside an IRI's unicode escape
