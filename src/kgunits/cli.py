@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Each subcommand is one pipeline stage; ``pipeline`` chains them all and is
-byte-reproducible when seeded. A stage reads what it needs (dataset,
+``kgunits COMMAND [INPUT ...] [OPTIONS]`` runs one pipeline stage;
+``pipeline`` chains them all and is byte-reproducible when seeded. The
+``key=value`` lines of a ``--config`` file are read as the options they
+name and give what no option gave. A stage reads what it needs (dataset,
 partition, facts, models) from one ``Products`` object per input, which
 computes each product once, so ``pipeline`` partitions, grounds and solves
 its input once and every artifact of a run names the same UPRIs, seeded or
@@ -48,7 +50,7 @@ from .logic import (
 )
 from .rdfio import parse_quads, trig_pieces
 from .schemas import compile_schema
-from .store import DEFAULT_CATALOG, QuadDataset, load_catalog
+from .store import DEFAULT_CATALOG, QuadDataset, load_catalog, setting_lines
 from .translate import (
     builtin_patterns,
     check_conflicts,
@@ -111,42 +113,25 @@ class Context:
     """Resolved configuration for one command invocation."""
 
     def __init__(self, args):
-        config = {}
-        if getattr(args, "config", None):
-            config = _read_config(args.config)
-
-        def pick(name, default=None):
-            value = getattr(args, name, None)
-            if value in (None, [], ()):
-                value = config.get(name, default)
-            return value
-
-        self.inputs = list(getattr(args, "inputs", []) or [])
-        if not self.inputs and config.get("input"):
-            self.inputs = [config["input"]]
-        self.schemas_path = pick("schemas")
-        self.catalog_path = pick("catalog")
-        self.rules_paths = pick("rules", []) or []
-        if isinstance(self.rules_paths, str):
-            self.rules_paths = [self.rules_paths]
-        self.patterns_paths = pick("patterns", []) or []
-        if isinstance(self.patterns_paths, str):
-            self.patterns_paths = [self.patterns_paths]
-        self.policy_path = pick("policy")
-        self.namespace = pick("namespace", vocab.DEFAULT_MINT_NS)
-        seed = pick("seed")
-        self.seed = int(seed) if seed is not None else None
-        out = getattr(args, "out", None) or os.environ.get("KGUNITS_OUT") or config.get("out", ".")
-        self.out = Path(out)
-        bound = pick("bound", 24)
-        self.bound = int(bound)
+        self.inputs = args.inputs
+        self.schemas_path = args.schemas
+        self.catalog_path = args.catalog
+        self.rules_paths = args.rules or []
+        self.patterns_paths = args.patterns or []
+        self.policy_path = args.policy
+        self.namespace = vocab.DEFAULT_MINT_NS if args.namespace is None else args.namespace
+        self.seed = args.seed
+        self.out = Path(args.out or ".")
+        self.bound = 24 if args.bound is None else args.bound
         if self.bound < 1:
             raise UsageError("--bound must be >= 1")
-        self.created = pick("created")
-        self.creator = pick("creator", vocab.SU_NS + "agent/cli")
+        self.created = args.created
+        self.creator = vocab.SU_NS + "agent/cli" if args.creator is None else args.creator
         self.requester = {}
-        for item in getattr(args, "requester", []) or []:
-            key, _, value = item.partition("=")
+        for item in args.requester or []:
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise UsageError("--requester must be key=value")
             self.requester[key] = value
 
         for label, path in (
@@ -249,22 +234,29 @@ def hash_seed(seed: int, stage: str) -> int:
     return int(digest[:12], 16)
 
 
-def _read_config(path: str) -> dict:
-    config: dict[str, object] = {}
-    for raw in _read_text(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
+def _with_config(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` with each setting that no flag gave read from the config
+    file, whose ``key=value`` lines the parser reads as the flags they name
+    (``input=`` as an input)."""
+    inputs, flags = [], []
+    for lineno, line in setting_lines(_read_text(args.config)):
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise UsageError(f"config line is not key=value: {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if key in ("rules", "patterns"):
-            config.setdefault(key, []).append(value)
+            raise UsageError(f"config {args.config}: line {lineno} is not key=value: {line!r}")
+        if key == "input":
+            inputs.append(value)
+        elif key in vars(args).keys() - {"command", "inputs", "config"}:
+            flags.append(f"--{key}={value}")
         else:
-            config[key] = value
-    return config
+            raise UsageError(f"config {args.config}: line {lineno}: unknown key {key!r}")
+    try:
+        given = parser.parse_intermixed_args([args.command, *inputs, *flags])
+    except UsageError as exc:
+        raise UsageError(f"config {args.config}: {exc}") from None
+    for name, value in vars(given).items():
+        if getattr(args, name) in (None, []):
+            setattr(args, name, value)
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -475,27 +467,26 @@ _STAGES = {
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="kgunits", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-    for name in _STAGES:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("inputs", nargs="*", help="input dataset file(s)")
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--schemas", help="statement schema document")
-        p.add_argument("--catalog", help="vocabulary catalog document")
-        p.add_argument("--rules", action="append", help="rule file (repeatable)")
-        p.add_argument("--patterns", action="append", help="pattern file (repeatable)")
-        p.add_argument("--policy", help="access policy document")
-        p.add_argument("--namespace", help="mint namespace for new identifiers")
-        p.add_argument("--seed", type=int, help="deterministic mint seed")
-        p.add_argument("--out", help="output directory (env KGUNITS_OUT overrides)")
-        p.add_argument("--bound", type=int, help="most default-negated atoms the solver takes (default 24)")
-        p.add_argument("--created", help="fixed ISO timestamp for provenance")
-        p.add_argument("--creator", help="agent identifier for provenance")
-        p.add_argument(
-            "--requester",
-            action="append",
-            help="requester attribute key=value (repeatable, acl only)",
-        )
+    parser.add_argument("command", choices=list(_STAGES), help="stage to run")
+    parser.add_argument("inputs", nargs="*", default=[], help="input dataset file(s)")
+    parser.add_argument("--config", help="key=value config file; flags override it")
+    parser.add_argument("--schemas", help="statement schema document")
+    parser.add_argument("--catalog", help="vocabulary catalog document")
+    parser.add_argument("--rules", action="append", help="rule file (repeatable)")
+    parser.add_argument("--patterns", action="append", help="pattern file (repeatable)")
+    parser.add_argument("--policy", help="access policy document")
+    parser.add_argument("--namespace", help="mint namespace for new identifiers")
+    parser.add_argument("--seed", type=int, help="deterministic mint seed")
+    parser.add_argument("--out", default=os.environ.get("KGUNITS_OUT") or None,
+                        help="output directory (else env KGUNITS_OUT, else config out=, else .)")
+    parser.add_argument("--bound", type=int, help="most default-negated atoms the solver takes (default 24)")
+    parser.add_argument("--created", help="fixed ISO timestamp for provenance")
+    parser.add_argument("--creator", help="agent identifier for provenance")
+    parser.add_argument(
+        "--requester",
+        action="append",
+        help="requester attribute key=value (repeatable, acl only)",
+    )
     return parser
 
 
@@ -503,10 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not args.command:
-            raise UsageError("missing command")
-        ctx = Context(args)
+        args = parser.parse_intermixed_args(argv)
+        ctx = Context(_with_config(parser, args) if args.config else args)
         summary = _STAGES[args.command](ctx)
         _emit(summary)
         return 0

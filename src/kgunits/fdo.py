@@ -27,6 +27,7 @@ from .store import (
     declaration_quads,
     is_absolute_iri,
     local_name,
+    setting_lines,
 )
 
 
@@ -368,13 +369,10 @@ _RULE_RE = re.compile(
 def load_policy(text: str) -> AccessPolicy:
     """Parse the ordered rule list: ``deny <classIRI> when subject.key=value``."""
     rules: list[PolicyRule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in setting_lines(text):
         m = _RULE_RE.match(line)
         if not m:
-            raise PolicyError(f"line {lineno}: cannot parse policy rule: {raw!r}")
+            raise PolicyError(f"line {lineno}: cannot parse policy rule: {line!r}")
         effect, target, condition = m.group(1), m.group(2), m.group(3) or "always"
         if target != "*":
             target = target[1:-1]

@@ -27,9 +27,9 @@ from .errors import BlankNodeError, ParseError
 from .store import Iri, Literal, Quad, QuadDataset, Term, is_absolute_iri
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-_PN_LOCAL_OK = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-."
-)
+# A local name a prefixed name may carry: ASCII letters, digits, '_', '-'
+# and '.', not starting with '-' or '.' and not ending with '.'.
+_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")
 # Characters a lexical form cannot hold verbatim inside "...".
 _NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
 _ESCAPED = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -510,12 +510,8 @@ def _compact(iri: str, prefixes: dict[str, str]) -> str:
     best_name = None
     best_len = -1
     for name, ns in prefixes.items():
-        if iri.startswith(ns) and len(ns) > best_len:
-            local = iri[len(ns) :]
-            if local and all(c in _PN_LOCAL_OK for c in local) and not local.startswith(
-                ("-", ".")
-            ) and not local.endswith("."):
-                best_name, best_len = name, len(ns)
+        if len(ns) > best_len and iri.startswith(ns) and _PN_LOCAL_RE.fullmatch(iri, len(ns)):
+            best_name, best_len = name, len(ns)
     if best_name is None:
         return f"<{iri}>"
     return f"{best_name}:{iri[len(prefixes[best_name]):]}"

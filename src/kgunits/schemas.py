@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import vocab
 from .errors import SchemaError
-from .store import Iri, Literal, Term, is_absolute_iri
+from .store import Iri, Literal, Term, is_absolute_iri, setting_lines
 
 QUALITATIVE = "qualitative"
 QUANTITATIVE = "quantitative"
@@ -203,10 +203,7 @@ def compile_schema(text: str) -> list[StatementSchema]:
     """Compile a schema document into validated statement schemas."""
     schemas: list[StatementSchema] = []
     current: _SchemaBuilder | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in setting_lines(text):
         parts = line.split()
         head = parts[0]
         if head == "unit":

@@ -16,7 +16,7 @@ writer and ``read_declarations`` the one reader of that format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import groupby
@@ -299,126 +299,69 @@ def read_declarations(
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary catalog
+# Hand-written settings
 # ---------------------------------------------------------------------------
 
-_REQUIRED_TERMS = (
-    "hasSemanticUnitSubject",
-    "hasAssociatedSemanticUnit",
-    "hasLinkedSemanticUnit",
-    "objectDescribedBySemanticUnit",
-    "someInstanceOf",
-    "everyInstanceOf",
-    "isAbout",
-    "type",
-    "label",
-    "qualifiedCardinality",
-    "index",
-    "child",
-)
+# A string, or a '#' at the start of a line or after whitespace.
+_STRING_OR_COMMENT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<!\S)#')
 
-_DEFAULT_TERMS: dict[str, str] = {
-    "hasSemanticUnitSubject": vocab.HAS_SEMANTIC_UNIT_SUBJECT,
-    "hasAssociatedSemanticUnit": vocab.HAS_ASSOCIATED_SEMANTIC_UNIT,
-    "hasLinkedSemanticUnit": vocab.HAS_LINKED_SEMANTIC_UNIT,
-    "objectDescribedBySemanticUnit": vocab.OBJECT_DESCRIBED_BY_SEMANTIC_UNIT,
-    "someInstanceOf": vocab.SOME_INSTANCE_OF,
-    "everyInstanceOf": vocab.EVERY_INSTANCE_OF,
-    "isAbout": vocab.IS_ABOUT,
-    "type": vocab.RDF_TYPE,
-    "label": vocab.RDFS_LABEL,
-    "qualifiedCardinality": vocab.QUALIFIED_CARDINALITY,
-    "index": vocab.INDEX,
-    "child": vocab.CHILD,
-    "mentions": vocab.MENTIONS,
-    "description": vocab.DESCRIPTION,
-}
+
+def setting_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and the stripped text of each line of a catalog,
+    schema, policy, pattern or config file that is not blank once its
+    comment is cut. A comment starts at a ``#`` at the start of the line or
+    after whitespace, outside a ``"..."`` string, so ``<...#frag>`` is no
+    comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for m in _STRING_OR_COMMENT.finditer(line):
+            if m.group() == "#":
+                line = line[: m.start()]
+                break
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+# ---------------------------------------------------------------------------
+# Vocabulary catalog
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class VocabularyCatalog:
-    """Immutable key→IRI table plus the registered partial-order predicates."""
+    """The structural vocabulary, one field per catalog term (the field of
+    ``term hasSemanticUnitSubject`` is ``has_semantic_unit_subject``), plus
+    the registered partial-order predicates and the prefixes."""
 
-    terms: Mapping[str, str] = field(default_factory=lambda: dict(_DEFAULT_TERMS))
+    has_semantic_unit_subject: str = vocab.HAS_SEMANTIC_UNIT_SUBJECT
+    has_associated_semantic_unit: str = vocab.HAS_ASSOCIATED_SEMANTIC_UNIT
+    has_linked_semantic_unit: str = vocab.HAS_LINKED_SEMANTIC_UNIT
+    object_described_by_semantic_unit: str = vocab.OBJECT_DESCRIBED_BY_SEMANTIC_UNIT
+    some_instance_of: str = vocab.SOME_INSTANCE_OF
+    every_instance_of: str = vocab.EVERY_INSTANCE_OF
+    is_about: str = vocab.IS_ABOUT
+    type: str = vocab.RDF_TYPE
+    label: str = vocab.RDFS_LABEL
+    qualified_cardinality: str = vocab.QUALIFIED_CARDINALITY
+    index: str = vocab.INDEX
+    child: str = vocab.CHILD
+    mentions: str = vocab.MENTIONS
+    description: str = vocab.DESCRIPTION
     partial_orders: tuple[str, ...] = ()
     prefixes: Mapping[str, str] = field(default_factory=lambda: dict(vocab.PREFIXES))
 
     def __post_init__(self):
-        for key in _REQUIRED_TERMS:
-            if key not in self.terms:
-                raise CatalogError(f"catalog misses required term: {key}")
-        values = list(self.terms.values())
+        values = [getattr(self, name) for name in _TERMS.values()]
         if len(values) != len(set(values)):
             dupes = sorted({v for v in values if values.count(v) > 1})
             raise CatalogError(f"catalog entries not distinct: {', '.join(dupes)}")
-        for key, iri in self.terms.items():
+        for key, name in _TERMS.items():
+            iri = getattr(self, name)
             if not is_absolute_iri(iri):
                 raise CatalogError(f"catalog term {key} is not an absolute IRI: {iri}")
         for iri in self.partial_orders:
             if not is_absolute_iri(iri):
                 raise CatalogError(f"partial-order predicate is not an IRI: {iri}")
-
-    def term(self, key: str) -> str:
-        try:
-            return self.terms[key]
-        except KeyError:
-            raise CatalogError(f"unknown catalog term: {key}") from None
-
-    @property
-    def has_semantic_unit_subject(self) -> str:
-        return self.terms["hasSemanticUnitSubject"]
-
-    @property
-    def has_associated_semantic_unit(self) -> str:
-        return self.terms["hasAssociatedSemanticUnit"]
-
-    @property
-    def has_linked_semantic_unit(self) -> str:
-        return self.terms["hasLinkedSemanticUnit"]
-
-    @property
-    def object_described_by_semantic_unit(self) -> str:
-        return self.terms["objectDescribedBySemanticUnit"]
-
-    @property
-    def some_instance_of(self) -> str:
-        return self.terms["someInstanceOf"]
-
-    @property
-    def every_instance_of(self) -> str:
-        return self.terms["everyInstanceOf"]
-
-    @property
-    def is_about(self) -> str:
-        return self.terms["isAbout"]
-
-    @property
-    def type(self) -> str:
-        return self.terms["type"]
-
-    @property
-    def label(self) -> str:
-        return self.terms["label"]
-
-    @property
-    def qualified_cardinality(self) -> str:
-        return self.terms["qualifiedCardinality"]
-
-    @property
-    def index(self) -> str:
-        return self.terms["index"]
-
-    @property
-    def child(self) -> str:
-        return self.terms["child"]
-
-    @property
-    def mentions(self) -> str:
-        return self.terms.get("mentions", vocab.MENTIONS)
-
-    @property
-    def description(self) -> str:
-        return self.terms.get("description", vocab.DESCRIPTION)
 
     @cached_property
     def structural_properties(self) -> frozenset[str]:
@@ -437,6 +380,13 @@ class VocabularyCatalog:
         return frozenset({self.type, self.some_instance_of, self.every_instance_of})
 
 
+# Catalog key -> field name: ``hasSemanticUnitSubject`` -> ``has_semantic_unit_subject``.
+_TERMS = {
+    re.sub(r"_(.)", lambda m: m.group(1).upper(), f.name): f.name
+    for f in fields(VocabularyCatalog)
+    if f.name not in ("partial_orders", "prefixes")
+}
+
 DEFAULT_CATALOG = VocabularyCatalog()
 
 
@@ -444,27 +394,27 @@ def load_catalog(text: str) -> VocabularyCatalog:
     """Parse the declarative catalog format.
 
     Lines: ``term <key> <iri>``, ``partial-order <iri>``,
-    ``prefix <name:> <iri>``. Unknown required terms fall back to the
-    defaults; ``#`` starts a comment.
+    ``prefix <name:> <iri>``. A term the catalog does not name keeps its
+    default; an unknown term key is an error. ``setting_lines`` cuts the
+    comments.
     """
-    terms = dict(_DEFAULT_TERMS)
+    terms: dict[str, str] = {}
     partial_orders: list[str] = []
     prefixes = dict(vocab.PREFIXES)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in setting_lines(text):
         parts = line.split()
         if parts[0] == "term" and len(parts) == 3:
-            terms[parts[1]] = _strip_angle(parts[2], lineno)
+            if parts[1] not in _TERMS:
+                raise CatalogError(f"line {lineno}: unknown catalog term: {parts[1]}")
+            terms[_TERMS[parts[1]]] = _strip_angle(parts[2], lineno)
         elif parts[0] == "partial-order" and len(parts) == 2:
             partial_orders.append(_strip_angle(parts[1], lineno))
         elif parts[0] == "prefix" and len(parts) == 3:
             prefixes[parts[1].rstrip(":")] = _strip_angle(parts[2], lineno)
         else:
-            raise CatalogError(f"line {lineno}: cannot parse catalog line: {raw!r}")
+            raise CatalogError(f"line {lineno}: cannot parse catalog line: {line!r}")
     return VocabularyCatalog(
-        terms=terms, partial_orders=tuple(dict.fromkeys(partial_orders)), prefixes=prefixes
+        **terms, partial_orders=tuple(dict.fromkeys(partial_orders)), prefixes=prefixes
     )
 
 

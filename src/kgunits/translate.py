@@ -39,7 +39,7 @@ from .owl import (
     render_axiom,
 )
 from .schemas import QUALITATIVE, StatementSchema
-from .store import Iri, VocabularyCatalog, is_absolute_iri
+from .store import Iri, VocabularyCatalog, is_absolute_iri, setting_lines
 from .units import PartitionResult, StatementUnit, _negated_units
 
 WILDCARD = "_"
@@ -522,10 +522,7 @@ def parse_patterns(
             )
         name, positive, negative, outputs = None, [], [], []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in setting_lines(text):
         if line.startswith("pattern "):
             flush()
             name = line[len("pattern ") :].strip()
@@ -543,7 +540,7 @@ def parse_patterns(
                 raise PatternError(f"line {lineno}: 'emit' before 'pattern'")
             outputs.append(_parse_axiom_expr(line[len("emit ") :].strip(), prefixes, lineno))
         else:
-            raise PatternError(f"line {lineno}: cannot parse pattern line: {raw!r}")
+            raise PatternError(f"line {lineno}: cannot parse pattern line: {line!r}")
     flush()
     return patterns
 

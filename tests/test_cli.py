@@ -1,19 +1,28 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgunits import cli, load_catalog, parse_quads, units, vocab
+from kgunits import cli, compile_schema, load_catalog, parse_quads, partition, units, vocab
 from kgunits.cli import main
+from kgunits.compound import reconstruct_compounds
+from kgunits.fdo import ProvenanceRecord, UpriMinter, emit_nanopublication, load_policy
+from kgunits.owl import ClassAssertion
 from kgunits.rdfio import parse_trig, serialize_trig
-from kgunits.store import DEFAULT_CATALOG, Iri, Literal, Quad, QuadDataset
+from kgunits.store import DEFAULT_CATALOG, Iri, Literal, Quad, QuadDataset, setting_lines
+from kgunits.translate import parse_patterns
 
 from conftest import FIXTURES, fixture_text
 
@@ -165,6 +174,21 @@ def test_partition_seeded_runs_byte_identical(capsys, tmp_path):
     assert main(["partition", str(FIXTURES / "hand_assertional.trig"), *common(out2)]) == 0
     for name in ("organized.trig", "units.tsv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_options_may_come_before_between_or_after_inputs(capsys, tmp_path):
+    bare, weight = str(FIXTURES / "hand_bare.trig"), str(FIXTURES / "weight.trig")
+    argvs = {
+        "after": ["partition", bare, weight, "--seed", "1"],
+        "before": ["partition", "--seed", "1", bare, weight],
+        "between": ["partition", bare, "--seed", "1", weight],
+        "first": ["--seed", "1", "partition", bare, weight],
+    }
+    for name, argv in argvs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    capsys.readouterr()
+    units = {(tmp_path / name / "units.tsv").read_bytes() for name in argvs}
+    assert len(units) == 1
 
 
 def test_pipeline_reports_three_context_units(capsys, tmp_path):
@@ -344,19 +368,26 @@ def test_each_product_is_computed_once(capsys, tmp_path, monkeypatch, stage, exp
     assert dict(calls) == expected
 
 
-def test_nanopub_stage_writes_the_union_of_each_nanopublication(capsys, tmp_path, monkeypatch):
+def test_nanopub_stage_writes_the_union_of_each_nanopublication(
+    capsys, tmp_path, catalog, schemas
+):
     """One final dataset sorts the quads of all nanopublications; it holds
-    exactly the quads of each one's own dataset."""
-    emitted = []
-    real = cli.emit_nanopublication
-
-    def recorded(*args, **kwargs):
-        emitted.append(real(*args, **kwargs))
-        return emitted[-1]
-
-    monkeypatch.setattr(cli, "emit_nanopublication", recorded)
+    exactly the quads of each one's own dataset, recomputed here from the
+    compound dataset the downstream stages receive."""
     code, summary = run(capsys, "pipeline", str(FIXTURES / "travel.trig"), *common(tmp_path))
-    assert code == 0 and int(summary["nanopubs"]) == len(emitted) > 1
+    assert code == 0
+    compounds = parse_trig((tmp_path / "compounds.trig").read_text(encoding="utf-8"))
+    minter = UpriMinter(seed=cli.hash_seed(1, "partition"))
+    result = partition(compounds, schemas, catalog, minter)
+    record = ProvenanceRecord(vocab.SU_NS + "agent/cli", "2023-01-01T00:00:00+00:00")
+    emitted = [
+        emit_nanopublication(unit, record, record, catalog, schema_upri=unit.schema_class)
+        for unit in result.units
+    ] + [
+        emit_nanopublication(compound, record, record, catalog)
+        for compound in reconstruct_compounds(result.dataset, catalog)
+    ]
+    assert int(summary["nanopubs"]) == len(emitted) > 1
     assert any(not np.assertion for np in emitted)  # compound units too
     written = parse_trig((tmp_path / "nanopubs.trig").read_text(encoding="utf-8"))
     assert written == emitted[0].dataset().merge(*(np.dataset() for np in emitted[1:]))
@@ -424,22 +455,19 @@ def test_align_self(capsys, tmp_path):
 
 
 def test_env_var_output_dir(capsys, tmp_path, monkeypatch):
+    """``--out`` beats ``KGUNITS_OUT``, which beats the config's ``out=``."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out={tmp_path / 'config'}\n", encoding="utf-8")
+    argv = ["partition", str(FIXTURES / "hand_bare.trig"), "--config", str(config), "--seed", "1"]
     monkeypatch.setenv("KGUNITS_OUT", str(tmp_path / "env"))
-    code = main(
-        [
-            "partition",
-            str(FIXTURES / "hand_bare.trig"),
-            "--schemas",
-            str(FIXTURES / "schemas.sus"),
-            "--catalog",
-            str(FIXTURES / "catalog.cat"),
-            "--seed",
-            "1",
-        ]
-    )
+    assert main([*argv, "--out", str(tmp_path / "flag")]) == 0
+    assert main(argv) == 0
+    monkeypatch.delenv("KGUNITS_OUT")
+    assert main(argv) == 0
     capsys.readouterr()
-    assert code == 0
-    assert (tmp_path / "env" / "organized.trig").exists()
+    for name in ("flag", "env", "config"):
+        assert (tmp_path / name / "organized.trig").exists()
+    assert len(list((tmp_path / "env").iterdir())) == 2  # organized.trig, units.tsv
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -463,6 +491,158 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "flag-wins" / "organized.trig").exists()
     assert not (tmp_path / "from-config").exists()
+
+
+def _config_run(capsys, tmp_path, text: str, *argv) -> tuple[int, str]:
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    code = main(["partition", *argv, "--config", str(config)])
+    return code, capsys.readouterr().err
+
+
+def test_config_values_are_checked_like_flags(capsys, tmp_path):
+    good = str(FIXTURES / "hand_bare.trig")
+    for text, message in [
+        ("seed=abc\n", "argument --seed: invalid int value: 'abc'"),
+        ("bound=x\n", "argument --bound: invalid int value: 'x'"),
+        ("sed=1\n", "line 1: unknown key 'sed'"),
+        ("# settings\nconfig=other.cfg\n", "line 2: unknown key 'config'"),
+        ("seed 1\n", "line 1 is not key=value"),
+    ]:
+        code, err = _config_run(capsys, tmp_path, text, good, "--out", str(tmp_path))
+        assert code == 1 and "Traceback" not in err
+        assert f"usage error: config {tmp_path / 'run.cfg'}: {message}" in err
+
+
+def test_config_input_lines_are_inputs(capsys, tmp_path):
+    """Each ``input=`` line adds an input; inputs on the command line
+    replace them."""
+    bare, weight = FIXTURES / "hand_bare.trig", FIXTURES / "weight.trig"
+    text = f"input={bare}\ninput={weight}\n"
+    assert _config_run(capsys, tmp_path, text, *common(tmp_path / "both"))[0] == 0
+    assert _config_run(capsys, tmp_path, text, str(bare), *common(tmp_path / "flag"))[0] == 0
+    assert main(["partition", str(bare), str(weight), *common(tmp_path / "flags")]) == 0
+    capsys.readouterr()
+    read = lambda name: (tmp_path / name / "units.tsv").read_text(encoding="utf-8")
+    assert read("both") == read("flags") != read("flag")
+
+
+def test_requester_without_value_is_usage_error(capsys, tmp_path):
+    code = main([
+        "acl", str(FIXTURES / "endangered.trig"),
+        *common(tmp_path, "--policy", str(FIXTURES / "endangered.pol"), "--requester", "role"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error: --requester must be key=value" in err and "Traceback" not in err
+
+
+_OPTION_NAMES = ["input", "schemas", "catalog", "rules", "patterns", "policy", "namespace",
+                 "seed", "out", "bound", "created", "creator", "requester"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_OPTION_NAMES) | st.sampled_from(_OPTION_NAMES).map(lambda k: k[:-1])
+            | st.from_regex(r"[a-z]{1,8}", fullmatch=True),
+            st.integers(-3, 99).map(str)
+            | st.from_regex(r"[a-z]{1,8}", fullmatch=True)
+            | st.from_regex(r"https://example\.org/[a-z]{1,5}#[a-z]{0,5}", fullmatch=True),
+            st.sampled_from(["", " # note"]),
+        ),
+        max_size=5,
+    )
+)
+def test_any_config_file_exits_without_traceback(lines):
+    """A config file of option names, misspelled keys and any values ends
+    in exit 0, 1 or 2 with a message, never a traceback."""
+    text = "".join(f"{key}={value}{comment}\n" for key, value, comment in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        argv = ["partition", str(FIXTURES / "hand_bare.trig"), "--config", str(config),
+                "--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().strip()
+
+
+_SKOS = "http://www.w3.org/2004/02/skos/core#"
+_RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
+
+def _catalog_keeps_hash(tmp_path, capsys):
+    catalog = load_catalog(f"prefix skos: <{_SKOS}>\nterm type <{_RDF_TYPE}>  # rdf:type\n")
+    assert catalog.prefixes["skos"] == _SKOS and catalog.type == _RDF_TYPE
+
+
+def _policy_keeps_hash(tmp_path, capsys):
+    policy = load_policy("deny <http://example.org/onto#Secret>  # hidden class\n")
+    assert policy.rules[0].unit_class == "http://example.org/onto#Secret"
+
+
+def _pattern_keeps_hash(tmp_path, capsys):
+    patterns = parse_patterns(
+        "pattern p\nwhen su:NegationUnit(X)\nemit ClassAssertion(<http://example.org/onto#C>, X)\n",
+        DEFAULT_CATALOG.prefixes,
+    )
+    assert patterns[0].outputs[0] == ClassAssertion("http://example.org/onto#C", "X")
+
+
+def _config_keeps_hash(tmp_path, capsys):
+    namespace = "https://example.org/ids#"
+    bare = str(FIXTURES / "hand_bare.trig")
+    code, _ = _config_run(capsys, tmp_path, f"namespace={namespace} # fragment IDs\n",
+                          bare, *common(tmp_path / "config"))
+    assert code == 0
+    assert main(["partition", bare, *common(tmp_path / "flag", "--namespace", namespace)]) == 0
+    capsys.readouterr()
+    units = (tmp_path / "config" / "units.tsv").read_text(encoding="utf-8")
+    assert units.startswith(namespace + "u")
+    assert units == (tmp_path / "flag" / "units.tsv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "check", [_catalog_keeps_hash, _policy_keeps_hash, _pattern_keeps_hash, _config_keeps_hash],
+    ids=["catalog", "policy", "pattern", "config"],
+)
+def test_iri_with_hash_survives_every_settings_format(tmp_path, capsys, check):
+    check(tmp_path, capsys)
+
+
+def test_comments_in_settings_files():
+    """A ``#`` at the start of a line or after whitespace starts a comment,
+    unless it is inside a ``"..."`` string."""
+    text = '# head\n  # indented\nterm isAbout <http://x/y#z>  # trailing\nlabel "a # b" # c\n'
+    assert list(setting_lines(text)) == [
+        (3, "term isAbout <http://x/y#z>"),
+        (4, 'label "a # b"'),
+    ]
+    (schema,) = compile_schema(
+        "# has-part\n"
+        "unit <https://example.org/c/hp> anchor <https://example.org/r/hp>  # the class\n"
+        "template ?s <https://example.org/r/hp> ?o\n"
+        "subject ?s  # the whole\n"
+        "arg ?o # the part\n"
+        'label "{s} is #1 in {o}"  # rank\n'
+    )
+    assert schema.label_template == "{s} is #1 in {o}"
+    assert schema.argument_vars == ("o",)
+
+
+def test_unknown_catalog_term_is_data_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cat"
+    bad.write_text("term isAboutt <http://purl.obolibrary.org/obo/IAO_0000136>\n", encoding="utf-8")
+    code = main(["ingest", str(FIXTURES / "hand_bare.trig"), "--catalog", str(bad),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 1: unknown catalog term: isAboutt" in err and "Traceback" not in err
 
 
 def test_translate_with_custom_pattern_file(capsys, tmp_path):

@@ -176,13 +176,6 @@ def test_classify_instance_vs_class_conflict(catalog):
         classify_resource(ds, EX + "r", catalog)
 
 
-def test_catalog_requires_all_terms():
-    from kgunits.store import VocabularyCatalog
-
-    with pytest.raises(CatalogError):
-        VocabularyCatalog(terms={"type": vocab.RDF_TYPE})
-
-
 def test_catalog_rejects_duplicate_iris():
     with pytest.raises(CatalogError):
         load_catalog(
