@@ -2,12 +2,13 @@
 
 Matching walks the representational-granularity levels top down: item
 group units first, item units inside matched groups, statement units
-inside matched items, finally individual triples of perfectly matched
-statement units. Candidates are compared by signatures built purely from
-shared vocabulary (unit classes, subject classes, canonicalized data
-graphs), so uniformly renaming instance identifiers on one side changes
-nothing. Matching is greedy with a lexicographic tie-break; scores are
-exact rationals (Jaccard overlap), and score 1 means structural identity.
+inside matched items (then the rest inside matched groups, then those in
+no group), finally individual triples of perfectly matched statement
+units. Candidates are compared by signatures built purely from shared
+vocabulary (unit classes, subject classes, canonicalized data graphs),
+so uniformly renaming instance identifiers on one side changes nothing.
+Matching is greedy with a lexicographic tie-break; scores are exact
+rationals (Jaccard overlap), and score 1 means structural identity.
 
 The greedy takes candidate pairs in ``(-score, left, right)`` order and
 keeps each pair whose two ids are still free. It never scores all pairs:
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .compound import CompoundResult, CompoundUnit
-from .store import Iri, Quad, QuadDataset, VocabularyCatalog
+from .store import Iri, VocabularyCatalog
 from .units import PartitionResult, StatementUnit
 
 LEVEL_GROUP = "item-group"
@@ -62,7 +63,6 @@ class AlignmentReport:
 class ProcessedGraph:
     """A graph after partitioning and compounding, ready for alignment."""
 
-    dataset: QuadDataset
     partition: PartitionResult
     compounds: CompoundResult
     catalog: VocabularyCatalog
@@ -244,139 +244,93 @@ def _greedy_match(
 
 
 def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
-    """Step-by-step alignment along the granularity levels."""
+    """Step-by-step alignment along the granularity levels.
+
+    Each level is a list of scopes, pairs of id lists (left, right), and an
+    id is matched only inside its scope. Triples pair up inside perfectly
+    matched statement units.
+    """
     registry_a = {u.schema_class for u in a.partition.units if u.schema_class}
     registry_b = {u.schema_class for u in b.partition.units if u.schema_class}
     if registry_a and registry_b and not registry_a & registry_b:
         return AlignmentReport(
-            correspondences=(),
-            unmatched_left=tuple(
-                (LEVEL_STATEMENT, u.upri) for u in a.partition.units
-            ),
-            unmatched_right=tuple(
-                (LEVEL_STATEMENT, u.upri) for u in b.partition.units
-            ),
-            diagnostic="no shared statement-unit classes between the two graphs",
+            (),
+            tuple((LEVEL_STATEMENT, u.upri) for u in a.partition.units),
+            tuple((LEVEL_STATEMENT, u.upri) for u in b.partition.units),
+            "no shared statement-unit classes between the two graphs",
         )
 
     correspondences: list[Correspondence] = []
     unmatched_left: list[tuple[str, str]] = []
     unmatched_right: list[tuple[str, str]] = []
 
-    # Level 1: item group units.
+    def align_level(level, scopes, ids_a: dict, ids_b: dict, signature, jaccard):
+        """Match inside each scope; record the pairs, then the sorted ids
+        of ``ids_a`` and ``ids_b`` that no scope matched."""
+        sig_a = {u: signature(a, x) for u, x in ids_a.items()}
+        sig_b = {u: signature(b, x) for u, x in ids_b.items()}
+        pairs = [p for l, r in scopes for p in _greedy_match(l, r, sig_a, sig_b, jaccard)]
+        correspondences.extend(Correspondence(level, l, r, s) for l, r, s in pairs)
+        unmatched_left.extend((level, u) for u in sorted(ids_a.keys() - {p[0] for p in pairs}))
+        unmatched_right.extend((level, u) for u in sorted(ids_b.keys() - {p[1] for p in pairs}))
+        return pairs
+
+    def members(pairs, holders_a: dict, holders_b: dict, pool_a, pool_b):
+        """One scope per matched pair: the members of each side in its pool."""
+        return [
+            ([u for u in holders_a[l].associated if u in pool_a],
+             [u for u in holders_b[r].associated if u in pool_b])
+            for l, r, _ in pairs
+        ]
+
+    # The greedy is injective inside one scope only. No id is matched twice
+    # because the scopes of one level are disjoint for every ``build_all``
+    # result, a condition this code does not check: groups are the
+    # components over all items, so each item lies in exactly one group; a
+    # statement unit lies in at most one item, the item of its subject; an
+    # orphan unit is attached to one group only (the least of its roots);
+    # and the free units lie in no group and no item.
     groups_a = {g.upri: g for g in a.groups()}
     groups_b = {g.upri: g for g in b.groups()}
-    sig_ga = {u: _group_signature(a, g) for u, g in groups_a.items()}
-    sig_gb = {u: _group_signature(b, g) for u, g in groups_b.items()}
-    group_pairs = _greedy_match(groups_a, groups_b, sig_ga, sig_gb, _jaccard_bags)
-    matched_ga = {l for l, _, _ in group_pairs}
-    matched_gb = {r for _, r, _ in group_pairs}
-    correspondences += [
-        Correspondence(LEVEL_GROUP, l, r, s) for l, r, s in group_pairs
-    ]
-    unmatched_left += [(LEVEL_GROUP, u) for u in sorted(set(groups_a) - matched_ga)]
-    unmatched_right += [(LEVEL_GROUP, u) for u in sorted(set(groups_b) - matched_gb)]
-
-    # Level 2: item units inside matched groups.
-    items_a = a.items_by_upri
-    items_b = b.items_by_upri
-    sig_ia = {u: _item_signature(a, i) for u, i in items_a.items()}
-    sig_ib = {u: _item_signature(b, i) for u, i in items_b.items()}
-    item_pairs: list[tuple[str, str, Fraction]] = []
-    for gl, gr, _ in group_pairs:
-        left_items = [u for u in groups_a[gl].associated if u in items_a]
-        right_items = [u for u in groups_b[gr].associated if u in items_b]
-        item_pairs += _greedy_match(
-            left_items, right_items, sig_ia, sig_ib, _jaccard_bags
-        )
-    matched_ia = {l for l, _, _ in item_pairs}
-    matched_ib = {r for _, r, _ in item_pairs}
-    correspondences += [Correspondence(LEVEL_ITEM, l, r, s) for l, r, s in item_pairs]
-    unmatched_left += [(LEVEL_ITEM, u) for u in sorted(set(items_a) - matched_ia)]
-    unmatched_right += [(LEVEL_ITEM, u) for u in sorted(set(items_b) - matched_ib)]
-
-    # Level 3: statement units inside matched items, then orphans inside
-    # matched groups, then units outside any group.
-    units_a = a.partition.units_by_upri
-    units_b = b.partition.units_by_upri
-    sig_sa = {u.upri: _statement_signature(a, u) for u in a.partition.units}
-    sig_sb = {u.upri: _statement_signature(b, u) for u in b.partition.units}
-
-    statement_pairs: list[tuple[str, str, Fraction]] = []
-    used_a: set[str] = set()
-    used_b: set[str] = set()
-    for il, ir, _ in item_pairs:
-        left_units = [u for u in items_a[il].associated if u in units_a]
-        right_units = [u for u in items_b[ir].associated if u in units_b]
-        for l, r, s in _greedy_match(
-            left_units, right_units, sig_sa, sig_sb, _jaccard_sets
-        ):
-            if l not in used_a and r not in used_b:
-                statement_pairs.append((l, r, s))
-                used_a.add(l)
-                used_b.add(r)
-    in_items_a = {m for i in items_a.values() for m in i.associated}
-    in_items_b = {m for i in items_b.values() for m in i.associated}
-    for gl, gr, _ in group_pairs:
-        left_units = [
-            u
-            for u in groups_a[gl].associated
-            if u in units_a and u not in in_items_a and u not in used_a
-        ]
-        right_units = [
-            u
-            for u in groups_b[gr].associated
-            if u in units_b and u not in in_items_b and u not in used_b
-        ]
-        for l, r, s in _greedy_match(
-            left_units, right_units, sig_sa, sig_sb, _jaccard_sets
-        ):
-            statement_pairs.append((l, r, s))
-            used_a.add(l)
-            used_b.add(r)
-    in_groups_a = {m for g in groups_a.values() for m in g.associated} | in_items_a
-    in_groups_b = {m for g in groups_b.values() for m in g.associated} | in_items_b
-    free_a = [u for u in units_a if u not in in_groups_a and u not in used_a]
-    free_b = [u for u in units_b if u not in in_groups_b and u not in used_b]
-    for l, r, s in _greedy_match(free_a, free_b, sig_sa, sig_sb, _jaccard_sets):
-        statement_pairs.append((l, r, s))
-        used_a.add(l)
-        used_b.add(r)
-
-    correspondences += [
-        Correspondence(LEVEL_STATEMENT, l, r, s) for l, r, s in statement_pairs
-    ]
-    unmatched_left += [
-        (LEVEL_STATEMENT, u) for u in sorted(set(units_a) - used_a)
-    ]
-    unmatched_right += [
-        (LEVEL_STATEMENT, u) for u in sorted(set(units_b) - used_b)
-    ]
-
-    # Level 4: triples of perfectly matched statement units.
-    for l, r, s in statement_pairs:
-        if s != 1:
-            continue
-        left_rows = _quad_rows(units_a[l])
-        right_rows = _quad_rows(units_b[r])
-        for (lk, _), (rk, _) in zip(left_rows, right_rows):
-            correspondences.append(Correspondence(LEVEL_TRIPLE, lk, rk, Fraction(1)))
-
-    return AlignmentReport(
-        correspondences=tuple(correspondences),
-        unmatched_left=tuple(unmatched_left),
-        unmatched_right=tuple(unmatched_right),
+    group_pairs = align_level(
+        LEVEL_GROUP, [(groups_a, groups_b)], groups_a, groups_b, _group_signature, _jaccard_bags
     )
+    items_a, items_b = a.items_by_upri, b.items_by_upri
+    item_pairs = align_level(
+        LEVEL_ITEM, members(group_pairs, groups_a, groups_b, items_a, items_b),
+        items_a, items_b, _item_signature, _jaccard_bags,
+    )
+    units_a, units_b = a.partition.units_by_upri, b.partition.units_by_upri
+    itemless_a = units_a.keys() - {m for i in items_a.values() for m in i.associated}
+    itemless_b = units_b.keys() - {m for i in items_b.values() for m in i.associated}
+    free = (
+        itemless_a - {m for g in groups_a.values() for m in g.associated},
+        itemless_b - {m for g in groups_b.values() for m in g.associated},
+    )
+    statement_pairs = align_level(
+        LEVEL_STATEMENT,
+        members(item_pairs, items_a, items_b, units_a, units_b)
+        + members(group_pairs, groups_a, groups_b, itemless_a, itemless_b)
+        + [free],
+        units_a, units_b, _statement_signature, _jaccard_sets,
+    )
+    for l, r, s in statement_pairs:
+        if s == 1:
+            correspondences.extend(
+                Correspondence(LEVEL_TRIPLE, lk, rk, Fraction(1))
+                for lk, rk in zip(_quad_rows(units_a[l]), _quad_rows(units_b[r]))
+            )
+    return AlignmentReport(tuple(correspondences), tuple(unmatched_left), tuple(unmatched_right))
 
 
-def _quad_rows(unit: StatementUnit) -> list[tuple[str, Quad]]:
+def _quad_rows(unit: StatementUnit) -> list[str]:
     rows = []
     for q in sorted(unit.quads, key=lambda q: (q.predicate,) + q.key()):
         if isinstance(q.object, Iri):
             o = f"<{q.object.value}>"
         else:
             o = f'"{q.object.lexical}"'
-        rows.append((f"<{q.subject}> <{q.predicate}> {o}", q))
+        rows.append(f"<{q.subject}> <{q.predicate}> {o}")
     return rows
 
 

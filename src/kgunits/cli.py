@@ -30,11 +30,12 @@ from typing import Iterable
 from . import vocab
 from .align import ProcessedGraph, align_graphs, render_report as render_alignment
 from .compound import build_all, compound_quads, reconstruct_compounds, render_report
-from .errors import BoundExceededError, KgUnitsError, ParseError
+from .errors import BoundExceededError, KgUnitsError, ParseError, ProvenanceError
 from .fdo import (
     AccessPolicy,
     ProvenanceRecord,
     UpriMinter,
+    _parse_timestamp,
     apply_access_policy,
     emit_nanopublication,
     load_policy,
@@ -50,7 +51,7 @@ from .logic import (
 )
 from .rdfio import parse_quads, trig_pieces
 from .schemas import compile_schema
-from .store import DEFAULT_CATALOG, QuadDataset, load_catalog, setting_lines
+from .store import DEFAULT_CATALOG, QuadDataset, is_absolute_iri, load_catalog, setting_lines
 from .translate import (
     builtin_patterns,
     check_conflicts,
@@ -407,7 +408,7 @@ def stage_align(ctx: Context) -> dict:
             _parse(path), ctx.schemas, ctx.catalog, ctx.minter(f"align-{i}")
         )
         compounds = build_all(part, ctx.catalog, ctx.minter(f"align-compound-{i}"))
-        graphs.append(ProcessedGraph(part.dataset, part, compounds, ctx.catalog))
+        graphs.append(ProcessedGraph(part, compounds, ctx.catalog))
     report = align_graphs(graphs[0], graphs[1])
     _write_atomic(ctx.out / "alignment.tsv", [render_alignment(report)])
     perfect = sum(1 for c in report.correspondences if c.score == 1)
@@ -465,6 +466,20 @@ _STAGES = {
 }
 
 
+def _absolute_iri(value: str) -> str:
+    if not is_absolute_iri(value):
+        raise argparse.ArgumentTypeError(f"not an absolute IRI: {value!r}")
+    return value
+
+
+def _timestamp(value: str) -> str:
+    try:
+        _parse_timestamp(value)
+    except ProvenanceError:
+        raise argparse.ArgumentTypeError(f"not an ISO-8601 timestamp: {value!r}") from None
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="kgunits", description=__doc__)
     parser.add_argument("command", choices=list(_STAGES), help="stage to run")
@@ -475,12 +490,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--rules", action="append", help="rule file (repeatable)")
     parser.add_argument("--patterns", action="append", help="pattern file (repeatable)")
     parser.add_argument("--policy", help="access policy document")
-    parser.add_argument("--namespace", help="mint namespace for new identifiers")
+    parser.add_argument("--namespace", type=_absolute_iri, help="mint namespace for new identifiers")
     parser.add_argument("--seed", type=int, help="deterministic mint seed")
     parser.add_argument("--out", default=os.environ.get("KGUNITS_OUT") or None,
                         help="output directory (else env KGUNITS_OUT, else config out=, else .)")
     parser.add_argument("--bound", type=int, help="most default-negated atoms the solver takes (default 24)")
-    parser.add_argument("--created", help="fixed ISO timestamp for provenance")
+    parser.add_argument("--created", type=_timestamp, help="fixed ISO timestamp for provenance")
     parser.add_argument("--creator", help="agent identifier for provenance")
     parser.add_argument(
         "--requester",

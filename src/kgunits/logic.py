@@ -161,9 +161,6 @@ class LogicProgram:
                 out.update(t for t in atom.terms if not is_variable(t))
         return frozenset(out)
 
-    def facts(self) -> tuple[Atom, ...]:
-        return tuple(r.head for r in self.rules if r.is_fact)
-
 
 # ---------------------------------------------------------------------------
 # Rule parsing

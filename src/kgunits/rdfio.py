@@ -42,6 +42,8 @@ _TOKEN_RE = re.compile(rf"(?:{_NAME_CHAR}|\.+(?={_NAME_CHAR}))*")
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _INLINE_WS_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+# INTEGER or DECIMAL of the TriG grammar, ASCII digits only; empty if none.
+_NUMBER_RE = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]+)?)?")
 # Lines per TriG piece: a one-graph document is written in bounded pieces.
 _PIECE_LINES = 256
 
@@ -188,22 +190,12 @@ class _Scanner:
         return token
 
     def read_number(self) -> str:
-        # [+-]?digits(.digits)?; the trailing '.' of a statement is not
-        # part of the number.
-        out = []
-        if self.peek() in "+-":
-            out.append(self.advance())
-        while not self.eof() and self.peek().isdigit():
-            out.append(self.advance())
-        if (
-            self.peek() == "."
-            and self.pos + 1 < len(self.text)
-            and self.text[self.pos + 1].isdigit()
-        ):
-            out.append(self.advance())
-            while not self.eof() and self.peek().isdigit():
-                out.append(self.advance())
-        return "".join(out)
+        """The number at the cursor, or ""; the trailing '.' of a statement
+        is not part of it."""
+        token = _NUMBER_RE.match(self.text, self.pos).group()
+        self.pos += len(token)
+        self.col += len(token)
+        return token
 
 
 # ---------------------------------------------------------------------------
@@ -433,34 +425,16 @@ class _TrigParser:
             return Iri(self.s.read_iriref())
         if ch == '"':
             return _literal_suffix(self.s, self.s.read_string(), self._expand)
-        if ch.isdigit() or (
-            ch in "+-" and self.s.text[self.s.pos + 1 : self.s.pos + 2].isdigit()
-        ):
-            token = self.s.read_number()
-            if _is_integer(token):
-                return Literal(token, datatype=vocab.XSD_INTEGER)
-            if _is_decimal(token):
-                return Literal(token, datatype=vocab.XSD_DECIMAL)
-            raise self.s.error(f"malformed numeric literal {token!r}")
+        number = self.s.read_number()
+        if number:
+            datatype = vocab.XSD_DECIMAL if "." in number else vocab.XSD_INTEGER
+            return Literal(number, datatype=datatype)
         token = self.s.read_token()
         if not token:
             raise self.s.error("expected object term")
         if token in ("true", "false"):
             return Literal(token, datatype=vocab.XSD_BOOLEAN)
         return Iri(self._expand(token))
-
-
-def _is_integer(token: str) -> bool:
-    body = token[1:] if token[:1] in "+-" else token
-    return body.isdigit()
-
-
-def _is_decimal(token: str) -> bool:
-    body = token[1:] if token[:1] in "+-" else token
-    if body.count(".") != 1:
-        return False
-    left, _, right = body.partition(".")
-    return (left.isdigit() or left == "") and right.isdigit()
 
 
 def parse_trig(text: str) -> QuadDataset:

@@ -135,6 +135,11 @@ class StatementSchema:
             raise SchemaError(
                 f"schema {self.unit_class}: unknown relation kind {self.relation!r}"
             )
+        if self.label_template.rfind("{") > self.label_template.rfind("}"):
+            raise SchemaError(
+                f"schema {self.unit_class}: label {self.label_template!r} has a '{{' "
+                f"that no later '}}' closes"
+            )
 
 
 _IRI_TOKEN = re.compile(r"^<([^<>\s]+)>$")

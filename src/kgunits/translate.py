@@ -117,12 +117,10 @@ def _term_constant(term) -> str:
     return f'"{term.lexical}"'
 
 
-def facts_from_units(
-    partition: PartitionResult,
-    catalog: VocabularyCatalog,
-    compounds=(),
-) -> list[Atom]:
-    """Ground atoms describing the partition (and compound context)."""
+def facts_from_units(partition: PartitionResult, catalog: VocabularyCatalog) -> list[Atom]:
+    """Ground atoms describing the partition: each unit's subject and
+    classes, and each quad it holds, as a relation and as an assertion by
+    the unit."""
     atoms: set[Atom] = set()
     for unit in partition.units:
         atoms.add(Atom(catalog.has_semantic_unit_subject, (unit.upri, unit.subject)))
@@ -132,17 +130,6 @@ def facts_from_units(
             obj = _term_constant(q.object)
             atoms.add(Atom(q.predicate, (q.subject, obj)))
             atoms.add(Atom(vocab.ASSERTS, (unit.upri, q.subject, q.predicate, obj)))
-    for compound in compounds:
-        for cls in compound.classes:
-            atoms.add(Atom(cls, (compound.upri,)))
-        for member in compound.associated:
-            atoms.add(
-                Atom(catalog.has_associated_semantic_unit, (compound.upri, member))
-            )
-        if compound.subject:
-            atoms.add(
-                Atom(catalog.has_semantic_unit_subject, (compound.upri, compound.subject))
-            )
     return sorted(atoms, key=lambda a: a.key())
 
 

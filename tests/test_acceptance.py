@@ -439,7 +439,7 @@ def test_acceptance_7_alignment(catalog, schemas):
     def process(ds, seed):
         part = partition(ds, schemas, catalog, UpriMinter(seed=seed))
         comps = build_all(part, catalog, UpriMinter(seed=seed + 1))
-        return ProcessedGraph(part.dataset, part, comps, catalog)
+        return ProcessedGraph(part, comps, catalog)
 
     graph = process(dataset, 300)
     self_report = align_graphs(graph, graph)

@@ -22,8 +22,9 @@ from kgunits.rdfio import parse_quads
 from kgunits.store import Iri, Literal, Quad, QuadDataset
 from kgunits.units import partition
 
+import align_oracle
 from align_oracle import greedy_match_signatures
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -41,7 +42,7 @@ MERGED = (
 def _process(dataset, catalog, schemas, seed):
     part = partition(dataset, schemas, catalog, UpriMinter(seed=seed))
     compounds = build_all(part, catalog, UpriMinter(seed=seed + 1))
-    return ProcessedGraph(part.dataset, part, compounds, catalog)
+    return ProcessedGraph(part, compounds, catalog)
 
 
 def _fixture_graph(name, catalog, schemas, seed=31):
@@ -312,6 +313,47 @@ def test_align_graphs_equals_all_pairs_oracle(catalog, schemas, monkeypatch, nam
     monkeypatch.setattr(align, "_greedy_match", greedy_match_signatures)
     assert report == align_graphs(a, b)
     assert any(c.score != 1 for c in report.correspondences)
+
+
+# ---------------------------------------------------------------------------
+# The scoped levels against the level-by-level oracle
+# ---------------------------------------------------------------------------
+
+_TRIG_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.trig"))
+
+
+@pytest.mark.parametrize("name", ["publication_frames.trig", "weight.trig", "generated"])
+def test_align_graphs_equals_level_by_level_oracle(catalog, schemas, name):
+    a, b = _version_pair(name, catalog, schemas)
+    assert align_graphs(a, b) == align_oracle.align_graphs(a, b)
+    assert align_graphs(b, a) == align_oracle.align_graphs(b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(_TRIG_FIXTURES), min_size=1, max_size=4, unique=True),
+    rename=st.booleans(),
+    edits=st.integers(0, 7),
+    seed=st.integers(0, 1000),
+)
+def test_align_graphs_equals_oracle_on_generated_versions(
+    catalog, schemas, names, rename, edits, seed
+):
+    """Whole reports agree on merged fixtures (items, orphans and free
+    units alike) against a renamed and edited copy, in both directions."""
+    dataset = QuadDataset(
+        [q for name in names for q in parse_quads(fixture_text(name), "trig")]
+    )
+    literals = sum(isinstance(q.object, Literal) for q in dataset)
+    relations = sum(q.predicate.startswith(REL) for q in dataset)
+    changed = _edited(
+        _renamed(dataset, catalog) if rename else dataset,
+        min(edits, 3 * literals, 3 * relations + 1),
+    )
+    a = _process(dataset, catalog, schemas, seed=seed)
+    b = _process(changed, catalog, schemas, seed=seed + 2)
+    assert align_graphs(a, b) == align_oracle.align_graphs(a, b)
+    assert align_graphs(b, a) == align_oracle.align_graphs(b, a)
 
 
 def _count_scores(monkeypatch) -> Counter:

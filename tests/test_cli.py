@@ -111,6 +111,19 @@ def test_non_hex_escape_digit_is_data_error(capsys, tmp_path, obj):
     assert "invalid unicode escape" in err and "Traceback" not in err
 
 
+def test_unclosed_label_brace_is_data_error(capsys, tmp_path):
+    schemas = tmp_path / "bad.sus"
+    schemas.write_text(
+        fixture_text("schemas.sus").replace('"{s} has part {o}"', '"{s} has part {o"'),
+        encoding="utf-8",
+    )
+    argv = ["label", str(FIXTURES / "hand_assertional.trig"), "--schemas", str(schemas)]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "schema https://example.org/su-class/has-part: label" in err
+    assert "Traceback" not in err
+
+
 def test_write_atomic_failing_partway_keeps_the_old_file(tmp_path):
     target = tmp_path / "out.trig"
     target.write_bytes(b"old bytes\n")
@@ -512,6 +525,32 @@ def test_config_values_are_checked_like_flags(capsys, tmp_path):
         code, err = _config_run(capsys, tmp_path, text, good, "--out", str(tmp_path))
         assert code == 1 and "Traceback" not in err
         assert f"usage error: config {tmp_path / 'run.cfg'}: {message}" in err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("namespace", "foo", "argument --namespace: not an absolute IRI: 'foo'"),
+        ("namespace", "https://exa mple.org/", "argument --namespace: not an absolute IRI"),
+        ("created", "yesterday", "argument --created: not an ISO-8601 timestamp: 'yesterday'"),
+        ("created", "2023-13-01", "argument --created: not an ISO-8601 timestamp"),
+    ],
+)
+def test_ill_formed_namespace_or_created_is_usage_error(capsys, tmp_path, where, key, value, message):
+    """Checked for every stage, also one that mints nothing or emits no
+    provenance."""
+    bare = str(FIXTURES / "hand_bare.trig")
+    for stage in ("ingest", "nanopub"):
+        if where == "flag":
+            argv = [stage, bare, f"--{key}", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key}={value}\n", encoding="utf-8")
+            argv = [stage, bare, "--config", str(tmp_path / "run.cfg")]
+        code = main([*argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith("usage error: ") and message in err
 
 
 def test_config_input_lines_are_inputs(capsys, tmp_path):

@@ -196,10 +196,10 @@ def test_layers_and_kinds_are_built_once_per_dataset_and_catalog(
             fixture_dataset("antenna_item.trig"), schemas, catalog, UpriMinter(seed=seed)
         )
         compounds = build_all(part, catalog, UpriMinter(seed=seed + 1))
-        graphs.append(ProcessedGraph(part.dataset, part, compounds, catalog))
+        graphs.append(ProcessedGraph(part, compounds, catalog))
     align_graphs(*graphs)
 
     for graph in graphs:
         for name in ("split_layers", "kinds"):
-            assert builds[(id(graph.dataset), name, id(catalog))] == 1, name
+            assert builds[(id(graph.partition.dataset), name, id(catalog))] == 1, name
     assert max(builds.values()) == 1

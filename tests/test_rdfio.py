@@ -410,6 +410,10 @@ _HEAD = f"@prefix ex: <{EX}> .\nex:g {{\n  ex:s ex:p "
         _HEAD + "<relative/iri> . }",  # relative IRI
         _HEAD + "<https://exa\nmple.org/> . }",  # newline inside an IRI
         _HEAD + "+.5 . }",  # sign without digits
+        _HEAD + "\u00b2 . }",  # a superscript digit is not an ASCII digit
+        _HEAD + "1\u00b2 . }",  # nor after one
+        _HEAD + "\u0661\u0662 . }",  # Arabic-Indic digits
+        _HEAD + "+\u0663.\u0664 . }",  # nor in a signed decimal
         _HEAD + '"x"@ . }',  # empty language tag, which N-Quads cannot write back
         _HEAD + '"abc\\u12',  # input ends inside a string's unicode escape
         _HEAD + '"abc\\',  # input ends after a string's backslash

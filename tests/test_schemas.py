@@ -100,3 +100,11 @@ def test_adjunct_and_argument_disjoint():
     bad = HAS_PART.replace("arg ?o", "arg ?o\nadjunct ?o")
     with pytest.raises(SchemaError):
         compile_schema(bad)
+
+
+@pytest.mark.parametrize("label", ["{s} has part {o", "{", "{s} has part {o}{", "{s}} has {"])
+def test_label_with_unclosed_brace_rejected(label):
+    bad = HAS_PART.replace('label "{s} has part {o}"', f'label "{label}"')
+    with pytest.raises(SchemaError, match=f"schema {SUC}has-part: label"):
+        compile_schema(bad)
+
