@@ -1,0 +1,95 @@
+"""Frozen record classes, built without generating code per class.
+
+``dataclasses`` compiles each class's methods from source with ``exec`` at
+import, about a millisecond a class, and loads ``inspect``: a large share
+of a kgunits command. ``record`` builds them from closures instead.
+"""
+
+from __future__ import annotations
+
+import operator
+from collections import namedtuple
+
+Field = namedtuple("Field", "name type")  # the type is the annotation string
+factory = namedtuple("factory", "make")  # a default made anew for each instance
+set_field = object.__setattr__  # how a written-out __init__ sets a frozen field
+
+
+def record(cls=None, /, *, slots: bool = False, order: bool = False):
+    """Make ``cls`` a frozen record of its annotated fields, as
+    ``dataclass(frozen=True, slots=slots, order=order)`` does, keeping the
+    methods the class defines. A slotted record writes its own
+    ``__init__``: those are the classes built by the million."""
+    if cls is None:
+        return lambda cls: record(cls, slots=slots, order=order)
+    names = tuple(cls.__annotations__)
+    body = dict(vars(cls))
+    defaults = {name: body[name] for name in names if name in body}
+    post_init = body.get("__post_init__")
+    if slots:
+        if "__init__" not in body:
+            raise TypeError(f"slotted record {cls.__name__} must define __init__")
+        body.pop("__dict__", None)
+        body.pop("__weakref__", None)
+        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names})
+    get = operator.attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        values = vars(self)  # written directly, past the frozen __setattr__
+        values.update(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in defaults:
+                value = defaults[name]
+                values[name] = value.make() if isinstance(value, factory) else value
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs or len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{type(self).__qualname__}({pairs})"
+
+    methods = {
+        "__init__": __init__,
+        "__repr__": __repr__,
+        "__eq__": _compare(operator.eq, key),
+        "__hash__": lambda self: hash(key(self)),
+        "__setattr__": _frozen,
+        "__delattr__": _frozen,
+    }
+    if order:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            methods[f"__{op.__name__}__"] = _compare(op, key)
+    for name, method in methods.items():
+        if name not in body:
+            setattr(cls, name, method)
+    cls.__record_fields__ = tuple(Field(name, cls.__annotations__[name]) for name in names)
+    return cls
+
+
+def fields(record) -> tuple[Field, ...]:
+    return record.__record_fields__
+
+
+def replace(record, /, **changes):
+    values = {f.name: getattr(record, f.name) for f in record.__record_fields__}
+    return type(record)(**(values | changes))
+
+
+def _compare(op, key):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(key(self), key(other))
+        return NotImplemented
+
+    return method
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")

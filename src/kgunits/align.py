@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .compound import CompoundResult, CompoundUnit
 from .store import Iri, VocabularyCatalog
 from .units import PartitionResult, StatementUnit
@@ -40,7 +40,7 @@ LEVEL_STATEMENT = "statement"
 LEVEL_TRIPLE = "triple"
 
 
-@dataclass(frozen=True)
+@record
 class Correspondence:
     level: str
     left: str
@@ -48,7 +48,7 @@ class Correspondence:
     score: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class AlignmentReport:
     correspondences: tuple[Correspondence, ...]
     unmatched_left: tuple[tuple[str, str], ...]  # (level, upri)
@@ -59,7 +59,7 @@ class AlignmentReport:
         return tuple(c for c in self.correspondences if c.level == level)
 
 
-@dataclass(frozen=True)
+@record
 class ProcessedGraph:
     """A graph after partitioning and compounding, ready for alignment."""
 

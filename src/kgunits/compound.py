@@ -9,9 +9,8 @@ contexts only need the partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import vocab
+from ._record import record
 from .errors import AmbiguousResourceKindError, CollectionError, UnknownResourceError
 from .store import (
     Iri,
@@ -53,7 +52,7 @@ _KIND_CLASS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CompoundUnit:
     upri: str
     kind: str
@@ -75,14 +74,14 @@ class CompoundUnit:
         return tuple(sorted(set(quads), key=lambda q: q.key()))
 
 
-@dataclass(frozen=True)
+@record
 class ContextResult:
     units: tuple[CompoundUnit, ...]
     boundaries: tuple[tuple[str, str, str], ...]  # (is-about unit, ctx of subject, ctx of object)
     degenerate: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class TreeResult:
     units: tuple[CompoundUnit, ...]
     cycles: tuple[str, ...] = ()
@@ -772,7 +771,7 @@ def make_collection_unit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CompoundResult:
     typed: tuple[CompoundUnit, ...]
     quality: tuple[CompoundUnit, ...]

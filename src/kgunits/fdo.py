@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-import uuid
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import vocab
+from ._record import record
 from .errors import MintError, NanopubError, PolicyError, ProvenanceError
 from .store import (
     Iri,
@@ -58,6 +57,8 @@ class UpriMinter:
         self._count += 1
         if self._run_tag is not None:
             return f"{self.namespace}u{self._run_tag}-{self._count:05d}"
+        import uuid  # loads platform; a seeded run does without both
+
         return f"{self.namespace}u{uuid.uuid4().hex}"
 
 
@@ -71,7 +72,7 @@ def mint_upri(namespace: str, seed: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProvenanceRecord:
     creator: str
     created: str  # ISO-8601 timestamp
@@ -172,7 +173,7 @@ def _record_from_quads(quads: list[Quad]) -> ProvenanceRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Nanopublication:
     upri: str
     head: tuple[Quad, ...]
@@ -249,7 +250,7 @@ def emit_nanopublication(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ParsedNanopub:
     upri: str
     unit_upri: str
@@ -349,14 +350,14 @@ def parse_nanopublication(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PolicyRule:
     unit_class: str  # IRI or "*"
     condition: str  # "always", "requester.key=value", "subject.local=value"
     effect: str  # "allow" | "deny"
 
 
-@dataclass(frozen=True)
+@record
 class AccessPolicy:
     rules: tuple[PolicyRule, ...] = ()
 
@@ -416,7 +417,7 @@ def _condition_holds(
     return False
 
 
-@dataclass(frozen=True)
+@record
 class PolicyDecision:
     visible: tuple
     hidden: tuple[str, ...]

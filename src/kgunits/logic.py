@@ -31,9 +31,9 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+from ._record import record, set_field
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
 
 
@@ -47,11 +47,16 @@ def is_variable(token) -> bool:
     return isinstance(token, str) and bool(_VAR_RE.match(token))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Atom:
     predicate: str
-    terms: tuple[str, ...] = ()
-    negated: bool = False  # classical negation
+    terms: tuple[str, ...]
+    negated: bool  # classical negation
+
+    def __init__(self, predicate: str, terms: tuple[str, ...] = (), negated: bool = False):
+        set_field(self, "predicate", predicate)
+        set_field(self, "terms", terms)
+        set_field(self, "negated", negated)
 
     def variables(self) -> frozenset[str]:
         return frozenset(t for t in self.terms if is_variable(t))
@@ -109,11 +114,18 @@ def _shorten(token: str, ordered: list[tuple[str, str]]) -> str:
     return token
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Rule:
     head: Atom
-    positive: tuple[Atom, ...] = ()
-    negative: tuple[Atom, ...] = ()
+    positive: tuple[Atom, ...]
+    negative: tuple[Atom, ...]
+
+    def __init__(
+        self, head: Atom, positive: tuple[Atom, ...] = (), negative: tuple[Atom, ...] = ()
+    ):
+        set_field(self, "head", head)
+        set_field(self, "positive", positive)
+        set_field(self, "negative", negative)
 
     @property
     def is_fact(self) -> bool:
@@ -150,7 +162,7 @@ class Rule:
         return f"{head} :- {', '.join(body)}."
 
 
-@dataclass(frozen=True)
+@record
 class LogicProgram:
     rules: tuple[Rule, ...] = ()
 

@@ -14,67 +14,67 @@ stand in each argument of an ``emit`` expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Union
 
+from ._record import fields, record
 from .logic import _shortener
 
 
-@dataclass(frozen=True)
+@record
 class SomeValuesFrom:
     property: str
     filler: ClassExpr
 
 
-@dataclass(frozen=True)
+@record
 class AllValuesFrom:
     property: str
     filler: ClassExpr
 
 
-@dataclass(frozen=True)
+@record
 class ComplementOf:
     expr: ClassExpr
 
 
-@dataclass(frozen=True)
+@record
 class IntersectionOf:
     operands: tuple[ClassExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class OneOf:
     individuals: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class QualifiedCardinality:
     property: str
     cardinality: int
     filler: ClassExpr
 
 
-@dataclass(frozen=True)
+@record
 class ClassAssertion:
     expr: ClassExpr
     individual: str
 
 
-@dataclass(frozen=True)
+@record
 class ObjectPropertyAssertion:
     property: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class NegativeObjectPropertyAssertion:
     property: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class SubClassOf:
     sub: ClassExpr
     sup: ClassExpr

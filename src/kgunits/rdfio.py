@@ -480,26 +480,23 @@ def serialize_nquads(dataset: QuadDataset) -> str:
     )
 
 
-def _compact(iri: str, prefixes: dict[str, str]) -> str:
-    best_name = None
-    best_len = -1
-    for name, ns in prefixes.items():
-        if len(ns) > best_len and iri.startswith(ns) and _PN_LOCAL_RE.fullmatch(iri, len(ns)):
-            best_name, best_len = name, len(ns)
-    if best_name is None:
-        return f"<{iri}>"
-    return f"{best_name}:{iri[len(prefixes[best_name]):]}"
-
-
 class _Compacted(dict):
-    """IRI -> its compacted form under one prefix table, each computed on
-    first use; one per ``trig_pieces`` call, dropped with it."""
+    """IRI -> ``name:local`` under the longest namespace of the prefix table
+    that leaves a local name (a tie goes to the first name in the table's
+    order, as the sort is stable), else ``<iri>``; each computed on first
+    use, one per ``trig_pieces`` call."""
 
     def __init__(self, prefixes: dict[str, str]):
-        self.prefixes = prefixes
+        self.table = sorted(prefixes.items(), key=lambda item: -len(item[1]))
 
     def __missing__(self, iri: str) -> str:
-        self[iri] = out = _compact(iri, self.prefixes)
+        for name, ns in self.table:
+            if iri.startswith(ns) and _PN_LOCAL_RE.fullmatch(iri, len(ns)):
+                out = f"{name}:{iri[len(ns):]}"
+                break
+        else:
+            out = f"<{iri}>"
+        self[iri] = out
         return out
 
 

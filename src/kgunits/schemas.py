@@ -22,22 +22,23 @@ variable to numeric literals, which is what makes a schema quantitative.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import vocab
+from ._record import record
 from .errors import SchemaError
+from .rdfio import _NUMBER_RE
 from .store import Iri, Literal, Term, is_absolute_iri, setting_lines
 
 QUALITATIVE = "qualitative"
 QUANTITATIVE = "quantitative"
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TripleTemplate:
     subject: "Var | str"
     predicate: str
@@ -52,7 +53,7 @@ class TripleTemplate:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
+@record
 class StatementSchema:
     unit_class: str
     anchor_predicate: str
@@ -164,10 +165,9 @@ def _parse_slot(token: str, lineno: int, *, object_position: bool):
     if object_position:
         if token.startswith('"') and token.endswith('"') and len(token) >= 2:
             return Literal(token[1:-1])
-        if re.match(r"^[+-]?\d+$", token):
-            return Literal(token, datatype=vocab.XSD_INTEGER)
-        if re.match(r"^[+-]?\d+\.\d+$", token):
-            return Literal(token, datatype=vocab.XSD_DECIMAL)
+        if _NUMBER_RE.fullmatch(token):
+            datatype = vocab.XSD_DECIMAL if "." in token else vocab.XSD_INTEGER
+            return Literal(token, datatype=datatype)
     raise SchemaError(f"line {lineno}: cannot parse slot {token!r}")
 
 

@@ -16,7 +16,6 @@ writer and ``read_declarations`` the one reader of that format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import groupby
@@ -24,6 +23,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import vocab
+from ._record import factory, fields, record, set_field
 from .errors import (
     AmbiguousResourceKindError,
     CatalogError,
@@ -47,23 +47,29 @@ def local_name(iri: str) -> str:
     return iri
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@record(slots=True, order=True)
 class Iri:
     value: str
+
+    def __init__(self, value: str):
+        set_field(self, "value", value)
 
     def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Literal:
     lexical: str
-    datatype: str = vocab.XSD_STRING
-    language: str | None = None
+    datatype: str
+    language: str | None
 
-    def __post_init__(self):
-        if self.language is not None:
-            object.__setattr__(self, "datatype", vocab.RDF_LANGSTRING)
+    def __init__(
+        self, lexical: str, datatype: str = vocab.XSD_STRING, language: str | None = None
+    ):
+        set_field(self, "lexical", lexical)
+        set_field(self, "datatype", datatype if language is None else vocab.RDF_LANGSTRING)
+        set_field(self, "language", language)
 
     def __str__(self) -> str:
         return self.lexical
@@ -79,12 +85,18 @@ def term_key(term: Term) -> tuple:
     return (1, term.lexical, term.datatype, term.language or "")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Quad:
     subject: str
     predicate: str
     object: Term
     graph: str
+
+    def __init__(self, subject: str, predicate: str, object: Term, graph: str):
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
+        set_field(self, "graph", graph)
 
     def key(self) -> tuple:
         return (self.graph, self.subject, self.predicate) + term_key(self.object)
@@ -327,7 +339,7 @@ def setting_lines(text: str) -> Iterator[tuple[int, str]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VocabularyCatalog:
     """The structural vocabulary, one field per catalog term (the field of
     ``term hasSemanticUnitSubject`` is ``has_semantic_unit_subject``), plus
@@ -348,7 +360,7 @@ class VocabularyCatalog:
     mentions: str = vocab.MENTIONS
     description: str = vocab.DESCRIPTION
     partial_orders: tuple[str, ...] = ()
-    prefixes: Mapping[str, str] = field(default_factory=lambda: dict(vocab.PREFIXES))
+    prefixes: Mapping[str, str] = factory(lambda: dict(vocab.PREFIXES))
 
     def __post_init__(self):
         values = [getattr(self, name) for name in _TERMS.values()]

@@ -17,10 +17,10 @@ translation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
 from typing import get_args
 
 from . import vocab
+from ._record import fields, record, replace
 from .errors import PatternError
 from .logic import Atom, AtomIndex, JoinStep, LogicProgram, Rule, is_variable, parse_rules
 from .owl import (
@@ -45,7 +45,7 @@ from .units import PartitionResult, StatementUnit, _negated_units
 WILDCARD = "_"
 
 
-@dataclass(frozen=True)
+@record
 class Fresh:
     """Skolem slot: instantiates to a deterministic fresh constant."""
 
@@ -58,7 +58,7 @@ def skolem(tag: str, *keys: str) -> str:
     return f"sk:{tag}:{digest}"
 
 
-@dataclass(frozen=True)
+@record
 class TranslationPattern:
     pattern_id: str
     positive: tuple[Atom, ...]
@@ -427,7 +427,7 @@ def translate_to_owl(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConflictReport:
     classical: tuple[tuple[str, str], ...]  # rendered (p, -p) pairs
     disputes: tuple[tuple[str, str], ...]  # (disagreement unit, disputed unit)

@@ -15,12 +15,12 @@ guards do: each schema is a plan of ``JoinStep``s over one hashed
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 from . import vocab
+from ._record import record, replace
 from .errors import (
     AmbiguousResourceKindError,
     ClassificationError,
@@ -61,14 +61,14 @@ _KIND_TO_IDENTIFICATION_CLASS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class UnitObject:
     term: Term
     role: str
     var: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class StatementUnit:
     upri: str
     classes: frozenset[str]
@@ -98,14 +98,14 @@ class StatementUnit:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     relation: str
     subject_category: str
     markers: frozenset[str]
 
 
-@dataclass(frozen=True)
+@record
 class PartitionResult:
     units: tuple[StatementUnit, ...]
     triple_map: dict
@@ -158,7 +158,7 @@ def _builtin_schemas(
     return schemas + extra
 
 
-@dataclass
+@record
 class _Candidate:
     schema: StatementSchema
     binding: dict[str, Term]

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from kgunits import vocab
 from kgunits.errors import SchemaError
 from kgunits.schemas import QUALITATIVE, QUANTITATIVE, compile_schema
+from kgunits.store import Literal
 
 SUC = "https://example.org/su-class/"
 REL = "https://example.org/rel/"
@@ -108,3 +110,25 @@ def test_label_with_unclosed_brace_rejected(label):
     with pytest.raises(SchemaError, match=f"schema {SUC}has-part: label"):
         compile_schema(bad)
 
+
+
+def _with_constant_template(token: str) -> str:
+    """``HAS_PART`` plus a template whose object is ``token`` (line 5)."""
+    return HAS_PART.replace("subject ?s", f"template ?s <{REL}p> {token}\nsubject ?s")
+
+
+@pytest.mark.parametrize(
+    "token, datatype",
+    [("12", vocab.XSD_INTEGER), ("-3", vocab.XSD_INTEGER), ("+4.50", vocab.XSD_DECIMAL)],
+)
+def test_template_number_is_a_typed_constant(token, datatype):
+    (schema,) = compile_schema(_with_constant_template(token))
+    assert schema.templates[1].object == Literal(token, datatype=datatype)
+
+
+@pytest.mark.parametrize("token", ["١٢", "+٣.٤", "1.٥", "²", "1²"])
+def test_template_number_takes_ascii_digits_only(token):
+    """As in TriG and N-Quads, a number is written in ASCII digits; other
+    decimal digits make no number."""
+    with pytest.raises(SchemaError, match="line 5: cannot parse slot"):
+        compile_schema(_with_constant_template(token))
