@@ -18,6 +18,7 @@ from . import vocab
 from ._record import record
 from .errors import MintError, NanopubError, PolicyError, ProvenanceError
 from .store import (
+    IRI_TOKEN,
     Iri,
     Literal,
     Quad,
@@ -353,8 +354,14 @@ def parse_nanopublication(
 @record
 class PolicyRule:
     unit_class: str  # IRI or "*"
-    condition: str  # "always", "requester.key=value", "subject.local=value"
+    condition: str  # "always", or the scope of key=value: "requester" or "subject"
     effect: str  # "allow" | "deny"
+    key: str = ""  # requester attribute, or local name of a subject's predicate
+    value: str = ""  # the value to equal; an <IRI> is kept without brackets
+
+    def __post_init__(self):
+        if self.condition not in ("always", "requester", "subject"):
+            raise PolicyError(f"unknown policy condition: {self.condition!r}")
 
 
 @record
@@ -362,8 +369,12 @@ class AccessPolicy:
     rules: tuple[PolicyRule, ...] = ()
 
 
-_RULE_RE = re.compile(
-    r"^(allow|deny)\s+(\*|<[^<>\s]+>)(?:\s+when\s+(\S.*))?$"
+# Groups: effect, target IRI (none for '*'), scope, key, IRI or bare value, or
+# an unsupported condition. ``re`` compiles it at the first policy read, out
+# of the start-up of runs without a policy: it is the costliest compile here.
+_RULE = (
+    rf"(allow|deny)\s+(?:\*|{IRI_TOKEN})(?:\s+when\s+(?:always"
+    rf"|(requester|subject)\.([A-Za-z_][\w-]*)\s*=\s*(?:{IRI_TOKEN}|([^<\s]\S*))|(.*)))?"
 )
 
 
@@ -371,48 +382,31 @@ def load_policy(text: str) -> AccessPolicy:
     """Parse the ordered rule list: ``deny <classIRI> when subject.key=value``."""
     rules: list[PolicyRule] = []
     for lineno, line in setting_lines(text):
-        m = _RULE_RE.match(line)
+        m = re.fullmatch(_RULE, line)
         if not m:
             raise PolicyError(f"line {lineno}: cannot parse policy rule: {line!r}")
-        effect, target, condition = m.group(1), m.group(2), m.group(3) or "always"
-        if target != "*":
-            target = target[1:-1]
-        condition = condition.strip()
-        if condition != "always" and not re.match(
-            r"^(requester|subject)\.[A-Za-z_][\w-]*\s*=\s*\S+$", condition
-        ):
-            raise PolicyError(f"line {lineno}: unsupported condition: {condition!r}")
-        rules.append(PolicyRule(unit_class=target, condition=condition, effect=effect))
+        effect, target, scope, key, iri, value, unsupported = m.groups()
+        if unsupported is not None:
+            raise PolicyError(f"line {lineno}: unsupported condition: {unsupported!r}")
+        rules.append(PolicyRule(target or "*", scope or "always", effect, key or "", iri or value or ""))
     return AccessPolicy(rules=tuple(rules))
 
 
-def _condition_holds(
-    rule: PolicyRule,
-    unit,
-    dataset: QuadDataset,
-    catalog: VocabularyCatalog,
-    context: dict[str, str],
-) -> bool:
+def _condition_holds(rule: PolicyRule, unit, dataset: QuadDataset, context: dict[str, str]) -> bool:
     if rule.condition == "always":
         return True
-    lhs, _, rhs = rule.condition.partition("=")
-    lhs = lhs.strip()
-    rhs = rhs.strip()
-    if rhs.startswith("<") and rhs.endswith(">"):
-        rhs = rhs[1:-1]
-    scope, _, key = lhs.partition(".")
-    if scope == "requester":
-        return context.get(key) == rhs
+    if rule.condition == "requester":
+        return context.get(rule.key) == rule.value
     # subject.<localName>: any data quad about the unit's subject whose
     # predicate has that local name and whose object equals the value.
     subject = getattr(unit, "subject", None)
     if subject is None:
         return False
     for q in dataset.about(subject):
-        if local_name(q.predicate) != key:
+        if local_name(q.predicate) != rule.key:
             continue
         value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
-        if value == rhs:
+        if value == rule.value:
             return True
     return False
 
@@ -445,7 +439,7 @@ def apply_access_policy(
         for rule in policy.rules:
             if rule.unit_class != "*" and rule.unit_class not in unit.classes:
                 continue
-            if not _condition_holds(rule, unit, dataset, catalog, context):
+            if not _condition_holds(rule, unit, dataset, context):
                 continue
             effect = rule.effect
             break

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ._record import record, set_field
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
+from .store import IRI_TOKEN
 
 
 _VAR_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
@@ -179,13 +180,13 @@ class LogicProgram:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>[%\#][^\n]*)
   | (?P<arrow>:-)
-  | (?P<iri><[^<>\s]+>)
+  | (?P<iri>{IRI_TOKEN})
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>\d+(?:\.\d+)?)
+  | (?P<number>[0-9]+(?:\.[0-9]+)?)
   | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*:[A-Za-z0-9_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*)
   | (?P<punct>[(),.\-])

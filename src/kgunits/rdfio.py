@@ -24,7 +24,7 @@ from operator import attrgetter
 
 from . import vocab
 from .errors import BlankNodeError, ParseError
-from .store import Iri, Literal, Quad, QuadDataset, Term, is_absolute_iri
+from .store import NUMBER_RE, Iri, Literal, Quad, QuadDataset, Term, is_absolute_iri
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 # A local name a prefixed name may carry: ASCII letters, digits, '_', '-'
@@ -42,8 +42,6 @@ _TOKEN_RE = re.compile(rf"(?:{_NAME_CHAR}|\.+(?={_NAME_CHAR}))*")
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _INLINE_WS_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]+")
-# INTEGER or DECIMAL of the TriG grammar, ASCII digits only; empty if none.
-_NUMBER_RE = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]+)?)?")
 # Lines per TriG piece: a one-graph document is written in bounded pieces.
 _PIECE_LINES = 256
 
@@ -192,7 +190,7 @@ class _Scanner:
     def read_number(self) -> str:
         """The number at the cursor, or ""; the trailing '.' of a statement
         is not part of it."""
-        token = _NUMBER_RE.match(self.text, self.pos).group()
+        token = NUMBER_RE.match(self.text, self.pos).group()
         self.pos += len(token)
         self.col += len(token)
         return token

@@ -26,8 +26,7 @@ import re
 from . import vocab
 from ._record import record
 from .errors import SchemaError
-from .rdfio import _NUMBER_RE
-from .store import Iri, Literal, Term, is_absolute_iri, setting_lines
+from .store import FIELD_RE, IRI_TOKEN_RE, NUMBER_RE, Iri, Literal, Term, setting_lines
 
 QUALITATIVE = "qualitative"
 QUANTITATIVE = "quantitative"
@@ -143,14 +142,13 @@ class StatementSchema:
             )
 
 
-_IRI_TOKEN = re.compile(r"^<([^<>\s]+)>$")
 _VAR_TOKEN = re.compile(r"^\?([A-Za-z_][A-Za-z0-9_]*)$")
 _LABEL_RE = re.compile(r'^label\s+"(.*)"\s*$')
 
 
 def _parse_iri(token: str, lineno: int) -> str:
-    m = _IRI_TOKEN.match(token)
-    if not m or not is_absolute_iri(m.group(1)):
+    m = IRI_TOKEN_RE.fullmatch(token)
+    if not m:
         raise SchemaError(f"line {lineno}: expected <IRI>, got {token!r}")
     return m.group(1)
 
@@ -159,13 +157,13 @@ def _parse_slot(token: str, lineno: int, *, object_position: bool):
     m = _VAR_TOKEN.match(token)
     if m:
         return Var(m.group(1))
-    m = _IRI_TOKEN.match(token)
+    m = IRI_TOKEN_RE.fullmatch(token)
     if m:
         return Iri(m.group(1)) if object_position else m.group(1)
     if object_position:
         if token.startswith('"') and token.endswith('"') and len(token) >= 2:
             return Literal(token[1:-1])
-        if _NUMBER_RE.fullmatch(token):
+        if NUMBER_RE.fullmatch(token):
             datatype = vocab.XSD_DECIMAL if "." in token else vocab.XSD_INTEGER
             return Literal(token, datatype=datatype)
     raise SchemaError(f"line {lineno}: cannot parse slot {token!r}")
@@ -209,7 +207,7 @@ def compile_schema(text: str) -> list[StatementSchema]:
     schemas: list[StatementSchema] = []
     current: _SchemaBuilder | None = None
     for lineno, line in setting_lines(text):
-        parts = line.split()
+        parts = FIELD_RE.findall(line)
         head = parts[0]
         if head == "unit":
             if current is not None:

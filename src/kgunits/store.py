@@ -30,12 +30,20 @@ from .errors import (
     UnknownResourceError,
 )
 
-_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>\"{}|^`\\]*$")
+# An absolute IRI, RFC 3987 as RDF 1.1 TriG restricts it: a scheme, ':', a body.
+_IRI = r"[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>\"{}|^`\\]*"
+_IRI_RE = re.compile(_IRI)
+# The one IRI token of .sus, .cat, .pol, .lp and .pat files: an absolute IRI in
+# angle brackets, group 1 its body. Escapes are TriG and N-Quads syntax only.
+IRI_TOKEN = f"<({_IRI})>"
+IRI_TOKEN_RE = re.compile(IRI_TOKEN)
+# INTEGER or DECIMAL of TriG, ASCII digits only; "" matches too, so fullmatch a token.
+NUMBER_RE = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]+)?)?")
 
 
 def is_absolute_iri(value: str) -> bool:
     """True for syntactically valid absolute IRIs (scheme + body, no spaces)."""
-    return bool(value) and _IRI_RE.match(value) is not None
+    return _IRI_RE.fullmatch(value) is not None
 
 
 def local_name(iri: str) -> str:
@@ -314,17 +322,21 @@ def read_declarations(
 # Hand-written settings
 # ---------------------------------------------------------------------------
 
-# A string, or a '#' at the start of a line or after whitespace.
-_STRING_OR_COMMENT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<!\S)#')
+# A string, or a '#' at the start of a line or after ASCII whitespace.
+_STRING_OR_COMMENT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<!\S)#', re.ASCII)
+# A field of a catalog or schema line: a run of anything but ASCII
+# whitespace, so no character an IRI may hold (U+00A0, say) splits its token.
+FIELD_RE = re.compile(r"\S+", re.ASCII)
 
 
 def setting_lines(text: str) -> Iterator[tuple[int, str]]:
     """The 1-based number and the stripped text of each line of a catalog,
     schema, policy, pattern or config file that is not blank once its
-    comment is cut. A comment starts at a ``#`` at the start of the line or
-    after whitespace, outside a ``"..."`` string, so ``<...#frag>`` is no
-    comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    comment is cut. Lines end at ``\n`` only, as in TriG and rule files, so
+    an IRI may hold U+2028. A comment starts at a ``#`` at the start of the
+    line or after ASCII whitespace, outside a ``"..."`` string, so
+    ``<...#frag>`` is no comment."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
         for m in _STRING_OR_COMMENT.finditer(line):
             if m.group() == "#":
                 line = line[: m.start()]
@@ -414,7 +426,7 @@ def load_catalog(text: str) -> VocabularyCatalog:
     partial_orders: list[str] = []
     prefixes = dict(vocab.PREFIXES)
     for lineno, line in setting_lines(text):
-        parts = line.split()
+        parts = FIELD_RE.findall(line)
         if parts[0] == "term" and len(parts) == 3:
             if parts[1] not in _TERMS:
                 raise CatalogError(f"line {lineno}: unknown catalog term: {parts[1]}")
@@ -431,11 +443,10 @@ def load_catalog(text: str) -> VocabularyCatalog:
 
 
 def _strip_angle(token: str, lineno: int) -> str:
-    if token.startswith("<") and token.endswith(">"):
-        token = token[1:-1]
-    if not is_absolute_iri(token):
-        raise CatalogError(f"line {lineno}: not an absolute IRI: {token}")
-    return token
+    m = IRI_TOKEN_RE.fullmatch(token)
+    if m is None:
+        raise CatalogError(f"line {lineno}: expected <IRI>, got {token!r}")
+    return m.group(1)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .owl import (
     render_axiom,
 )
 from .schemas import QUALITATIVE, StatementSchema
-from .store import Iri, VocabularyCatalog, is_absolute_iri, setting_lines
+from .store import IRI_TOKEN_RE, NUMBER_RE, Iri, VocabularyCatalog, is_absolute_iri, setting_lines
 from .units import PartitionResult, StatementUnit, _negated_units
 
 WILDCARD = "_"
@@ -557,10 +557,11 @@ def _parse_expr(text: str, prefixes: dict[str, str], lineno: int, slot: str):
     expression must be what ``slot``, a key of ``_SLOTS``, admits."""
     text = text.lstrip()
     if text.startswith("<"):
-        end = text.find(">")
-        if end < 0:
-            raise PatternError(f"line {lineno}: unterminated IRI near {text[:20]!r}")
-        expr, rest = text[1:end], text[end + 1 :]
+        m = IRI_TOKEN_RE.match(text)
+        if m is None:
+            problem = "not an absolute IRI" if ">" in text else "unterminated IRI"
+            raise PatternError(f"line {lineno}: {problem} near {text[:20]!r}")
+        expr, rest = m.group(1), text[m.end() :]
     else:
         i = 0
         while i < len(text) and text[i] not in ",() \t":
@@ -632,8 +633,8 @@ def _parse_leaf(token: str, prefixes: dict[str, str], lineno: int):
         prefix, _, local = token.partition(":")
         if prefix in prefixes:
             return prefixes[prefix] + local
-    if token.isdigit():
-        if not token.isdecimal():
+    if token.isdigit():  # digits of any script; only ASCII ones make a number
+        if not NUMBER_RE.fullmatch(token):
             raise PatternError(f"line {lineno}: not an integer: {token!r}")
         return int(token)
     return token

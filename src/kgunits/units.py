@@ -117,9 +117,6 @@ class PartitionResult:
     def units_by_upri(self) -> dict[str, StatementUnit]:
         return {u.upri: u for u in self.units}
 
-    def identification_units(self) -> tuple[StatementUnit, ...]:
-        return tuple(u for u in self.units if u.is_identification)
-
 
 # ---------------------------------------------------------------------------
 # Schema matching

@@ -210,7 +210,7 @@ def test_requester_condition(catalog, schemas):
     result = partitioned("endangered.trig", catalog, schemas)
     policy = AccessPolicy(
         rules=(
-            PolicyRule("*", "requester.role=guest", "deny"),
+            PolicyRule("*", "requester", "deny", "role", "guest"),
             PolicyRule("*", "always", "allow"),
         )
     )
@@ -222,6 +222,15 @@ def test_requester_condition(catalog, schemas):
     )
     assert guest.visible == ()
     assert len(staff.visible) == len(result.units)
+
+
+def test_policy_rule_condition_is_a_scope():
+    # The condition string of a hand-made rule is checked, so a rule in the
+    # old "requester.role=guest" form cannot load and silently never match.
+    with pytest.raises(PolicyError, match="unknown policy condition"):
+        PolicyRule("*", "requester.role=guest", "deny")
+    rule = load_policy("deny * when requester.role = <https://example.org/Guest>").rules[0]
+    assert rule == PolicyRule("*", "requester", "deny", "role", "https://example.org/Guest")
 
 
 def test_redaction_removes_hidden_data_graphs(catalog, schemas):

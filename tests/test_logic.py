@@ -129,6 +129,19 @@ def test_parse_error_at_end_of_input_says_so(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("number", ["12", "3.4"])
+def test_number_term_is_ascii_digits(number):
+    (rule,) = parse_rules(f"p(a).\nq({number}).").rules[1:]
+    assert rule.head.terms == (number,)
+
+
+@pytest.mark.parametrize("number", ["\u0661\u0662", "\u0663.\u0664", "1\u0662"])
+def test_number_term_in_other_digits_is_an_error(number):
+    # Arabic-Indic digits, which a Unicode \d would read as a number.
+    with pytest.raises(RuleError, match="^line 2: cannot tokenize"):
+        parse_rules(f"p(a).\nq({number}).")
+
+
 def test_single_model_example():
     program = ground_program(parse_rules("p. q :- p, not r."), [])
     models = stable_models(program)

@@ -409,6 +409,7 @@ _HEAD = f"@prefix ex: <{EX}> .\nex:g {{\n  ex:s ex:p "
         _HEAD + "<https://example.org/\\u00G1> . }",  # bad unicode digits
         _HEAD + "<relative/iri> . }",  # relative IRI
         _HEAD + "<https://exa\nmple.org/> . }",  # newline inside an IRI
+        _HEAD + f"<{EX}o\n> . }}",  # newline ending an IRI
         _HEAD + "+.5 . }",  # sign without digits
         _HEAD + "\u00b2 . }",  # a superscript digit is not an ASCII digit
         _HEAD + "1\u00b2 . }",  # nor after one
@@ -434,6 +435,7 @@ def test_malformed_trig_fails_like_character_scanner(text):
         f"<{EX}s> <{REL}p> <{EX}o> # note\n<{EX}g> .\n",  # a comment ends the line
         f'<{EX}s> <{REL}p> "a\r\nb" .\n',  # CRLF inside a short string
         f"<{EX}s> <{REL}p> <{EX}o> <{EX}g\\u00> .\n",  # short unicode escape
+        f"<{EX}s> <{REL}p> <{EX}o\n> .\n",  # newline ending an IRI
     ],
 )
 def test_malformed_nquads_fails_like_character_scanner(text):

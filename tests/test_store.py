@@ -38,6 +38,7 @@ def test_absolute_iri_validation():
     assert not is_absolute_iri("no-scheme")
     assert not is_absolute_iri("http://bad space")
     assert not is_absolute_iri("relative/path")
+    assert not is_absolute_iri("https://example.org/x\n")  # '$' would take it
 
 
 def test_local_name():

@@ -316,6 +316,11 @@ emit ClassAssertion(QualifiedCardinality(rel:p, U, Z), Y)
         ("ClassAssertion(<http://x, Y)", "unterminated IRI"),
         ("ClassAssertion(ex:C\u00b2, \u00b2)", "not an integer: '\u00b2'"),
         ("QualifiedCardinality(rel:p, \u00b2, Z)", "not an integer"),
+        # Arabic-Indic digits are no integer either, nor is an IRI that breaks the
+        # one IRI rule, though a '>' closes it.
+        ("ClassAssertion(QualifiedCardinality(rel:p, \u0661\u0662, Z), Y)", "not an integer: '\u0661\u0662'"),
+        ("ClassAssertion(<https://e.org/a b>, Y)", "not an absolute IRI"),
+        ("ClassAssertion(<e.org/C>, Y)", "not an absolute IRI"),
         ("<http://x/C>", "expected an axiom, got 'http://x/C'"),
         ("Y", "expected an axiom, got 'Y'"),
         ("fresh(t, U)", "expected an axiom, got fresh(...)"),
