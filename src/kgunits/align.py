@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import cached_property
 
 from ._record import record
@@ -179,6 +178,8 @@ def _group_signature(graph: ProcessedGraph, group: CompoundUnit) -> Counter:
 
 
 def _jaccard_sets(a: frozenset, b: frozenset) -> Fraction:
+    from fractions import Fraction
+
     union = len(a | b)
     if union == 0:
         return Fraction(1)
@@ -186,6 +187,8 @@ def _jaccard_sets(a: frozenset, b: frozenset) -> Fraction:
 
 
 def _jaccard_bags(a: Counter, b: Counter) -> Fraction:
+    from fractions import Fraction
+
     keys = set(a) | set(b)
     inter = sum(min(a[k], b[k]) for k in keys)
     union = sum(max(a[k], b[k]) for k in keys)
@@ -207,6 +210,7 @@ def _greedy_match(
     The same list as scoring every pair with ``jaccard`` and taking the
     pairs above 0 in ``(-score, l, r)`` order (see the module docstring).
     """
+    from fractions import Fraction
 
     def hashable(sig):
         return frozenset(sig.items()) if isinstance(sig, Counter) else sig
@@ -250,6 +254,8 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     id is matched only inside its scope. Triples pair up inside perfectly
     matched statement units.
     """
+    from fractions import Fraction  # loads decimal; only the commands that align need both
+
     registry_a = {u.schema_class for u in a.partition.units if u.schema_class}
     registry_b = {u.schema_class for u in b.partition.units if u.schema_class}
     if registry_a and registry_b and not registry_a & registry_b:

@@ -19,10 +19,10 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 solver bound exceeded.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import tempfile
-from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -164,6 +164,8 @@ class Context:
         if self.seed is not None:
             # Seeded runs must be byte-reproducible; pin a stable stamp.
             return "2023-01-01T00:00:00+00:00"
+        from datetime import datetime, timezone  # a seeded run does without it
+
         return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
     def user_rules(self) -> LogicProgram:
@@ -229,8 +231,6 @@ class Products:
 
 
 def hash_seed(seed: int, stage: str) -> int:
-    import hashlib
-
     digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).hexdigest()
     return int(digest[:12], 16)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from datetime import datetime, timezone
 
 from . import vocab
 from ._record import record
@@ -87,6 +86,8 @@ class ProvenanceRecord:
             raise ProvenanceError("creator is mandatory")
         if not self.created:
             raise ProvenanceError("creation date is mandatory")
+        from datetime import datetime, timezone  # only where a time is stamped or checked
+
         reference = now or datetime.now(timezone.utc)
         for label, value in (("created", self.created), ("last_updated", self.last_updated)):
             if value is None:
@@ -97,6 +98,8 @@ class ProvenanceRecord:
 
 
 def _parse_timestamp(value: str) -> datetime:
+    from datetime import datetime, timezone
+
     try:
         stamp = datetime.fromisoformat(value.replace("Z", "+00:00"))
     except ValueError as exc:

@@ -179,8 +179,7 @@ class LogicProgram:
 # Rule parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    rf"""
+_TOKEN_PATTERN = rf"""
     (?P<ws>\s+)
   | (?P<comment>[%\#][^\n]*)
   | (?P<arrow>:-)
@@ -190,17 +189,16 @@ _TOKEN_RE = re.compile(
   | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*:[A-Za-z0-9_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*)
   | (?P<punct>[(),.\-])
-""",
-    re.VERBOSE,
-)
+"""
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    token_re = re.compile(_TOKEN_PATTERN, re.VERBOSE)  # re's cache serves later parses
     tokens: list[tuple[str, str, int]] = []
     pos = 0
     line = 1
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if not m:
             raise RuleError(f"line {line}: cannot tokenize near {text[pos:pos+20]!r}")
         kind = m.lastgroup

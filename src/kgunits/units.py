@@ -14,7 +14,6 @@ guards do: each schema is a plan of ``JoinStep``s over one hashed
 
 from __future__ import annotations
 
-import logging
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -48,8 +47,6 @@ from .store import (
     local_name,
     read_declarations,
 )
-
-log = logging.getLogger(__name__)
 
 ARGUMENT = "argument"
 ADJUNCT = "adjunct"
@@ -711,7 +708,7 @@ def render_dynamic_label(
         if label is None:
             if term.value not in warned:
                 warned.add(term.value)
-                log.warning("no label for %s; using local name", term.value)
+                _warn("no label for %s; using local name", term.value)
             return local_name(term.value)
         return label
 
@@ -733,3 +730,11 @@ def render_dynamic_label(
             out.append(ch)
             i += 1
     return "".join(out)
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning to ``kgunits.units``. ``logging`` is loaded by the first
+    warning, so a run that warns about nothing never loads it."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,22 @@ def test_label_stage_warns_once_per_unlabelled_resource(catalog, schemas, caplog
     with caplog.at_level(logging.WARNING, logger="kgunits"):
         assert main(argv) == 0
     assert sorted(warned(caplog.records)) == sorted(set(per_unit))
+
+
+def test_label_stage_writes_one_warning_line_per_unlabelled_resource(tmp_path):
+    """The bytes a run writes to stderr for its warnings, which the logging
+    module's last-resort handler writes when no handler is configured."""
+    source = Path(__file__).parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(source)!r}); from kgunits.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["label", str(FIXTURES / "endangered.trig"), "--seed", "1", "--out", str(tmp_path)]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, check=True)
+    resources = ["kg/Site", "kg/Species", "iucn/Endangered", "iucn/LeastConcern"]
+    assert result.stderr == b"".join(
+        b"no label for https://example.org/%s; using local name\n" % r.encode() for r in resources
+    )
 
 
 def test_unbound_placeholder_raises(catalog):

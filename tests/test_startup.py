@@ -1,10 +1,12 @@
-"""What a fresh interpreter loads for ``import kgunits.cli``.
+"""What a fresh interpreter loads for ``import kgunits.cli`` and for a command.
 
 kgunits runs as one command per graph, so its import is part of every run.
-The record classes come from ``kgunits._record``, not ``dataclasses``
-(which loads ``inspect``), and ``uuid`` is loaded only to mint an unseeded
-identifier. Every module of the package is still imported up front: the
-start-up saving is work removed, not work deferred into the command.
+Every module of the package is imported up front. The record classes come
+from ``kgunits._record``, not ``dataclasses`` (which loads ``inspect``). A
+standard library used on one path is loaded on that path: ``uuid`` to mint
+an unseeded identifier, ``logging`` for the first "no label" warning,
+``datetime`` to stamp or check a time, ``fractions`` (with ``decimal``) to
+score an alignment. A command that never takes that path never pays for it.
 """
 
 from __future__ import annotations
@@ -14,24 +16,55 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kgunits
 
+from conftest import FIXTURES
+
 SOURCE = Path(kgunits.__file__).parent
-UNUSED = ("dataclasses", "inspect", "uuid")
+UNUSED = ("dataclasses", "inspect", "uuid", "logging", "datetime", "fractions", "decimal")
 
 
-def test_import_loads_every_module_and_no_unused_library():
-    # -S: without the site module, whose path hooks may load modules of
-    # their own; -X dev where the tests run in development mode.
+def _loaded_after(code: str) -> list:
+    """Run ``code`` after putting the package on the path, in a fresh
+    ``python -S`` (without the site module, whose path hooks may load
+    modules of their own; in ``-X dev`` where the tests run in development
+    mode), and return what its last line printed, read as JSON."""
     flags = ["-S", *(["-X", "dev"] if sys.flags.dev_mode else [])]
-    code = (
-        f"import json, sys; sys.path.insert(0, {str(SOURCE.parent)!r}); "
-        "import kgunits.cli; print(json.dumps(sorted(sys.modules)))"
-    )
+    code = f"import json, sys; sys.path.insert(0, {str(SOURCE.parent)!r}); {code}"
     result = subprocess.run(
         [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True
     )
-    loaded = set(json.loads(result.stdout))
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_loads_every_module_and_no_unused_library():
+    loaded = set(_loaded_after("import kgunits.cli; print(json.dumps(sorted(sys.modules)))"))
     assert [name for name in UNUSED if name in loaded] == []
     package = {f"kgunits.{path.stem}" for path in SOURCE.glob("*.py") if path.stem != "__init__"}
     assert package - loaded == set()
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["translate", "travel.trig", "--rules", "thumb.lp"], set()),
+        (["align", "antenna_item.trig", "antenna_triangle.trig"], {"fractions", "decimal"}),
+        (["label", "endangered.trig"], {"logging"}),
+    ],
+    ids=["translate", "align", "label"],
+)
+def test_a_library_used_on_one_path_is_loaded_on_that_path(argv, loads, tmp_path):
+    command, *names = argv
+    argv = [command, *(n if n.startswith("--") else str(FIXTURES / n) for n in names)]
+    argv += ["--out", str(tmp_path)]
+    code, modules = _loaded_after(
+        "import contextlib, io; from kgunits.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    assert code == 0
+    deferred = ("logging", "datetime", "fractions", "decimal")
+    assert {name for name in deferred if name in modules} == loads
