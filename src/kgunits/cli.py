@@ -19,10 +19,8 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 solver bound exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
-import tempfile
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -40,6 +38,7 @@ from .fdo import (
     emit_nanopublication,
     load_policy,
     redact_dataset,
+    sha256_hex,
 )
 from .logic import (
     LogicProgram,
@@ -74,16 +73,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_atomic(path: Path, pieces: Iterable[str]):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-", text=True)
+    """Write ``path`` by renaming a temporary file beside it, so a failed write
+    leaves the old file and no temporary one; an unwritable path is a usage error."""
+    tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if os.path.exists(tmp):  # the write failed
             os.unlink(tmp)
-        raise
 
 
 def _write_trig(ctx: Context, name: str, dataset: QuadDataset):
@@ -231,8 +233,7 @@ class Products:
 
 
 def hash_seed(seed: int, stage: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).hexdigest()
-    return int(digest[:12], 16)
+    return int(sha256_hex(f"{seed}:{stage}")[:12], 16)
 
 
 def _with_config(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:

@@ -10,7 +10,6 @@ metadata records.
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 from . import vocab
@@ -29,6 +28,19 @@ from .store import (
     setting_lines,
 )
 
+try:  # the interpreter's own SHA-256: hashlib loads OpenSSL's libcrypto (4 ms, 3.6 MB)
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
+def sha256_hex(text: str) -> str:
+    """The hex SHA-256 digest of ``text`` in UTF-8: seeds, run tags, skolems."""
+    return _sha256(text.encode("utf-8")).hexdigest()
+
 
 class UpriMinter:
     """Mints unique identifiers under a namespace.
@@ -44,11 +56,7 @@ class UpriMinter:
         self.namespace = namespace if namespace.endswith(("/", "#", ":")) else namespace + "/"
         self.seed = seed
         self._count = 0
-        if seed is not None:
-            digest = hashlib.sha256(str(seed).encode("utf-8")).hexdigest()
-            self._run_tag = digest[:10]
-        else:
-            self._run_tag = None
+        self._run_tag = None if seed is None else sha256_hex(str(seed))[:10]
 
     def __call__(self) -> str:
         return self.mint()

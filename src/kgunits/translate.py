@@ -16,12 +16,12 @@ translation.
 
 from __future__ import annotations
 
-import hashlib
 from typing import get_args
 
 from . import vocab
 from ._record import fields, record, replace
 from .errors import PatternError
+from .fdo import sha256_hex
 from .logic import Atom, AtomIndex, JoinStep, LogicProgram, Rule, is_variable, parse_rules
 from .owl import (
     AllValuesFrom,
@@ -54,7 +54,7 @@ class Fresh:
 
 
 def skolem(tag: str, *keys: str) -> str:
-    digest = hashlib.sha256("\x1f".join(keys).encode("utf-8")).hexdigest()[:12]
+    digest = sha256_hex("\x1f".join(keys))[:12]
     return f"sk:{tag}:{digest}"
 
 

@@ -138,6 +138,40 @@ def test_write_atomic_failing_partway_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.trig"]
 
 
+@pytest.mark.parametrize("out", ["some_file/sub", "."], ids=["out-under-a-file", "artifact-is-a-dir"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, out):
+    """An ``--out`` under a file, or an artifact name taken by a directory,
+    is exit 1 with no traceback and no temporary file left behind."""
+    (tmp_path / "some_file").write_text("x")
+    (tmp_path / "dataset.trig").mkdir()
+    assert main(["ingest", str(FIXTURES / "travel.trig"), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.trig", "some_file"]
+    assert list((tmp_path / "dataset.trig").iterdir()) == []
+
+
+def test_artifacts_are_written_with_the_umask_mode(capsys, tmp_path):
+    argv = ["pipeline", str(FIXTURES / "travel.trig"), "--out", str(tmp_path), "--seed", "1"]
+    previous = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(previous)
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.iterdir()}
+    assert set(modes.values()) == {"0o644"}, modes
+
+
+def test_a_stale_temporary_file_does_not_fail_the_write(capsys, tmp_path):
+    """A killed run leaves its temporary file; a later run of the same pid
+    overwrites it and renames it into place."""
+    stale = tmp_path / f".tmp-{os.getpid()}-dataset.trig"
+    stale.write_text("left by a killed run\n")
+    assert main(["ingest", str(FIXTURES / "travel.trig"), "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.trig"]
+    assert "left by a killed run" not in (tmp_path / "dataset.trig").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("graphs, groups", [(250, 250), (1, 500)], ids=["many-graphs", "one-graph"])
 def test_writing_trig_holds_the_document_about_once(tmp_path, graphs, groups):
     """The TriG writer's peak heap stays under 1.5 times the file it writes,

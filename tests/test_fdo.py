@@ -1,8 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import hashlib
 
-from kgunits import vocab
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from kgunits import cli, vocab
 from kgunits.compound import build_all, compound_quads
 from kgunits.errors import (
     CollectionError,
@@ -22,9 +26,11 @@ from kgunits.fdo import (
     mint_upri,
     parse_nanopublication,
     redact_dataset,
+    sha256_hex,
 )
 from kgunits.rdfio import parse_quads, serialize_quads
 from kgunits.store import QuadDataset
+from kgunits.translate import skolem
 
 from conftest import fixture_text, partitioned
 
@@ -33,6 +39,22 @@ SUC = "https://example.org/su-class/"
 
 PROV = ProvenanceRecord(creator="https://example.org/agents/alice", created="2023-05-01T10:00:00+00:00")
 PUB = ProvenanceRecord(creator="https://example.org/agents/alice", created="2023-05-02T10:00:00+00:00", title="demo")
+
+
+@given(st.text())
+@example("")
+@example("Zürich \x1f 東京 \U0001f600")
+def test_sha256_hex_is_hashlib_sha256_of_the_utf8_text(text):
+    assert sha256_hex(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_seeded_digests_keep_their_values():
+    """A seed, a run tag and a skolem name are SHA-256 digests; these values
+    are in every seeded artifact, so they must not change with the digest's
+    implementation."""
+    assert cli.hash_seed(3, "partition") == 174265183814932
+    assert UpriMinter(seed=3).mint() == "https://data.kgunits.org/u4e07408562-00001"
+    assert skolem("inst", EX + "someHand") == "sk:inst:0f4b98e845c9"
 
 
 def test_mint_unseeded_unique():
