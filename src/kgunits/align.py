@@ -54,9 +54,6 @@ class AlignmentReport:
     unmatched_right: tuple[tuple[str, str], ...]
     diagnostic: str | None = None
 
-    def at_level(self, level: str) -> tuple[Correspondence, ...]:
-        return tuple(c for c in self.correspondences if c.level == level)
-
 
 @record
 class ProcessedGraph:

@@ -170,13 +170,6 @@ class Context:
 
         return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
-    def user_rules(self) -> LogicProgram:
-        rules = list(default_rules().rules)
-        for path in self.rules_paths:
-            program = parse_rules(_read_text(path), self.catalog.prefixes)
-            rules.extend(program.rules)
-        return LogicProgram(tuple(rules))
-
     def patterns(self):
         patterns = builtin_patterns(self.schemas, self.catalog)
         for path in self.patterns_paths:
@@ -189,11 +182,16 @@ class Products:
     dataset, its partition, its compound units, its facts, and the ground
     rule count and stable models of the rules over those facts. Each is
     computed on first use and kept, so every stage of a run reads the same
-    partition (and the same UPRIs)."""
+    partition (and the same UPRIs). It keeps the settings it reads, not the
+    ``Context`` that holds it, so a finished run is freed by reference
+    counting."""
 
     def __init__(self, ctx: Context, paths: list[str] = (), dataset: QuadDataset | None = None):
-        self.ctx = ctx
         self.paths = paths
+        self.schemas, self.catalog, self.bound = ctx.schemas, ctx.catalog, ctx.bound
+        self.rules_paths = ctx.rules_paths
+        self.partition_minter = ctx.minter("partition")
+        self.compound_minter = ctx.minter("compound")
         if dataset is not None:
             self.dataset = dataset  # shadows the cached property: nothing is parsed
 
@@ -206,20 +204,19 @@ class Products:
 
     @cached_property
     def partition(self):
-        ctx = self.ctx
-        return run_partition(self.dataset, ctx.schemas, ctx.catalog, ctx.minter("partition"))
+        return run_partition(self.dataset, self.schemas, self.catalog, self.partition_minter)
 
     @cached_property
     def compounds(self):
         """The compound units built over the partition, and the partition's
         dataset merged with their quads (what ``compounds.trig`` holds)."""
-        result, catalog = self.partition, self.ctx.catalog
-        compounds = build_all(result, catalog, self.ctx.minter("compound"))
+        result, catalog = self.partition, self.catalog
+        compounds = build_all(result, catalog, self.compound_minter)
         return compounds, result.dataset.merge(compound_quads(list(compounds.all_units()), catalog))
 
     @cached_property
     def facts(self):
-        return facts_from_units(self.partition, self.ctx.catalog)
+        return facts_from_units(self.partition, self.catalog)
 
     @cached_property
     def solved(self) -> tuple[int, list]:
@@ -227,9 +224,12 @@ class Products:
         facts, and the stable models of the relevant ground program (the
         rule instances whose positive body is derivable), which are the
         same. Only the relevant program is built, and it is not kept."""
-        rules = self.ctx.user_rules()
+        rules = list(default_rules().rules)
+        for path in self.rules_paths:
+            rules.extend(parse_rules(_read_text(path), self.catalog.prefixes).rules)
+        rules = LogicProgram(tuple(rules))
         program = ground_program(rules, self.facts)
-        return herbrand_size(rules, self.facts), stable_models(program, bound=self.ctx.bound)
+        return herbrand_size(rules, self.facts), stable_models(program, bound=self.bound)
 
 
 def hash_seed(seed: int, stage: str) -> int:

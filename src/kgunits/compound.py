@@ -65,14 +65,6 @@ class CompoundUnit:
     order_predicate: str | None = None
     extra_quads: tuple[Quad, ...] = ()
 
-    def data_graph(self, lookup: dict[str, StatementUnit]) -> tuple[Quad, ...]:
-        quads: list[Quad] = []
-        for upri in self.associated:
-            unit = lookup.get(upri)
-            if unit is not None:
-                quads.extend(unit.quads)
-        return tuple(sorted(set(quads), key=lambda q: q.key()))
-
 
 @record
 class ContextResult:

@@ -193,13 +193,6 @@ class Nanopublication:
     provenance: tuple[Quad, ...]
     pubinfo: tuple[Quad, ...]
 
-    @property
-    def assertion_graph(self) -> str:
-        for q in self.head:
-            if q.predicate == vocab.HAS_ASSERTION and isinstance(q.object, Iri):
-                return q.object.value
-        raise NanopubError(f"nanopublication {self.upri} head lacks an assertion link")
-
     def dataset(self) -> QuadDataset:
         return QuadDataset(self.head + self.assertion + self.provenance + self.pubinfo)
 

@@ -172,6 +172,7 @@ def builtin_patterns(
     t = catalog.type
     sio = catalog.some_instance_of
     eio = catalog.every_instance_of
+    not_negated = Atom(vocab.NEGATION_UNIT, (U,))
     patterns = [
         TranslationPattern(
             "named-individual-identification",
@@ -179,7 +180,7 @@ def builtin_patterns(
                 Atom(vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT, (U,)),
                 Atom(vocab.ASSERTS, (U, Y, t, Z)),
             ),
-            negative=(Atom(vocab.NEGATION_UNIT, (U,)),),
+            negative=(not_negated,),
             outputs=(ClassAssertion(Z, Y),),
         ),
         TranslationPattern(
@@ -198,10 +199,7 @@ def builtin_patterns(
                 Atom(vocab.SOME_INSTANCE_IDENTIFICATION_UNIT, (U,)),
                 Atom(vocab.ASSERTS, (U, Y, sio, C)),
             ),
-            negative=(
-                Atom(vocab.NEGATION_UNIT, (U,)),
-                Atom(vocab.CARDINALITY_RESTRICTION_UNIT, (U,)),
-            ),
+            negative=(not_negated, Atom(vocab.CARDINALITY_RESTRICTION_UNIT, (U,))),
             outputs=(ClassAssertion(C, Fresh("inst", (Y,))),),
         ),
         TranslationPattern(
@@ -210,7 +208,7 @@ def builtin_patterns(
                 Atom(vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT, (U,)),
                 Atom(vocab.ASSERTS, (U, Y, eio, C)),
             ),
-            negative=(Atom(vocab.NEGATION_UNIT, (U,)),),
+            negative=(not_negated,),
             outputs=(
                 ClassAssertion(vocab.COLLECTION, Y),
                 SubClassOf(C, SomeValuesFrom(vocab.MEMBER_OF, OneOf((Y,)))),
@@ -224,7 +222,7 @@ def builtin_patterns(
                 Atom(vocab.ASSERTS, (U, Y, catalog.qualified_cardinality, N)),
                 Atom(vocab.ASSERTS, (U, Y, sio, W)),
             ),
-            negative=(Atom(vocab.NEGATION_UNIT, (U,)),),
+            negative=(not_negated,),
             outputs=(
                 ClassAssertion(
                     IntersectionOf(
@@ -249,99 +247,33 @@ def builtin_patterns(
             continue
         K = schema.unit_class
         P = schema.anchor_predicate
-        tag = f"rel:{K}"
+        asserts = Atom(vocab.ASSERTS, (U, X, P, Y))
+        some_x, every_x = Atom(sio, (X, C)), Atom(eio, (X, C))
+        some_y, any_y = Atom(sio, (Y, D)), Atom(sio, (Y, WILDCARD))
+        inst_x, inst_y = Fresh("inst", (X,)), Fresh("inst", (Y,))
+        # member, unit status, extra positive guards, negative guards, axiom
+        family = (
+            ("assertional", vocab.ASSERTIONAL_STATEMENT_UNIT, (), (not_negated, any_y),
+             ObjectPropertyAssertion(P, X, Y)),
+            ("assertional-some-object", vocab.ASSERTIONAL_STATEMENT_UNIT, (some_y,),
+             (not_negated,), ObjectPropertyAssertion(P, X, inst_y)),
+            ("contingent", vocab.CONTINGENT_STATEMENT_UNIT, (some_x,), (not_negated, any_y),
+             ObjectPropertyAssertion(P, inst_x, Y)),
+            ("contingent-some-object", vocab.CONTINGENT_STATEMENT_UNIT, (some_x, some_y),
+             (not_negated,), ObjectPropertyAssertion(P, inst_x, inst_y)),
+            ("universal", vocab.UNIVERSAL_STATEMENT_UNIT, (every_x, some_y), (not_negated,),
+             SubClassOf(C, SomeValuesFrom(P, D))),
+            ("negated", vocab.NEGATED_ASSERTIONAL_STATEMENT_UNIT, (), (any_y,),
+             NegativeObjectPropertyAssertion(P, X, Y)),
+            ("negated-absence", vocab.NEGATED_ASSERTIONAL_STATEMENT_UNIT, (some_y,), (),
+             ClassAssertion(ComplementOf(SomeValuesFrom(P, D)), X)),
+        )
         patterns.extend(
-            [
-                TranslationPattern(
-                    f"{tag}:assertional",
-                    positive=(
-                        Atom(K, (U,)),
-                        Atom(vocab.ASSERTIONAL_STATEMENT_UNIT, (U,)),
-                        Atom(vocab.ASSERTS, (U, X, P, Y)),
-                    ),
-                    negative=(
-                        Atom(vocab.NEGATION_UNIT, (U,)),
-                        Atom(sio, (Y, WILDCARD)),
-                    ),
-                    outputs=(ObjectPropertyAssertion(P, X, Y),),
-                ),
-                TranslationPattern(
-                    f"{tag}:assertional-some-object",
-                    positive=(
-                        Atom(K, (U,)),
-                        Atom(vocab.ASSERTIONAL_STATEMENT_UNIT, (U,)),
-                        Atom(vocab.ASSERTS, (U, X, P, Y)),
-                        Atom(sio, (Y, D)),
-                    ),
-                    negative=(Atom(vocab.NEGATION_UNIT, (U,)),),
-                    outputs=(ObjectPropertyAssertion(P, X, Fresh("inst", (Y,))),),
-                ),
-                TranslationPattern(
-                    f"{tag}:contingent",
-                    positive=(
-                        Atom(K, (U,)),
-                        Atom(vocab.CONTINGENT_STATEMENT_UNIT, (U,)),
-                        Atom(vocab.ASSERTS, (U, X, P, Y)),
-                        Atom(sio, (X, C)),
-                    ),
-                    negative=(
-                        Atom(vocab.NEGATION_UNIT, (U,)),
-                        Atom(sio, (Y, WILDCARD)),
-                    ),
-                    outputs=(ObjectPropertyAssertion(P, Fresh("inst", (X,)), Y),),
-                ),
-                TranslationPattern(
-                    f"{tag}:contingent-some-object",
-                    positive=(
-                        Atom(K, (U,)),
-                        Atom(vocab.CONTINGENT_STATEMENT_UNIT, (U,)),
-                        Atom(vocab.ASSERTS, (U, X, P, Y)),
-                        Atom(sio, (X, C)),
-                        Atom(sio, (Y, D)),
-                    ),
-                    negative=(Atom(vocab.NEGATION_UNIT, (U,)),),
-                    outputs=(
-                        ObjectPropertyAssertion(
-                            P, Fresh("inst", (X,)), Fresh("inst", (Y,))
-                        ),
-                    ),
-                ),
-                TranslationPattern(
-                    f"{tag}:universal",
-                    positive=(
-                        Atom(K, (U,)),
-                        Atom(vocab.UNIVERSAL_STATEMENT_UNIT, (U,)),
-                        Atom(vocab.ASSERTS, (U, X, P, Y)),
-                        Atom(eio, (X, C)),
-                        Atom(sio, (Y, D)),
-                    ),
-                    negative=(Atom(vocab.NEGATION_UNIT, (U,)),),
-                    outputs=(SubClassOf(C, SomeValuesFrom(P, D)),),
-                ),
-                TranslationPattern(
-                    f"{tag}:negated",
-                    positive=(
-                        Atom(K, (U,)),
-                        Atom(vocab.NEGATED_ASSERTIONAL_STATEMENT_UNIT, (U,)),
-                        Atom(vocab.ASSERTS, (U, X, P, Y)),
-                    ),
-                    negative=(Atom(sio, (Y, WILDCARD)),),
-                    outputs=(NegativeObjectPropertyAssertion(P, X, Y),),
-                ),
-                TranslationPattern(
-                    f"{tag}:negated-absence",
-                    positive=(
-                        Atom(K, (U,)),
-                        Atom(vocab.NEGATED_ASSERTIONAL_STATEMENT_UNIT, (U,)),
-                        Atom(vocab.ASSERTS, (U, X, P, Y)),
-                        Atom(sio, (Y, D)),
-                    ),
-                    negative=(),
-                    outputs=(
-                        ClassAssertion(ComplementOf(SomeValuesFrom(P, D)), X),
-                    ),
-                ),
-            ]
+            TranslationPattern(
+                f"rel:{K}:{member}", (Atom(K, (U,)), Atom(status, (U,)), asserts, *guards),
+                negative, (axiom,),
+            )
+            for member, status, guards, negative, axiom in family
         )
     return patterns
 

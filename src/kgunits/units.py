@@ -126,30 +126,21 @@ def _builtin_schemas(
     """Schemas every partition understands without declaration: frame-of-
     reference boundaries (is-about) and collection membership (child)."""
     anchored = {s.anchor_predicate for s in schemas}
-    extra = []
-    if catalog.is_about not in anchored:
-        extra.append(
-            StatementSchema(
-                unit_class=vocab.IS_ABOUT_STATEMENT_UNIT,
-                anchor_predicate=catalog.is_about,
-                templates=(TripleTemplate(Var("s"), catalog.is_about, Var("o")),),
-                subject_var="s",
-                argument_vars=("o",),
-                label_template="{s} is about {o}",
-            )
+    return schemas + [
+        StatementSchema(
+            unit_class=unit_class,
+            anchor_predicate=anchor,
+            templates=(TripleTemplate(Var("s"), anchor, Var("o")),),
+            subject_var="s",
+            argument_vars=("o",),
+            label_template=label,
         )
-    if catalog.child not in anchored:
-        extra.append(
-            StatementSchema(
-                unit_class=vocab.MEMBERSHIP_STATEMENT_UNIT,
-                anchor_predicate=catalog.child,
-                templates=(TripleTemplate(Var("s"), catalog.child, Var("o")),),
-                subject_var="s",
-                argument_vars=("o",),
-                label_template="{s} has member {o}",
-            )
+        for anchor, unit_class, label in (
+            (catalog.is_about, vocab.IS_ABOUT_STATEMENT_UNIT, "{s} is about {o}"),
+            (catalog.child, vocab.MEMBERSHIP_STATEMENT_UNIT, "{s} has member {o}"),
         )
-    return schemas + extra
+        if anchor not in anchored
+    ]
 
 
 @record

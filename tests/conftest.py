@@ -28,6 +28,11 @@ def schemas():
     return compile_schema(fixture_text("schemas.sus"))
 
 
+def at_level(report, level: str) -> tuple:
+    """The correspondences of an alignment report at one granularity level."""
+    return tuple(c for c in report.correspondences if c.level == level)
+
+
 def partitioned(name: str, catalog, schemas, seed: int = 7):
     dataset = fixture_dataset(name)
     return partition(dataset, schemas, catalog, UpriMinter(seed=seed))

@@ -55,7 +55,7 @@ from kgunits.translate import (
 )
 from kgunits.units import partition
 
-from conftest import FIXTURES, fixture_dataset, fixture_text, partitioned
+from conftest import FIXTURES, at_level, fixture_dataset, fixture_text, partitioned
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -468,7 +468,7 @@ def test_acceptance_7_alignment(catalog, schemas):
     )
     other = process(renamed, 400)
     report = align_graphs(graph, other)
-    statements = report.at_level(LEVEL_STATEMENT)
+    statements = at_level(report, LEVEL_STATEMENT)
     assert len(statements) == len(graph.partition.units)
     assert all(c.score == Fraction(1) for c in statements)
     _passed(7, "self-alignment all-1 and renaming-invariant statement matching")

@@ -24,7 +24,7 @@ from kgunits.units import partition
 
 import align_oracle
 from align_oracle import greedy_match_signatures
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, at_level, fixture_text
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -64,7 +64,7 @@ def test_same_source_different_seeds_full_statement_correspondence(catalog, sche
     a = _process(dataset, catalog, schemas, seed=100)
     b = _process(dataset, catalog, schemas, seed=200)
     report = align_graphs(a, b)
-    statements = report.at_level(LEVEL_STATEMENT)
+    statements = at_level(report, LEVEL_STATEMENT)
     assert len(statements) == len(a.partition.units)
     assert all(c.score == 1 for c in statements)
     assert not [u for level, u in report.unmatched_left if level == LEVEL_STATEMENT]
@@ -143,7 +143,7 @@ def test_uniform_instance_renaming_preserves_report(catalog, schemas):
         return sorted((c.level, c.score) for c in report.correspondences)
 
     assert shape(base) == shape(mirrored)
-    assert all(c.score == 1 for c in mirrored.at_level(LEVEL_STATEMENT))
+    assert all(c.score == 1 for c in at_level(mirrored, LEVEL_STATEMENT))
 
 
 def test_disjoint_unit_classes_empty_report_with_diagnostic(catalog, schemas):
@@ -185,8 +185,8 @@ def test_hierarchy_consistency(catalog, schemas):
     a = _process(dataset, catalog, schemas, seed=100)
     b = _process(dataset, catalog, schemas, seed=200)
     report = align_graphs(a, b)
-    group_pairs = {(c.left, c.right) for c in report.at_level(LEVEL_GROUP)}
-    item_pairs = {(c.left, c.right) for c in report.at_level(LEVEL_ITEM)}
+    group_pairs = {(c.left, c.right) for c in at_level(report, LEVEL_GROUP)}
+    item_pairs = {(c.left, c.right) for c in at_level(report, LEVEL_ITEM)}
     items_a = {i.upri: i for i in a.items()}
     items_b = {i.upri: i for i in b.items()}
     groups_a = {g.upri: g for g in a.groups()}
@@ -201,7 +201,7 @@ def test_hierarchy_consistency(catalog, schemas):
         assert containing
     # every statement correspondence between item members sits inside a
     # matched item pair
-    for c in report.at_level(LEVEL_STATEMENT):
+    for c in at_level(report, LEVEL_STATEMENT):
         holders_l = [i for i in items_a.values() if c.left in i.associated]
         holders_r = [i for i in items_b.values() if c.right in i.associated]
         if holders_l and holders_r:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -212,6 +215,34 @@ def test_partition_summary_and_artifacts(capsys, tmp_path):
     assert summary["identification_units"] == "2"
     assert (tmp_path / "organized.trig").exists()
     assert (tmp_path / "units.tsv").exists()
+
+
+HASH_SEED_RUNS = {
+    "pipeline": ["pipeline", FIXTURES / "endangered.trig", "--policy", FIXTURES / "endangered.pol"],
+    "translate": ["translate", FIXTURES / "hand_assertional.trig",
+                  FIXTURES / "fruit_disagreement.trig", "--rules", FIXTURES / "thumb.lp"],
+    "align": ["align", FIXTURES / "antenna_item.trig", FIXTURES / "antenna_triangle.trig"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HASH_SEED_RUNS))
+def test_seeded_runs_are_identical_under_every_hash_seed(tmp_path, command):
+    """A seeded run writes the same exit code, stdout, stderr and artifact
+    bytes whatever ``PYTHONHASHSEED`` orders its sets and dicts by."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outcomes = []
+    for hash_seed in ("0", "1", "2"):
+        out = tmp_path / hash_seed
+        result = subprocess.run(
+            [sys.executable, "-m", "kgunits.cli", *map(str, HASH_SEED_RUNS[command]),
+             *common(out)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outcomes.append((result.returncode, result.stdout, result.stderr, artifacts))
+    assert outcomes[0][0] == 0 and outcomes[0][3]
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 def test_partition_seeded_runs_byte_identical(capsys, tmp_path):
@@ -804,6 +835,40 @@ def test_bound_exceeded_exit_code(capsys, tmp_path):
     assert code == 3
     err = capsys.readouterr().err
     assert "default-negation support has 12 atoms, solver bound is 4" in err
+
+
+def test_finished_runs_leave_no_kgunits_object_to_the_collector(capsys, tmp_path):
+    """A finished ``main`` frees its datasets, partition and products by
+    reference counting, after an exit 0 and after an exit 3: no kgunits
+    object is left in a reference cycle for the collector."""
+    rules = tmp_path / "loops.lp"
+    rules.write_text(
+        "p(X) :- r(X), not q(X).\nq(X) :- r(X), not p(X).\n"
+        + "".join(f"r(c{i}).\n" for i in range(6)),
+        encoding="utf-8",
+    )
+    runs = [
+        (0, ["pipeline", str(FIXTURES / "endangered.trig"),
+             *common(tmp_path / "pipeline", "--policy", str(FIXTURES / "endangered.pol"))]),
+        (3, ["reason", str(FIXTURES / "publication_frames.trig"),
+             *common(tmp_path / "reason", "--rules", str(rules), "--bound", "4")]),
+    ]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for code, argv in runs:
+            assert main(argv) == code, argv[0]
+            gc.collect()
+            left = Counter(
+                type(o).__qualname__ for o in gc.garbage
+                if type(o).__module__.startswith("kgunits")
+            )
+            assert not left, (argv[0], left)
+            gc.garbage.clear()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
 
 
 def test_bound_counts_only_the_relevant_negated_atoms(capsys, tmp_path):

@@ -579,16 +579,16 @@ def test_collection_units_persist_and_reload(catalog, schemas):
 
 
 def test_compound_data_graph_is_union_of_members(catalog, schemas):
+    # In the dataset compounds.trig holds, the graphs a compound unit's
+    # statement units name hold exactly those units' quads.
     result, compounds = _pipeline("publication_frames.trig", catalog, schemas)
     lookup = {u.upri: u for u in result.units}
+    merged = result.dataset.merge(compound_quads(list(compounds.all_units()), catalog))
     for compound in compounds.all_units():
-        merged = set(compound.data_graph(lookup))
-        expected = set()
-        for member in compound.associated:
-            unit = lookup.get(member)
-            if unit:
-                expected.update(unit.quads)
-        assert merged == expected
+        members = [lookup[m] for m in compound.associated if m in lookup]
+        assert {q for m in members for q in merged.graph(m.upri)} == {
+            q for m in members for q in m.quads
+        }
 
 
 def test_statement_unit_documented_in_one_location(catalog, schemas):

@@ -101,7 +101,7 @@ def test_statement_unit_nanopub_round_trip(catalog, schemas):
     dataset = np.dataset()
     graphs = set(dataset.graph_names())
     assert len(graphs) == 4
-    assert np.assertion_graph == unit.upri
+    assert [q.object.value for q in np.head if q.predicate == vocab.HAS_ASSERTION] == [unit.upri]
     parsed = parse_nanopublication(dataset, catalog)
     assert parsed.unit_upri == unit.upri
     assert set(parsed.assertion) == set(unit.quads)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import logic_oracle as oracle
 import owl_oracle
-from kgunits import vocab
+import translate_oracle
+from kgunits import compile_schema, load_catalog, vocab
 from kgunits.errors import PatternError
 from kgunits.logic import Atom, ground_program, stable_models
 from kgunits.owl import (
@@ -25,6 +28,8 @@ from kgunits.owl import (
     render_axiom,
     render_axioms,
 )
+from kgunits.schemas import QUALITATIVE, QUANTITATIVE, StatementSchema, TripleTemplate, Var
+from kgunits.store import DEFAULT_CATALOG
 from kgunits.translate import (
     Fresh,
     TranslationPattern,
@@ -38,8 +43,9 @@ from kgunits.translate import (
     skolem,
     translate_to_owl,
 )
+from kgunits.units import _builtin_schemas
 
-from conftest import fixture_dataset, partitioned
+from conftest import fixture_dataset, fixture_text, partitioned
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -484,3 +490,81 @@ def test_owl_walk_equals_the_per_class_ladders(templates, binding, prefixes):
             axioms.append(axiom)
             assert render_axiom(axiom, prefixes) == owl_oracle.render_axiom(axiom, prefixes)
     assert render_axioms(axioms, prefixes) == owl_oracle.render_axioms(axioms, prefixes)
+
+
+# -- built-in tables against the constructors they replaced -------------------
+
+
+def _assert_builtins_match_oracles(schemas, catalog):
+    """The pattern family table and the schema table give the items the
+    spelled-out constructors gave, in the same order."""
+    assert builtin_patterns(schemas, catalog) == translate_oracle.builtin_patterns(
+        schemas, catalog
+    )
+    assert _builtin_schemas(list(schemas), catalog) == translate_oracle.builtin_schemas(
+        list(schemas), catalog
+    )
+
+
+@pytest.mark.parametrize("default", [False, True], ids=["fixture-catalog", "default-catalog"])
+def test_builtins_match_oracles_on_fixture_schemas(catalog, schemas, default):
+    _assert_builtins_match_oracles(schemas, DEFAULT_CATALOG if default else catalog)
+
+
+def test_builtins_match_oracles_on_benchmark_schemas():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    _assert_builtins_match_oracles(compile_schema(gen.SCHEMAS), load_catalog(gen.CATALOG))
+
+
+_FIXTURE_CATALOG = load_catalog(fixture_text("catalog.cat"))
+_UNIT_CLASSES = (
+    SUC + "has-part",
+    SUC + "part-of",
+    vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT,
+    vocab.SOME_INSTANCE_IDENTIFICATION_UNIT,
+    vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT,
+    vocab.IS_ABOUT_STATEMENT_UNIT,
+    vocab.MEMBERSHIP_STATEMENT_UNIT,
+)
+
+
+def _schema(unit_class: str, anchor: str, relation: str) -> StatementSchema:
+    return StatementSchema(
+        unit_class=unit_class,
+        anchor_predicate=anchor,
+        templates=(TripleTemplate(Var("s"), anchor, Var("o")),),
+        subject_var="s",
+        argument_vars=("o",),
+        numeric_vars=frozenset({"o"} if relation == QUANTITATIVE else ()),
+        relation=relation,
+        label_template="{s} relates to {o}",
+    )
+
+
+@st.composite
+def _schema_sets(draw):
+    """A catalog and schemas over a few unit classes (identification ones
+    among them) whose anchors may be the catalog's is-about or child."""
+    catalog = draw(st.sampled_from((DEFAULT_CATALOG, _FIXTURE_CATALOG)))
+    anchors = (REL + "has-part", REL + "part-of", catalog.is_about, catalog.child)
+    schemas = draw(
+        st.lists(
+            st.builds(
+                _schema,
+                st.sampled_from(_UNIT_CLASSES),
+                st.sampled_from(anchors),
+                st.sampled_from((QUALITATIVE, QUANTITATIVE)),
+            ),
+            max_size=6,
+        )
+    )
+    return schemas, catalog
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schema_sets())
+def test_builtins_match_oracles_on_generated_schemas(drawn):
+    _assert_builtins_match_oracles(*drawn)
