@@ -41,6 +41,7 @@ from .fdo import (
     sha256_hex,
 )
 from .logic import (
+    DEFAULT_BOUND,
     LogicProgram,
     ground_program,
     herbrand_size,
@@ -70,6 +71,24 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's formatter at the width ``shutil.get_terminal_size`` gives,
+    less 2, without importing ``shutil`` (which loads zlib, bz2 and lzma).
+    A function, not a subclass: a formatter is in a reference cycle with its
+    sections, and a kgunits subclass would leave kgunits objects to the
+    cyclic collector."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
+            columns = 80
+    return argparse.HelpFormatter(prog, width=columns - 2)
 
 
 def _write_atomic(path: Path, pieces: Iterable[str]):
@@ -125,7 +144,7 @@ class Context:
         self.namespace = vocab.DEFAULT_MINT_NS if args.namespace is None else args.namespace
         self.seed = args.seed
         self.out = Path(args.out or ".")
-        self.bound = 24 if args.bound is None else args.bound
+        self.bound = DEFAULT_BOUND if args.bound is None else args.bound
         if self.bound < 1:
             raise UsageError("--bound must be >= 1")
         self.created = args.created
@@ -383,15 +402,13 @@ def stage_translate(ctx: Context) -> dict:
 
 def stage_nanopub(ctx: Context) -> dict:
     result = ctx.products.partition
-    stamp = ctx.timestamp()
-    prov = ProvenanceRecord(creator=ctx.creator, created=stamp)
-    pub = ProvenanceRecord(creator=ctx.creator, created=stamp)
+    record = ProvenanceRecord(creator=ctx.creator, created=ctx.timestamp())
     nanopubs = [
-        emit_nanopublication(unit, prov, pub, ctx.catalog, schema_upri=unit.schema_class)
+        emit_nanopublication(unit, record, record, ctx.catalog)
         for unit in sorted(result.units, key=lambda u: u.upri)
     ]
     nanopubs += [
-        emit_nanopublication(compound, prov, pub, ctx.catalog)
+        emit_nanopublication(compound, record, record, ctx.catalog)
         for compound in reconstruct_compounds(result.dataset, ctx.catalog)
     ]
     # One dataset sorts and deduplicates the quads of all nanopublications.
@@ -482,7 +499,7 @@ def _timestamp(value: str) -> str:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="kgunits", description=__doc__)
+    parser = _Parser(prog="kgunits", description=__doc__, formatter_class=_help_formatter)
     parser.add_argument("command", choices=list(_STAGES), help="stage to run")
     parser.add_argument("inputs", nargs="*", default=[], help="input dataset file(s)")
     parser.add_argument("--config", help="key=value config file; flags override it")
@@ -495,7 +512,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, help="deterministic mint seed")
     parser.add_argument("--out", default=os.environ.get("KGUNITS_OUT") or None,
                         help="output directory (else env KGUNITS_OUT, else config out=, else .)")
-    parser.add_argument("--bound", type=int, help="most default-negated atoms the solver takes (default 24)")
+    parser.add_argument("--bound", type=int,
+                        help=f"most default-negated atoms the solver takes (default {DEFAULT_BOUND})")
     parser.add_argument("--created", type=_timestamp, help="fixed ISO timestamp for provenance")
     parser.add_argument("--creator", help="agent identifier for provenance")
     parser.add_argument(

@@ -25,6 +25,7 @@ from .store import (
     declaration_quads,
     is_absolute_iri,
     local_name,
+    read_declarations,
     setting_lines,
 )
 
@@ -121,63 +122,41 @@ def _agent_term(value: str):
     return Iri(value) if is_absolute_iri(value) else Literal(value)
 
 
+def _timestamp_term(value: str) -> Literal:
+    return Literal(value, datatype=vocab.XSD_DATETIME)
+
+
+# Each ProvenanceRecord field, its predicate and the term its value is
+# written as: a set field gives one quad, ``contributors`` one per value.
+_RECORD_FIELDS = (
+    ("creator", vocab.META_CREATOR, _agent_term),
+    ("created", vocab.META_CREATED, _timestamp_term),
+    ("application", vocab.META_APPLICATION, Literal),
+    ("title", vocab.META_TITLE, Literal),
+    ("contributors", vocab.META_CONTRIBUTOR, _agent_term),
+    ("last_updated", vocab.META_UPDATED, _timestamp_term),
+)
+_FIELD_OF = {predicate: name for name, predicate, _ in _RECORD_FIELDS}
+
+
 def _record_quads(record: ProvenanceRecord, about: str, graph: str) -> list[Quad]:
-    quads = [
-        Quad(about, vocab.META_CREATOR, _agent_term(record.creator), graph),
-        Quad(
-            about,
-            vocab.META_CREATED,
-            Literal(record.created, datatype=vocab.XSD_DATETIME),
-            graph,
-        ),
-    ]
-    if record.application:
-        quads.append(Quad(about, vocab.META_APPLICATION, Literal(record.application), graph))
-    if record.title:
-        quads.append(Quad(about, vocab.META_TITLE, Literal(record.title), graph))
-    for contributor in record.contributors:
-        quads.append(Quad(about, vocab.META_CONTRIBUTOR, _agent_term(contributor), graph))
-    if record.last_updated:
-        quads.append(
-            Quad(
-                about,
-                vocab.META_UPDATED,
-                Literal(record.last_updated, datatype=vocab.XSD_DATETIME),
-                graph,
-            )
-        )
+    quads = []
+    for name, predicate, term in _RECORD_FIELDS:
+        value = getattr(record, name)
+        values = value if name == "contributors" else (value,) if value else ()
+        quads += (Quad(about, predicate, term(v), graph) for v in values)
     return quads
 
 
 def _record_from_quads(quads: list[Quad]) -> ProvenanceRecord:
-    creator = ""
-    created = ""
-    application = None
-    title = None
-    contributors: list[str] = []
-    last_updated = None
-    for q in sorted(quads, key=lambda q: q.key()):
-        value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
-        if q.predicate == vocab.META_CREATOR:
-            creator = value
-        elif q.predicate == vocab.META_CREATED:
-            created = value
-        elif q.predicate == vocab.META_APPLICATION:
-            application = value
-        elif q.predicate == vocab.META_TITLE:
-            title = value
-        elif q.predicate == vocab.META_CONTRIBUTOR:
-            contributors.append(value)
-        elif q.predicate == vocab.META_UPDATED:
-            last_updated = value
-    return ProvenanceRecord(
-        creator=creator,
-        created=created,
-        application=application,
-        title=title,
-        contributors=tuple(contributors),
-        last_updated=last_updated,
-    )
+    """The record ``_record_quads`` wrote: a single-valued field keeps its
+    last value in key order, and quads of other predicates are skipped."""
+    fields = {"creator": "", "created": "", "contributors": ()}
+    for q in sorted(quads, key=Quad.key):
+        if name := _FIELD_OF.get(q.predicate):
+            value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
+            fields[name] = (*fields[name], value) if name == "contributors" else value
+    return ProvenanceRecord(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +181,14 @@ def emit_nanopublication(
     prov: ProvenanceRecord,
     pubinfo: ProvenanceRecord,
     catalog: VocabularyCatalog,
-    schema_upri: str | None = None,
 ) -> Nanopublication:
     """Package one semantic unit (statement or compound) as a nanopub.
 
     Graph names are derived from the unit identifier, so emission is
     deterministic. The assertion graph of a statement unit is its data
     graph; compound units keep an empty assertion graph and carry their
-    associations in the head.
+    associations in the head. The publication info links the unit's
+    statement schema, if it has one.
     """
     prov.validate()
     pubinfo.validate()
@@ -243,6 +222,7 @@ def emit_nanopublication(
 
     prov_quads = _record_quads(prov, assertion_g, prov_g)
     pub_quads = _record_quads(pubinfo, np_upri, pub_g)
+    schema_upri = getattr(unit, "schema_class", None)
     if schema_upri:
         pub_quads.append(Quad(np_upri, vocab.META_SCHEMA, Iri(schema_upri), pub_g))
 
@@ -302,23 +282,15 @@ def parse_nanopublication(
     if not pub_quads:
         raise NanopubError(f"head references missing publication-info graph {pub_g}")
 
-    classes = frozenset(
-        q.object.value
-        for q in head_quads
-        if q.subject != np_upri
-        and q.predicate == catalog.type
-        and isinstance(q.object, Iri)
+    # The unit's declarations: every head quad but those about the np itself.
+    classes, subjects, associated = read_declarations(
+        (q for q in head_quads if q.subject != np_upri), catalog
     )
-    subject = None
-    associations: list[str] = []
-    unit_upri = assertion_g
-    for q in head_quads:
-        if q.predicate == catalog.has_semantic_unit_subject and isinstance(q.object, Iri):
-            subject = q.object.value
-            unit_upri = q.subject
-        elif q.predicate == catalog.has_associated_semantic_unit and isinstance(q.object, Iri):
-            associations.append(q.object.value)
-            unit_upri = q.subject
+    declared = classes.keys() | subjects.keys() | associated.keys()
+    if len(declared) > 1:
+        raise NanopubError(f"head graph declares {len(declared)} units: {sorted(declared)}")
+    unit_upri = declared.pop() if declared else assertion_g
+    associations = tuple(associated.get(unit_upri, ()))
 
     assertion = tuple(dataset.graph(assertion_g))
     if not assertion and not associations:
@@ -338,14 +310,12 @@ def parse_nanopublication(
     return ParsedNanopub(
         upri=np_upri,
         unit_upri=unit_upri,
-        classes=classes,
-        subject=subject,
+        classes=frozenset(classes.get(unit_upri, ())),
+        subject=subjects.get(unit_upri),
         assertion=assertion,
-        associations=tuple(associations),
+        associations=associations,
         provenance=_record_from_quads(prov_quads),
-        pubinfo=_record_from_quads(
-            [q for q in pub_quads if q.predicate != vocab.META_SCHEMA]
-        ),
+        pubinfo=_record_from_quads(pub_quads),
         schema_upri=schema_upri,
     )
 

@@ -38,6 +38,7 @@ from .errors import BoundExceededError, RuleError, UnsafeRuleError
 from .store import IRI_TOKEN
 
 
+DEFAULT_BOUND = 24  # most default-negated atoms the solver takes unless told otherwise
 _VAR_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
 
 
@@ -626,7 +627,7 @@ def _consistent(model: frozenset[Atom]) -> bool:
     return not any(a.complement() in model for a in model if a.negated)
 
 
-def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom]]:
+def stable_models(program: LogicProgram, bound: int = DEFAULT_BOUND) -> list[frozenset[Atom]]:
     """All stable models of a ground program.
 
     A negation-free program has exactly one stable model, its least

@@ -285,7 +285,8 @@ class _TrigParser:
             if self.s.peek() == "@":
                 self._directive()
             elif self._lookahead_keyword("PREFIX"):
-                self._sparql_prefix()
+                self._consume_keyword("PREFIX")
+                self._prefix()
             elif self._lookahead_keyword("GRAPH"):
                 self._consume_keyword("GRAPH")
                 self.s.skip_ws()
@@ -319,13 +320,7 @@ class _TrigParser:
         self.s.advance()  # '@'
         word = self.s.read_token()
         if word == "prefix":
-            self.s.skip_ws()
-            name = self.s.read_token()
-            if not name.endswith(":"):
-                raise self.s.error("prefix name must end with ':'")
-            self.s.skip_ws()
-            iri = self.s.read_iriref()
-            self.prefixes[name[:-1]] = iri
+            self._prefix()
             self.s.skip_ws()
             self.s.expect(".")
         elif word == "base":
@@ -333,15 +328,14 @@ class _TrigParser:
         else:
             raise self.s.error(f"unknown directive @{word}")
 
-    def _sparql_prefix(self):
-        self._consume_keyword("PREFIX")
+    def _prefix(self):
+        """The name, ':' and IRI of an ``@prefix`` or ``PREFIX`` directive."""
         self.s.skip_ws()
         name = self.s.read_token()
         if not name.endswith(":"):
             raise self.s.error("prefix name must end with ':'")
         self.s.skip_ws()
-        iri = self.s.read_iriref()
-        self.prefixes[name[:-1]] = iri
+        self.prefixes[name[:-1]] = self.s.read_iriref()
 
     def _graph_block(self, graph: str):
         self.s.skip_ws()

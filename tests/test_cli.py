@@ -245,6 +245,26 @@ def test_seeded_runs_are_identical_under_every_hash_seed(tmp_path, command):
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
+@pytest.mark.parametrize("columns", ["40", "80", "120", None])
+def test_help_is_argparse_default_help_at_every_width(columns):
+    """``--help`` prints what argparse's own formatter prints, at the width
+    it takes from ``$COLUMNS``, or from stdout when that is not a terminal."""
+    env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if columns is not None:
+        env["COLUMNS"] = columns
+    default = (
+        "import argparse; from kgunits import cli; parser = cli.build_parser(); "
+        "parser.formatter_class = argparse.HelpFormatter; parser.print_help()"
+    )
+    ours, theirs = (
+        subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, check=True)
+        for argv in (["-m", "kgunits.cli", "--help"], ["-c", default])
+    )
+    assert ours.stdout == theirs.stdout
+    assert "{ingest,partition," in ours.stdout
+
+
 def test_partition_seeded_runs_byte_identical(capsys, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -459,7 +479,7 @@ def test_nanopub_stage_writes_the_union_of_each_nanopublication(
     result = partition(compounds, schemas, catalog, minter)
     record = ProvenanceRecord(vocab.SU_NS + "agent/cli", "2023-01-01T00:00:00+00:00")
     emitted = [
-        emit_nanopublication(unit, record, record, catalog, schema_upri=unit.schema_class)
+        emit_nanopublication(unit, record, record, catalog)
         for unit in result.units
     ] + [
         emit_nanopublication(compound, record, record, catalog)

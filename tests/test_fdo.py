@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kgunits import cli, vocab
+from kgunits import cli, fdo, vocab
 from kgunits.compound import build_all, compound_quads
 from kgunits.errors import (
     CollectionError,
@@ -29,10 +29,11 @@ from kgunits.fdo import (
     sha256_hex,
 )
 from kgunits.rdfio import parse_quads, serialize_quads
-from kgunits.store import QuadDataset
+from kgunits.store import Iri, Quad, QuadDataset, term_key
 from kgunits.translate import skolem
 
-from conftest import fixture_text, partitioned
+import fdo_oracle
+from conftest import FIXTURES, fixture_text, partitioned
 
 EX = "https://example.org/kg/"
 SUC = "https://example.org/su-class/"
@@ -96,7 +97,7 @@ def test_provenance_validation():
 def test_statement_unit_nanopub_round_trip(catalog, schemas):
     result = partitioned("hand_bare.trig", catalog, schemas)
     (unit,) = result.units
-    np = emit_nanopublication(unit, PROV, PUB, catalog, schema_upri=unit.schema_class)
+    np = emit_nanopublication(unit, PROV, PUB, catalog)
     # structural invariant: four graphs, head links the other three
     dataset = np.dataset()
     graphs = set(dataset.graph_names())
@@ -141,8 +142,6 @@ def test_nanopub_missing_provenance_graph_rejected(catalog, schemas):
 
 
 def test_nanopub_dangling_head_reference_rejected(catalog, schemas):
-    from kgunits.store import Iri, Quad
-
     result = partitioned("hand_bare.trig", catalog, schemas)
     np = emit_nanopublication(result.units[0], PROV, PUB, catalog)
     quads = []
@@ -159,6 +158,68 @@ def test_nanopub_requires_mandatory_provenance(catalog, schemas):
     bad = ProvenanceRecord(creator="", created="2023-01-01T00:00:00+00:00")
     with pytest.raises(ProvenanceError):
         emit_nanopublication(result.units[0], bad, PUB, catalog)
+
+
+@pytest.mark.parametrize("predicate", ["type", "has_semantic_unit_subject"])
+def test_nanopub_head_declaring_two_units_rejected(catalog, schemas, predicate):
+    result = partitioned("hand_bare.trig", catalog, schemas)
+    np = emit_nanopublication(result.units[0], PROV, PUB, catalog)
+    extra = Quad(EX + "otherUnit", getattr(catalog, predicate), Iri(EX + "Thing"), np.head[0].graph)
+    with pytest.raises(NanopubError, match="declares 2 units"):
+        parse_nanopublication(QuadDataset([*np.dataset(), extra]), catalog)
+
+
+# -- the record and nanopub readers against the oracles -------------------------
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.trig")))
+def test_parse_nanopublication_equals_the_oracle_on_fixtures(catalog, schemas, fixture):
+    result = partitioned(fixture, catalog, schemas)
+    units = [*result.units, *build_all(result, catalog, UpriMinter(seed=5)).all_units()]
+    assert units
+    for unit in units:
+        dataset = emit_nanopublication(unit, PROV, PUB, catalog).dataset()
+        parsed = parse_nanopublication(dataset, catalog)
+        assert parsed == fdo_oracle.parse_nanopublication(dataset, catalog)
+        assert parsed.schema_upri == getattr(unit, "schema_class", None)
+
+
+# Field values: absolute IRIs (an agent is then written as an IRI) and other text.
+_VALUES = st.sampled_from([EX + "alice", "urn:agent:bob"]) | st.text(min_size=1)
+_OPTIONAL = st.none() | _VALUES
+_FIELD_PREDICATES = [
+    vocab.META_CREATOR, vocab.META_CREATED, vocab.META_APPLICATION, vocab.META_TITLE,
+    vocab.META_CONTRIBUTOR, vocab.META_UPDATED, vocab.META_SCHEMA,
+]
+
+
+def _in_key_order(agents: list[str]) -> tuple[str, ...]:
+    """Contributors as the reader gives them back: in the key order of their quads."""
+    return tuple(sorted(agents, key=lambda agent: term_key(fdo_oracle._agent_term(agent))))
+
+
+@given(
+    st.builds(
+        ProvenanceRecord,
+        creator=_VALUES,
+        created=_VALUES,
+        application=_OPTIONAL,
+        title=_OPTIONAL,
+        contributors=st.lists(_VALUES, max_size=3).map(_in_key_order),
+        last_updated=_OPTIONAL,
+    )
+)
+def test_record_quads_equal_the_oracle_and_read_back(record):
+    quads = fdo._record_quads(record, EX + "unit", EX + "unit/np/provenance")
+    assert quads == fdo_oracle._record_quads(record, EX + "unit", EX + "unit/np/provenance")
+    assert fdo._record_from_quads(quads) == record
+
+
+@given(st.lists(st.tuples(st.sampled_from(_FIELD_PREDICATES), _VALUES), max_size=8))
+def test_record_reader_equals_the_oracle_on_any_field_quads(pairs):
+    """A field given twice keeps its last value in key order; other predicates are skipped."""
+    quads = [Quad(EX + "np", p, fdo_oracle._agent_term(v), EX + "np/pubinfo") for p, v in pairs]
+    assert fdo._record_from_quads(quads) == fdo_oracle._record_from_quads(quads)
 
 
 # -- access policies ------------------------------------------------------------

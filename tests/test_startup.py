@@ -11,7 +11,8 @@ The import loads no compiled library it does not use, and no command loads
 OpenSSL: SHA-256 comes from the interpreter's own module, not ``hashlib``
 (whose ``_hashlib`` loads libcrypto), and artifacts are written without
 ``tempfile`` (whose ``random`` and ``shutil`` load ``math``, ``zlib``,
-``bz2`` and ``lzma``).
+``bz2`` and ``lzma``). The help formatter takes the terminal width without
+``shutil`` too.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import kgunits
 from conftest import FIXTURES
 
 SOURCE = Path(kgunits.__file__).parent
-# Loaded by no command. (A command's argparse formatter imports ``shutil``,
-# and so ``zlib``, ``bz2`` and ``lzma``, for the terminal width.)
-NEVER = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile", "random")
+# Loaded by no command.
+NEVER = ("dataclasses", "inspect", "hashlib", "_hashlib", "tempfile", "random",
+         "shutil", "zlib", "bz2", "lzma")
 DEFERRED = ("logging", "datetime", "fractions", "decimal")
-UNUSED = (*NEVER, "shutil", "bz2", "lzma", "zlib", "uuid", *DEFERRED)
+UNUSED = (*NEVER, "uuid", *DEFERRED)
 
 
 def _loaded_after(code: str) -> list:
