@@ -28,7 +28,6 @@ from .units import (
 from .compound import CompoundUnit, build_all, make_collection_unit
 from .fdo import (
     AccessPolicy,
-    Nanopublication,
     ProvenanceRecord,
     UpriMinter,
     apply_access_policy,
@@ -55,7 +54,6 @@ __all__ = [
     "Iri",
     "Literal",
     "LogicProgram",
-    "Nanopublication",
     "PartitionResult",
     "ProcessedGraph",
     "ProvenanceRecord",

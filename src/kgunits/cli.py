@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 solver bound exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import cached_property
@@ -198,12 +199,11 @@ class Context:
 
 class Products:
     """What the stages compute from one input dataset (parsed, or given): the
-    dataset, its partition, its compound units, its facts, and the ground
-    rule count and stable models of the rules over those facts. Each is
-    computed on first use and kept, so every stage of a run reads the same
-    partition (and the same UPRIs). It keeps the settings it reads, not the
-    ``Context`` that holds it, so a finished run is freed by reference
-    counting."""
+    dataset, its partition, its compound units, its facts, the rules, and
+    their stable models over those facts. Each is computed on first use and
+    kept, so every stage of a run reads the same partition (and the same
+    UPRIs). It keeps the settings it reads, not the ``Context`` that holds
+    it, so a finished run is freed by reference counting."""
 
     def __init__(self, ctx: Context, paths: list[str] = (), dataset: QuadDataset | None = None):
         self.paths = paths
@@ -238,17 +238,18 @@ class Products:
         return facts_from_units(self.partition, self.catalog)
 
     @cached_property
-    def solved(self) -> tuple[int, list]:
-        """The size of the Herbrand instantiation of the rules over the
-        facts, and the stable models of the relevant ground program (the
-        rule instances whose positive body is derivable), which are the
-        same. Only the relevant program is built, and it is not kept."""
+    def rules(self) -> LogicProgram:
+        """The default rules, then those of each ``--rules`` file."""
         rules = list(default_rules().rules)
         for path in self.rules_paths:
             rules.extend(parse_rules(_read_text(path), self.catalog.prefixes).rules)
-        rules = LogicProgram(tuple(rules))
-        program = ground_program(rules, self.facts)
-        return herbrand_size(rules, self.facts), stable_models(program, bound=self.bound)
+        return LogicProgram(tuple(rules))
+
+    @cached_property
+    def models(self) -> list:
+        """The stable models of the relevant ground program (the rule instances
+        whose positive body is derivable), which is built and not kept."""
+        return stable_models(ground_program(self.rules, self.facts), bound=self.bound)
 
 
 def hash_seed(seed: int, stage: str) -> int:
@@ -357,7 +358,9 @@ def stage_label(ctx: Context) -> dict:
 
 
 def stage_reason(ctx: Context) -> dict:
-    ground_rules, models = ctx.products.solved
+    models = ctx.products.models
+    # Only this summary reports the size of the Herbrand instantiation.
+    ground_rules = herbrand_size(ctx.products.rules, ctx.products.facts)
     lines = []
     for i, model in enumerate(models):
         lines.append(f"# model {i}\n")
@@ -372,7 +375,7 @@ def stage_reason(ctx: Context) -> dict:
 
 
 def stage_translate(ctx: Context) -> dict:
-    _, models = ctx.products.solved
+    models = ctx.products.models
     prefixes = dict(ctx.catalog.prefixes)
     patterns = ctx.patterns() if models else []
     sections = []
@@ -405,15 +408,10 @@ def stage_nanopub(ctx: Context) -> dict:
     record = ProvenanceRecord(creator=ctx.creator, created=ctx.timestamp())
     nanopubs = [
         emit_nanopublication(unit, record, record, ctx.catalog)
-        for unit in sorted(result.units, key=lambda u: u.upri)
+        for unit in [*result.units, *reconstruct_compounds(result.dataset, ctx.catalog)]
     ]
-    nanopubs += [
-        emit_nanopublication(compound, record, record, ctx.catalog)
-        for compound in reconstruct_compounds(result.dataset, ctx.catalog)
-    ]
-    # One dataset sorts and deduplicates the quads of all nanopublications.
-    quads = [q for np in nanopubs for q in np.head + np.assertion + np.provenance + np.pubinfo]
-    _write_trig(ctx, "nanopubs.trig", QuadDataset(quads))
+    # Their union is one dataset, whose canonical order fixes the bytes.
+    _write_trig(ctx, "nanopubs.trig", QuadDataset(q for np in nanopubs for q in np))
     return {"nanopubs": len(nanopubs)}
 
 
@@ -525,8 +523,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. The cyclic collector is off while it runs: a run
+    builds many small objects, mostly acyclic, and a finished run is freed
+    by reference counting. The caller's collector is switched back on."""
     argv = argv if argv is not None else sys.argv[1:]
     parser = build_parser()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_intermixed_args(argv)
         ctx = Context(_with_config(parser, args) if args.config else args)
@@ -543,6 +546,9 @@ def main(argv: list[str] | None = None) -> int:
     except KgUnitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -164,25 +164,14 @@ def _record_from_quads(quads: list[Quad]) -> ProvenanceRecord:
 # ---------------------------------------------------------------------------
 
 
-@record
-class Nanopublication:
-    upri: str
-    head: tuple[Quad, ...]
-    assertion: tuple[Quad, ...]
-    provenance: tuple[Quad, ...]
-    pubinfo: tuple[Quad, ...]
-
-    def dataset(self) -> QuadDataset:
-        return QuadDataset(self.head + self.assertion + self.provenance + self.pubinfo)
-
-
 def emit_nanopublication(
     unit,
     prov: ProvenanceRecord,
     pubinfo: ProvenanceRecord,
     catalog: VocabularyCatalog,
-) -> Nanopublication:
-    """Package one semantic unit (statement or compound) as a nanopub.
+) -> QuadDataset:
+    """Package one semantic unit (statement or compound) as a nanopub: the
+    dataset of its head, assertion, provenance and publication-info graphs.
 
     Graph names are derived from the unit identifier, so emission is
     deterministic. The assertion graph of a statement unit is its data
@@ -197,7 +186,6 @@ def emit_nanopublication(
     head_g = np_upri + "/head"
     prov_g = np_upri + "/provenance"
     pub_g = np_upri + "/pubinfo"
-    assertion_g = unit_upri
 
     data_quads = tuple(getattr(unit, "quads", ()) or ())
     associated = tuple(getattr(unit, "associated", ()) or ())
@@ -206,33 +194,23 @@ def emit_nanopublication(
             f"unit {unit_upri} has neither a data graph nor associated units"
         )
 
-    head: list[Quad] = [
+    quads = [
         Quad(np_upri, catalog.type, Iri(vocab.NANOPUBLICATION), head_g),
-        Quad(np_upri, vocab.HAS_ASSERTION, Iri(assertion_g), head_g),
+        Quad(np_upri, vocab.HAS_ASSERTION, Iri(unit_upri), head_g),
         Quad(np_upri, vocab.HAS_PROVENANCE, Iri(prov_g), head_g),
         Quad(np_upri, vocab.HAS_PUBLICATION_INFO, Iri(pub_g), head_g),
     ]
     classes = getattr(unit, "classes", ()) or ()
     subject = getattr(unit, "subject", None)
-    head += declaration_quads(unit_upri, classes, subject, associated, catalog, head_g)
-
-    # Compound units keep an empty assertion graph; associations live in
-    # the head instead.
-    assertion = () if associated else tuple(q.rehome(assertion_g) for q in data_quads)
-
-    prov_quads = _record_quads(prov, assertion_g, prov_g)
-    pub_quads = _record_quads(pubinfo, np_upri, pub_g)
-    schema_upri = getattr(unit, "schema_class", None)
-    if schema_upri:
-        pub_quads.append(Quad(np_upri, vocab.META_SCHEMA, Iri(schema_upri), pub_g))
-
-    return Nanopublication(
-        upri=np_upri,
-        head=tuple(sorted(head, key=lambda q: q.key())),
-        assertion=tuple(sorted(assertion, key=lambda q: q.key())),
-        provenance=tuple(sorted(prov_quads, key=lambda q: q.key())),
-        pubinfo=tuple(sorted(pub_quads, key=lambda q: q.key())),
-    )
+    quads += declaration_quads(unit_upri, classes, subject, associated, catalog, head_g)
+    # The assertion graph is named by the unit; a compound's stays empty.
+    if not associated:
+        quads += (q.rehome(unit_upri) for q in data_quads)
+    quads += _record_quads(prov, unit_upri, prov_g)
+    quads += _record_quads(pubinfo, np_upri, pub_g)
+    if schema_upri := getattr(unit, "schema_class", None):
+        quads.append(Quad(np_upri, vocab.META_SCHEMA, Iri(schema_upri), pub_g))
+    return QuadDataset(quads)
 
 
 @record

@@ -1,15 +1,25 @@
 """The provenance writer and reader and the nanopublication reader as they
 were before one field table drove both record functions and the head was
-read through `store.read_declarations`. Kept as the oracles of the
-differential tests in `test_fdo.py`.
+read through `store.read_declarations`, and the nanopublication writer as it
+was when it returned a record of four sorted graphs instead of one dataset.
+Kept as the oracles of the differential tests in `test_fdo.py`.
 """
 
 from __future__ import annotations
 
 from kgunits import vocab
+from kgunits._record import record
 from kgunits.errors import NanopubError
 from kgunits.fdo import ParsedNanopub, ProvenanceRecord
-from kgunits.store import Iri, Literal, Quad, QuadDataset, VocabularyCatalog, is_absolute_iri
+from kgunits.store import (
+    Iri,
+    Literal,
+    Quad,
+    QuadDataset,
+    VocabularyCatalog,
+    declaration_quads,
+    is_absolute_iri,
+)
 
 
 def _agent_term(value: str):
@@ -154,4 +164,75 @@ def parse_nanopublication(
             [q for q in pub_quads if q.predicate != vocab.META_SCHEMA]
         ),
         schema_upri=schema_upri,
+    )
+
+
+@record
+class Nanopublication:
+    upri: str
+    head: tuple[Quad, ...]
+    assertion: tuple[Quad, ...]
+    provenance: tuple[Quad, ...]
+    pubinfo: tuple[Quad, ...]
+
+    def dataset(self) -> QuadDataset:
+        return QuadDataset(self.head + self.assertion + self.provenance + self.pubinfo)
+
+
+def emit_nanopublication(
+    unit,
+    prov: ProvenanceRecord,
+    pubinfo: ProvenanceRecord,
+    catalog: VocabularyCatalog,
+) -> Nanopublication:
+    """Package one semantic unit (statement or compound) as a nanopub.
+
+    Graph names are derived from the unit identifier, so emission is
+    deterministic. The assertion graph of a statement unit is its data
+    graph; compound units keep an empty assertion graph and carry their
+    associations in the head. The publication info links the unit's
+    statement schema, if it has one.
+    """
+    prov.validate()
+    pubinfo.validate()
+    unit_upri = unit.upri
+    np_upri = unit_upri.rstrip("/") + "/np"
+    head_g = np_upri + "/head"
+    prov_g = np_upri + "/provenance"
+    pub_g = np_upri + "/pubinfo"
+    assertion_g = unit_upri
+
+    data_quads = tuple(getattr(unit, "quads", ()) or ())
+    associated = tuple(getattr(unit, "associated", ()) or ())
+    if not data_quads and not associated:
+        raise NanopubError(
+            f"unit {unit_upri} has neither a data graph nor associated units"
+        )
+
+    head: list[Quad] = [
+        Quad(np_upri, catalog.type, Iri(vocab.NANOPUBLICATION), head_g),
+        Quad(np_upri, vocab.HAS_ASSERTION, Iri(assertion_g), head_g),
+        Quad(np_upri, vocab.HAS_PROVENANCE, Iri(prov_g), head_g),
+        Quad(np_upri, vocab.HAS_PUBLICATION_INFO, Iri(pub_g), head_g),
+    ]
+    classes = getattr(unit, "classes", ()) or ()
+    subject = getattr(unit, "subject", None)
+    head += declaration_quads(unit_upri, classes, subject, associated, catalog, head_g)
+
+    # Compound units keep an empty assertion graph; associations live in
+    # the head instead.
+    assertion = () if associated else tuple(q.rehome(assertion_g) for q in data_quads)
+
+    prov_quads = _record_quads(prov, assertion_g, prov_g)
+    pub_quads = _record_quads(pubinfo, np_upri, pub_g)
+    schema_upri = getattr(unit, "schema_class", None)
+    if schema_upri:
+        pub_quads.append(Quad(np_upri, vocab.META_SCHEMA, Iri(schema_upri), pub_g))
+
+    return Nanopublication(
+        upri=np_upri,
+        head=tuple(sorted(head, key=lambda q: q.key())),
+        assertion=tuple(sorted(assertion, key=lambda q: q.key())),
+        provenance=tuple(sorted(prov_quads, key=lambda q: q.key())),
+        pubinfo=tuple(sorted(pub_quads, key=lambda q: q.key())),
     )

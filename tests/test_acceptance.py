@@ -404,7 +404,7 @@ def test_acceptance_6_nanopub_round_trip(catalog, schemas):
             kind = getattr(unit, "kind", "statement")
             seen_kinds.add(kind)
             np = emit_nanopublication(unit, PROV, PROV, catalog)
-            text = serialize_quads(np.dataset(), "trig", dict(catalog.prefixes))
+            text = serialize_quads(np, "trig", dict(catalog.prefixes))
             parsed = parse_nanopublication(parse_quads(text, "trig"), catalog)
             assert parsed.unit_upri == unit.upri
             assert set(parsed.assertion) == set(getattr(unit, "quads", ()) or ())

@@ -486,9 +486,9 @@ def test_nanopub_stage_writes_the_union_of_each_nanopublication(
         for compound in reconstruct_compounds(result.dataset, catalog)
     ]
     assert int(summary["nanopubs"]) == len(emitted) > 1
-    assert any(not np.assertion for np in emitted)  # compound units too
+    assert any(len(np.graph_names()) == 3 for np in emitted)  # compound units too
     written = parse_trig((tmp_path / "nanopubs.trig").read_text(encoding="utf-8"))
-    assert written == emitted[0].dataset().merge(*(np.dataset() for np in emitted[1:]))
+    assert written == emitted[0].merge(*emitted[1:])
 
 
 def test_label_stage_resolves_templates_once(capsys, tmp_path, monkeypatch):
@@ -889,6 +889,64 @@ def test_finished_runs_leave_no_kgunits_object_to_the_collector(capsys, tmp_path
         gc.set_debug(0)
         gc.garbage.clear()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_main_gives_the_caller_back_its_collector(capsys, tmp_path, monkeypatch, collecting):
+    """A command runs with the cyclic collector off. After an exit 0, 1, 2
+    or 3 the caller's collector is on or off as it was, with its thresholds."""
+    rules = tmp_path / "loops.lp"
+    rules.write_text("p(X) :- r(X), not q(X).\nq(X) :- r(X), not p(X).\nr(c0).\nr(c1).\nr(c2).\n",
+                     encoding="utf-8")
+    broken = tmp_path / "broken.trig"
+    broken.write_text("<https://example.org/a> {\n", encoding="utf-8")
+    runs = [
+        (0, ["reason", str(FIXTURES / "weight.trig"), *common(tmp_path)]),
+        (1, ["frobnicate"]),
+        (2, ["partition", str(broken), *common(tmp_path)]),
+        (3, ["reason", str(FIXTURES / "weight.trig"), *common(tmp_path, "--rules", str(rules),
+                                                              "--bound", "2")]),
+    ]
+    during = []
+    monkeypatch.setattr(cli, "_emit", lambda summary: during.append(gc.isenabled()))
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    try:
+        gc.set_threshold(555, 7, 9)
+        gc.enable() if collecting else gc.disable()
+        before = gc.isenabled(), gc.get_threshold()
+        for code, argv in runs:
+            assert main(argv) == code, argv[0]
+            assert (gc.isenabled(), gc.get_threshold()) == before, code
+    finally:
+        gc.set_threshold(*threshold)
+        gc.enable() if enabled else gc.disable()
+    assert during == [False]  # the exit-0 run printed its summary with the collector off
+    capsys.readouterr()
+
+
+def test_only_reason_counts_the_herbrand_instantiation(capsys, tmp_path, monkeypatch):
+    """``translate`` writes the same files and summary without the Herbrand
+    count; ``reason``, whose summary reports it, prints the same count."""
+    thumb = str(FIXTURES / "thumb.lp")
+    outputs = {}
+    for counting in (True, False):
+        if not counting:
+            def refuse(*args):
+                raise AssertionError("translate counted the Herbrand instantiation")
+
+            monkeypatch.setattr(cli, "herbrand_size", refuse)
+        for fixture in sorted(FIXTURES.glob("*.trig")):
+            out = tmp_path / str(counting) / fixture.stem
+            assert main(["translate", str(fixture), *common(out, "--rules", thumb)]) == 0
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            outputs.setdefault(fixture.name, []).append((capsys.readouterr().out, files))
+    assert all(counted == uncounted for counted, uncounted in outputs.values())
+    monkeypatch.undo()
+    for fixture, ground_rules in (("hand_universal.trig", 64), ("weight.trig", 107),
+                                  ("travel.trig", 122)):
+        code, summary = run(capsys, "reason", str(FIXTURES / fixture),
+                            *common(tmp_path / "reason", "--rules", thumb))
+        assert (code, summary["ground_rules"]) == (0, str(ground_rules)), fixture
 
 
 def test_bound_counts_only_the_relevant_negated_atoms(capsys, tmp_path):

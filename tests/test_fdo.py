@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgunits import cli, fdo, vocab
-from kgunits.compound import build_all, compound_quads
+from kgunits.compound import CompoundUnit, build_all, compound_quads, reconstruct_compounds
 from kgunits.errors import (
     CollectionError,
     MintError,
@@ -29,8 +30,9 @@ from kgunits.fdo import (
     sha256_hex,
 )
 from kgunits.rdfio import parse_quads, serialize_quads
-from kgunits.store import Iri, Quad, QuadDataset, term_key
+from kgunits.store import Iri, Literal, Quad, QuadDataset, term_key
 from kgunits.translate import skolem
+from kgunits.units import StatementUnit
 
 import fdo_oracle
 from conftest import FIXTURES, fixture_text, partitioned
@@ -97,12 +99,11 @@ def test_provenance_validation():
 def test_statement_unit_nanopub_round_trip(catalog, schemas):
     result = partitioned("hand_bare.trig", catalog, schemas)
     (unit,) = result.units
-    np = emit_nanopublication(unit, PROV, PUB, catalog)
+    dataset = emit_nanopublication(unit, PROV, PUB, catalog)
     # structural invariant: four graphs, head links the other three
-    dataset = np.dataset()
     graphs = set(dataset.graph_names())
     assert len(graphs) == 4
-    assert [q.object.value for q in np.head if q.predicate == vocab.HAS_ASSERTION] == [unit.upri]
+    assert [q.object.value for q in dataset if q.predicate == vocab.HAS_ASSERTION] == [unit.upri]
     parsed = parse_nanopublication(dataset, catalog)
     assert parsed.unit_upri == unit.upri
     assert set(parsed.assertion) == set(unit.quads)
@@ -116,8 +117,8 @@ def test_compound_unit_nanopub_round_trip(catalog, schemas):
     compounds = build_all(result, catalog, UpriMinter(seed=5))
     compound = compounds.quality[0]
     np = emit_nanopublication(compound, PROV, PUB, catalog)
-    assert np.assertion == ()  # compound assertion graph stays empty
-    parsed = parse_nanopublication(np.dataset(), catalog)
+    assert np.graph(compound.upri) == ()  # compound assertion graph stays empty
+    parsed = parse_nanopublication(np, catalog)
     assert parsed.unit_upri == compound.upri
     assert set(parsed.associations) == set(compound.associated)
     assert parsed.subject == compound.subject
@@ -128,7 +129,7 @@ def test_nanopub_round_trip_survives_serialization(catalog, schemas):
     result = partitioned("hand_assertional.trig", catalog, schemas)
     unit = result.units[0]
     np = emit_nanopublication(unit, PROV, PUB, catalog)
-    text = serialize_quads(np.dataset(), "trig", dict(catalog.prefixes))
+    text = serialize_quads(np, "trig", dict(catalog.prefixes))
     parsed = parse_nanopublication(parse_quads(text, "trig"), catalog)
     assert set(parsed.assertion) == set(unit.quads)
 
@@ -136,7 +137,7 @@ def test_nanopub_round_trip_survives_serialization(catalog, schemas):
 def test_nanopub_missing_provenance_graph_rejected(catalog, schemas):
     result = partitioned("hand_bare.trig", catalog, schemas)
     np = emit_nanopublication(result.units[0], PROV, PUB, catalog)
-    broken = QuadDataset([q for q in np.dataset() if not q.graph.endswith("/provenance")])
+    broken = QuadDataset([q for q in np if not q.graph.endswith("/provenance")])
     with pytest.raises(NanopubError):
         parse_nanopublication(broken, catalog)
 
@@ -145,7 +146,7 @@ def test_nanopub_dangling_head_reference_rejected(catalog, schemas):
     result = partitioned("hand_bare.trig", catalog, schemas)
     np = emit_nanopublication(result.units[0], PROV, PUB, catalog)
     quads = []
-    for q in np.dataset():
+    for q in np:
         if q.predicate == vocab.HAS_PROVENANCE:
             q = Quad(q.subject, q.predicate, Iri(EX + "nowhere"), q.graph)
         quads.append(q)
@@ -164,9 +165,10 @@ def test_nanopub_requires_mandatory_provenance(catalog, schemas):
 def test_nanopub_head_declaring_two_units_rejected(catalog, schemas, predicate):
     result = partitioned("hand_bare.trig", catalog, schemas)
     np = emit_nanopublication(result.units[0], PROV, PUB, catalog)
-    extra = Quad(EX + "otherUnit", getattr(catalog, predicate), Iri(EX + "Thing"), np.head[0].graph)
+    head_g = result.units[0].upri + "/np/head"
+    extra = Quad(EX + "otherUnit", getattr(catalog, predicate), Iri(EX + "Thing"), head_g)
     with pytest.raises(NanopubError, match="declares 2 units"):
-        parse_nanopublication(QuadDataset([*np.dataset(), extra]), catalog)
+        parse_nanopublication(QuadDataset([*np, extra]), catalog)
 
 
 # -- the record and nanopub readers against the oracles -------------------------
@@ -178,7 +180,7 @@ def test_parse_nanopublication_equals_the_oracle_on_fixtures(catalog, schemas, f
     units = [*result.units, *build_all(result, catalog, UpriMinter(seed=5)).all_units()]
     assert units
     for unit in units:
-        dataset = emit_nanopublication(unit, PROV, PUB, catalog).dataset()
+        dataset = emit_nanopublication(unit, PROV, PUB, catalog)
         parsed = parse_nanopublication(dataset, catalog)
         assert parsed == fdo_oracle.parse_nanopublication(dataset, catalog)
         assert parsed.schema_upri == getattr(unit, "schema_class", None)
@@ -220,6 +222,87 @@ def test_record_reader_equals_the_oracle_on_any_field_quads(pairs):
     """A field given twice keeps its last value in key order; other predicates are skipped."""
     quads = [Quad(EX + "np", p, fdo_oracle._agent_term(v), EX + "np/pubinfo") for p, v in pairs]
     assert fdo._record_from_quads(quads) == fdo_oracle._record_from_quads(quads)
+
+
+# -- the nanopublication writer against its oracle ------------------------------
+
+
+def _old_emit(unit, prov, pubinfo, catalog) -> QuadDataset:
+    """The oracle's four sorted graphs, as one dataset."""
+    old = fdo_oracle.emit_nanopublication(unit, prov, pubinfo, catalog)
+    return QuadDataset(old.head + old.assertion + old.provenance + old.pubinfo)
+
+
+def _emit_outcome(emit, unit, prov, pubinfo, catalog):
+    """The dataset ``emit`` gives, or the type of the error it raised."""
+    try:
+        return emit(unit, prov, pubinfo, catalog)
+    except NanopubError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.trig")))
+def test_emit_nanopublication_equals_the_oracle_on_fixtures(catalog, schemas, fixture):
+    """Every statement unit, built compound and compound read back from the
+    compound dataset (what the ``nanopub`` stage emits) gives the oracle's quads."""
+    result = partitioned(fixture, catalog, schemas)
+    compounds = list(build_all(result, catalog, UpriMinter(seed=5)).all_units())
+    merged = result.dataset.merge(compound_quads(compounds, catalog))
+    units = [*result.units, *compounds, *reconstruct_compounds(merged, catalog)]
+    for unit in units:
+        assert emit_nanopublication(unit, PROV, PUB, catalog) == _old_emit(unit, PROV, PUB, catalog)
+
+
+_UPRIS = st.sampled_from([EX + "u1", EX + "u2/", "urn:unit:3"])
+_IRIS = st.sampled_from([EX + "a", EX + "b", SUC + "has-part", "urn:x:c"])
+_TERMS = _IRIS.map(Iri) | st.text(max_size=4).map(Literal)
+_QUADS = st.lists(st.builds(Quad, _IRIS, _IRIS, _TERMS, _IRIS), max_size=4).map(tuple)
+_CLASSES = st.frozensets(_IRIS, max_size=2)
+_UNITS = st.builds(
+    StatementUnit, upri=_UPRIS, classes=_CLASSES, subject=_IRIS, objects=st.just(()),
+    quads=_QUADS, schema_class=st.none() | _IRIS,
+) | st.builds(
+    CompoundUnit, upri=_UPRIS, kind=st.just("typed-statement"), classes=_CLASSES,
+    associated=st.lists(_UPRIS, max_size=3).map(tuple), subject=st.none() | _IRIS,
+) | st.builds(  # any unit with associations is packaged as a compound, quads or not
+    SimpleNamespace, upri=_UPRIS, classes=_CLASSES, subject=_IRIS, quads=_QUADS,
+    associated=st.lists(_UPRIS, max_size=3).map(tuple),
+)
+_STAMPS = st.sampled_from(["2023-05-01T10:00:00+00:00", "2020-01-01T00:00:00Z", "2020-01-01"])
+_RECORDS = st.builds(
+    ProvenanceRecord,
+    creator=_VALUES,
+    created=_STAMPS,
+    application=_OPTIONAL,
+    title=_OPTIONAL,
+    contributors=st.lists(_VALUES, max_size=3).map(tuple),
+    last_updated=st.none() | _STAMPS,
+)
+
+
+@given(_UNITS, _RECORDS, _RECORDS)
+def test_emit_nanopublication_equals_the_oracle_on_generated_units(catalog, unit, prov, pubinfo):
+    """Statement units with and without a schema class, compounds with 0-3
+    associations, records with optional fields and 0-3 contributors: the same
+    dataset, or the same error for a unit with neither quads nor associations."""
+    new = _emit_outcome(emit_nanopublication, unit, prov, pubinfo, catalog)
+    assert new == _emit_outcome(_old_emit, unit, prov, pubinfo, catalog)
+
+
+_UNIT = StatementUnit(EX + "u", frozenset(), EX + "s", (), (Quad(EX + "s", EX + "p", Iri(EX + "o"), EX + "g"),))
+
+
+@pytest.mark.parametrize("unit, prov, pubinfo, error", [
+    (CompoundUnit(EX + "u", "typed-statement", frozenset(), ()), PROV, PUB, NanopubError),
+    (StatementUnit(EX + "u", frozenset(), EX + "s", (), ()), PROV, PUB, NanopubError),
+    (_UNIT, ProvenanceRecord(creator="", created=PROV.created), PUB, ProvenanceError),
+    (_UNIT, PROV, ProvenanceRecord(creator=PUB.creator, created="yesterday"), ProvenanceError),
+    (_UNIT, PROV, ProvenanceRecord(PUB.creator, PUB.created, last_updated="2999-01-01"), ProvenanceError),
+])
+def test_emit_nanopublication_raises_as_the_oracle_does(catalog, unit, prov, pubinfo, error):
+    for emit in (emit_nanopublication, fdo_oracle.emit_nanopublication):
+        with pytest.raises(error):
+            emit(unit, prov, pubinfo, catalog)
 
 
 # -- access policies ------------------------------------------------------------

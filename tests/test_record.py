@@ -109,7 +109,7 @@ def _arguments(data, cls) -> tuple[tuple, dict]:
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 41
+    assert len(RECORDS) == 40
     assert SLOTTED | ORDERED <= set(RECORDS)
     assert {cls for cls in RECORDS if "__slots__" in vars(cls)} == SLOTTED
     assert {cls for cls in RECORDS if "__lt__" in vars(cls)} == ORDERED
