@@ -414,29 +414,20 @@ def build_granularity_tree_units(
             by_component.setdefault(root_of[a], {})[a, b] = us
         for root in sorted(by_component):
             comp_edge_units = by_component[root]
-            comp_edges = set(comp_edge_units)
-            comp = {n for e in comp_edges for n in e}
-            cycle = _find_cycle(comp, comp_edges)
+            cycle, reduced, descendants = _order_walk(comp_edge_units)
             if cycle:
                 cycles.append(
                     f"{predicate}: cycle through {' -> '.join(cycle)}; component skipped"
                 )
                 continue
-            reduced = _transitive_reduction(comp, comp_edges)
-            incoming = {b for _, b in reduced}
-            roots = sorted({a for a, _ in reduced} - incoming)
-            if not roots and len(comp) == 1:
-                continue
-            for root in roots:
-                reachable = _reachable(root, reduced)
-                tree_edges = tuple(
-                    sorted((a, b) for a, b in reduced if a in reachable and b in reachable)
-                )
+            for root, below in descendants.items():
+                tree = below | {root}
+                tree_edges = tuple(sorted(e for e in reduced if e[0] in tree))
                 member_units = sorted(
                     {
                         u.upri
-                        for (a, b), us in comp_edge_units.items()
-                        if a in reachable and b in reachable
+                        for (a, _), us in comp_edge_units.items()
+                        if a in tree
                         for u in us
                     }
                 )
@@ -477,73 +468,46 @@ def _components(nodes, edges) -> dict[str, str]:
     return {n: find(n) for n in parent}
 
 
-def _find_cycle(nodes: set[str], edges: set[tuple[str, str]]) -> list[str] | None:
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in edges:
-        adjacency[a].append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {n: WHITE for n in nodes}
-    path: list[str] = []
-
-    def visit(n: str) -> list[str] | None:
-        colour[n] = GREY
-        path.append(n)
-        for nb in sorted(adjacency[n]):
-            if colour[nb] == GREY:
-                return path[path.index(nb) :] + [nb]
-            if colour[nb] == WHITE:
-                found = visit(nb)
-                if found:
-                    return found
-        colour[n] = BLACK
-        path.pop()
-        return None
-
-    for n in sorted(nodes):
-        if colour[n] == WHITE:
-            found = visit(n)
-            if found:
-                return found
-    return None
-
-
-def _transitive_reduction(
-    nodes: set[str], edges: set[tuple[str, str]]
-) -> set[tuple[str, str]]:
-    adjacency: dict[str, set[str]] = {n: set() for n in nodes}
-    for a, b in edges:
-        adjacency[a].add(b)
-
-    def reachable_without(a: str, b: str) -> bool:
-        # Is b reachable from a via a path of length >= 2?
-        stack = [nb for nb in adjacency[a] if nb != b]
-        seen = set(stack)
+def _order_walk(edges) -> tuple[list[str] | None, set[tuple[str, str]], dict[str, set[str]]]:
+    """One depth-first walk over a component's edges, taking nodes and each
+    node's children in sorted order. If it meets a cycle it returns the path
+    from the repeated node back to it. Otherwise it returns the edges that
+    are not transitive (a -> b is transitive when b is a descendant of
+    another child of a) and each root, in sorted order, with its set of
+    descendants. The walk keeps its own stack, so a long chain cannot
+    exhaust the interpreter's recursion limit, and holds each node's
+    descendants as an integer bit set, so a deep order costs n² bits."""
+    children: dict[str, list[str]] = {}
+    for a, b in sorted(edges):
+        children.setdefault(a, []).append(b)
+        children.setdefault(b, [])
+    bit = {n: 1 << i for i, n in enumerate(children)}
+    seen: set[str] = set()
+    below: dict[str, int] = {}  # the nodes the walk has finished
+    reduced: set[tuple[str, str]] = set()
+    for start in sorted(children):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [(start, iter(children[start]))]
         while stack:
-            cur = stack.pop()
-            if cur == b:
-                return True
-            for nb in adjacency[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return False
-
-    return {e for e in edges if not reachable_without(*e)}
-
-
-def _reachable(root: str, edges: set[tuple[str, str]]) -> set[str]:
-    adjacency: dict[str, set[str]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, set()).add(b)
-    out = {root}
-    stack = [root]
-    while stack:
-        cur = stack.pop()
-        for nb in adjacency.get(cur, ()):
-            if nb not in out:
-                out.add(nb)
-                stack.append(nb)
-    return out
+            n, rest = stack[-1]
+            c = next((c for c in rest if c not in below), None)
+            if c is None:
+                stack.pop()
+                via = 0
+                for c in children[n]:
+                    via |= below[c]
+                reduced.update((n, c) for c in children[n] if not via & bit[c])
+                below[n] = via | sum(bit[c] for c in children[n])
+            elif c in seen:  # on the path: a cycle
+                path = [m for m, _ in stack]
+                return path[path.index(c) :] + [c], set(), {}
+            else:
+                seen.add(c)
+                stack.append((c, iter(children[c])))
+    roots = sorted(set(children) - {b for _, b in edges})
+    return None, reduced, {r: {n for n in children if below[r] & bit[n]} for r in roots}
 
 
 # ---------------------------------------------------------------------------
@@ -827,22 +791,6 @@ def compound_quads(
                     Quad(a, catalog.object_described_by_semantic_unit, Iri(b), graph)
                 )
         quads.extend(c.extra_quads)
-    return quads
-
-
-def collection_unit_quads(
-    compound: CompoundUnit,
-    memberships: list[StatementUnit],
-    catalog: VocabularyCatalog,
-) -> list[Quad]:
-    """Everything needed to persist a collection unit into a dataset: the
-    membership data graphs, their unit declarations, and the compound's
-    own semantic-units-layer quads (including ordered-list indexes)."""
-    quads: list[Quad] = []
-    for member in memberships:
-        quads.extend(member.quads)
-        quads.extend(declaration_quads(member.upri, member.classes, member.subject, (), catalog))
-    quads.extend(compound_quads([compound], catalog))
     return quads
 
 

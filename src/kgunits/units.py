@@ -526,24 +526,55 @@ def _adopt_units(
 ) -> list[StatementUnit]:
     """One unit per declared unit data graph, in UPRI order, with the
     declared classes and subject (by default its first quad's) and the
-    parts its quads give it."""
+    parts its quads give it. The quads arrive in canonical order, so each
+    graph's quads are in key order.
+
+    A graph declared with the class of a declared schema, and not as an
+    identification unit, takes the best-ranked (least ``order_key``) match
+    of that schema in the graph, or without one the schema's untyped
+    parts. The matches come from one ``_enumerate_candidates`` run per
+    distinct schema over one ``_quad_index`` of those graphs' quads: a
+    match never spans graphs, because every template shares the graph
+    variable ``G``."""
     by_graph: dict[str, list[Quad]] = {}
     for q in adopted_quads:
         by_graph.setdefault(q.graph, []).append(q)
 
     classes, subjects, _ = read_declarations(units_layer, catalog)
     by_class: dict[str, StatementSchema] = {s.unit_class: s for s in schemas}
+    schema_of: dict[str, StatementSchema] = {}
+    for upri in by_graph:
+        declared = classes.get(upri, set())
+        schema = next((by_class[c] for c in sorted(declared) if c in by_class), None)
+        if schema is not None and not declared & vocab.IDENTIFICATION_UNIT_CLASSES:
+            schema_of[upri] = schema
+    index = _quad_index(q for q in adopted_quads if q.graph in schema_of)
+    best: dict[str, _Candidate] = {}
+    for schema in {s.unit_class: s for s in schema_of.values()}.values():
+        for cand in _enumerate_candidates(schema, index):
+            upri = next(iter(cand.claimed.values())).graph
+            if schema_of[upri] is schema and (
+                upri not in best or cand.order_key < best[upri].order_key
+            ):
+                best[upri] = cand
+
     out: list[StatementUnit] = []
     for upri in sorted(by_graph):
-        quads = sorted(by_graph[upri], key=Quad.key)
+        quads = by_graph[upri]
         declared = classes.get(upri, set())
         subject = subjects.get(upri) or quads[0].subject
         id_class = declared & vocab.IDENTIFICATION_UNIT_CLASSES
-        schema = next((by_class[c] for c in sorted(declared) if c in by_class), None)
+        schema = schema_of.get(upri)
         if id_class:
             unit = _identification_unit(subject, quads, catalog, min(id_class))
+        elif upri in best:
+            unit = _schema_unit(schema, best[upri].binding, quads)
         elif schema is not None:
-            unit = _rebind_schema(schema, quads)
+            unit = replace(
+                _untyped_unit(quads[0].subject, quads),
+                schema_class=schema.unit_class,
+                anchor_predicate=schema.anchor_predicate,
+            )
         else:
             unit = _untyped_unit(subject, quads)
         out.append(replace(
@@ -554,20 +585,6 @@ def _adopt_units(
             adopted=True,
         ))
     return out
-
-
-def _rebind_schema(schema: StatementSchema, quads: list[Quad]) -> StatementUnit:
-    """The unit of ``schema``'s best match over an adopted unit's ``quads``
-    in key order, or without a match, of ``schema`` over its untyped
-    parts."""
-    candidates = _enumerate_candidates(schema, _quad_index(quads))
-    if candidates:
-        return _schema_unit(schema, min(candidates, key=lambda c: c.order_key).binding, quads)
-    return replace(
-        _untyped_unit(quads[0].subject, quads),
-        schema_class=schema.unit_class,
-        anchor_predicate=schema.anchor_predicate,
-    )
 
 
 # ---------------------------------------------------------------------------

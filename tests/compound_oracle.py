@@ -8,6 +8,10 @@ is-about endpoint whose component holds no unit as outside every context
 instead of failing with a `KeyError`. `reconstruct_compounds` is kept as
 it was when it read the declarations of every typed resource, before it
 read classes and subjects only for the resources with associated units.
+The granularity builder's three graph helpers are kept as they were before
+one depth-first walk (`compound._order_walk`) took their place: the cycle
+search, a transitive reduction that searches once per edge, and a walk
+per tree root, each over its own adjacency.
 
 Kept as the oracles of the differential tests in `test_compound.py`: each
 orphan walks every component in sorted order, each component rescans every
@@ -27,10 +31,7 @@ from kgunits.compound import (
     ContextResult,
     TreeResult,
     _KIND_CLASS,
-    _find_cycle,
-    _reachable,
     _resource_kind,
-    _transitive_reduction,
 )
 from kgunits.store import Iri, QuadDataset, ResourceKind, VocabularyCatalog, read_declarations
 from kgunits.units import PartitionResult, StatementUnit
@@ -228,6 +229,75 @@ def build_granularity_tree_units(
                     )
                 )
     return TreeResult(units=tuple(trees), cycles=tuple(cycles))
+
+
+def _find_cycle(nodes: set[str], edges: set[tuple[str, str]]) -> list[str] | None:
+    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
+    for a, b in edges:
+        adjacency[a].append(b)
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {n: WHITE for n in nodes}
+    path: list[str] = []
+
+    def visit(n: str) -> list[str] | None:
+        colour[n] = GREY
+        path.append(n)
+        for nb in sorted(adjacency[n]):
+            if colour[nb] == GREY:
+                return path[path.index(nb) :] + [nb]
+            if colour[nb] == WHITE:
+                found = visit(nb)
+                if found:
+                    return found
+        colour[n] = BLACK
+        path.pop()
+        return None
+
+    for n in sorted(nodes):
+        if colour[n] == WHITE:
+            found = visit(n)
+            if found:
+                return found
+    return None
+
+
+def _transitive_reduction(
+    nodes: set[str], edges: set[tuple[str, str]]
+) -> set[tuple[str, str]]:
+    adjacency: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in edges:
+        adjacency[a].add(b)
+
+    def reachable_without(a: str, b: str) -> bool:
+        # Is b reachable from a via a path of length >= 2?
+        stack = [nb for nb in adjacency[a] if nb != b]
+        seen = set(stack)
+        while stack:
+            cur = stack.pop()
+            if cur == b:
+                return True
+            for nb in adjacency[cur]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        return False
+
+    return {e for e in edges if not reachable_without(*e)}
+
+
+def _reachable(root: str, edges: set[tuple[str, str]]) -> set[str]:
+    adjacency: dict[str, set[str]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, set()).add(b)
+    out = {root}
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for nb in adjacency.get(cur, ()):
+            if nb not in out:
+                out.add(nb)
+                stack.append(nb)
+    return out
 
 
 def build_granular_item_groups(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from kgunits import compile_schema, load_catalog, parse_quads, partition
 from kgunits.fdo import UpriMinter
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def fixture_text(name: str) -> str:
@@ -36,3 +39,16 @@ def at_level(report, level: str) -> tuple:
 def partitioned(name: str, catalog, schemas, seed: int = 7):
     dataset = fixture_dataset(name)
     return partition(dataset, schemas, catalog, UpriMinter(seed=seed))
+
+
+def benchmark_module(name: str):
+    """The benchmark's ``perfbench/<name>.py``, loaded by path under its own
+    name, the name by which the benchmark's modules import one another."""
+    path = PERFBENCH / f"{name}.py"
+    module = sys.modules.get(name)
+    if module is None or Path(module.__file__).resolve() != path:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module

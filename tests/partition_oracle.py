@@ -4,14 +4,28 @@
 the ``logic`` join engine. This is the matcher it replaces: for each anchor
 quad, every quad of each other template's predicate in the same graph is
 tried in canonical order. It serves as the oracle for differential tests.
+
+``adopt_units`` is ``units._adopt_units`` as it was before it matched each
+declared schema once over all the adopted graphs: here every adopted unit
+of a declared schema sorts its own quads, indexes them and plans and runs
+its schema's join alone (``rebind_schema``).
 """
 
 from __future__ import annotations
 
 from kgunits import vocab
+from kgunits._record import replace
 from kgunits.schemas import QUALITATIVE, StatementSchema, TripleTemplate, Var
-from kgunits.store import Iri, Literal, Quad, Term
-from kgunits.units import _Candidate
+from kgunits.store import Iri, Literal, Quad, Term, VocabularyCatalog, read_declarations
+from kgunits.units import (
+    StatementUnit,
+    _Candidate,
+    _enumerate_candidates,
+    _identification_unit,
+    _quad_index,
+    _schema_unit,
+    _untyped_unit,
+)
 
 
 def quads_by_predicate(quads) -> dict[str, list[Quad]]:
@@ -134,3 +148,55 @@ def enumerate_candidates(
         key = (schema.unit_class, tuple(sorted(cand.claimed)))
         unique.setdefault(key, cand)
     return list(unique.values())
+
+
+def adopt_units(
+    adopted_quads: list[Quad],
+    units_layer: tuple[Quad, ...],
+    schemas: list[StatementSchema],
+    catalog: VocabularyCatalog,
+) -> list[StatementUnit]:
+    """One unit per declared unit data graph, in UPRI order, with the
+    declared classes and subject (by default its first quad's) and the
+    parts its quads give it."""
+    by_graph: dict[str, list[Quad]] = {}
+    for q in adopted_quads:
+        by_graph.setdefault(q.graph, []).append(q)
+
+    classes, subjects, _ = read_declarations(units_layer, catalog)
+    by_class: dict[str, StatementSchema] = {s.unit_class: s for s in schemas}
+    out: list[StatementUnit] = []
+    for upri in sorted(by_graph):
+        quads = sorted(by_graph[upri], key=Quad.key)
+        declared = classes.get(upri, set())
+        subject = subjects.get(upri) or quads[0].subject
+        id_class = declared & vocab.IDENTIFICATION_UNIT_CLASSES
+        schema = next((by_class[c] for c in sorted(declared) if c in by_class), None)
+        if id_class:
+            unit = _identification_unit(subject, quads, catalog, min(id_class))
+        elif schema is not None:
+            unit = rebind_schema(schema, quads)
+        else:
+            unit = _untyped_unit(subject, quads)
+        out.append(replace(
+            unit,
+            upri=upri,
+            classes=frozenset(declared or {vocab.UNTYPED_STATEMENT_UNIT}),
+            subject=subject,
+            adopted=True,
+        ))
+    return out
+
+
+def rebind_schema(schema: StatementSchema, quads: list[Quad]) -> StatementUnit:
+    """The unit of ``schema``'s best match over an adopted unit's ``quads``
+    in key order, or without a match, of ``schema`` over its untyped
+    parts."""
+    candidates = _enumerate_candidates(schema, _quad_index(quads))
+    if candidates:
+        return _schema_unit(schema, min(candidates, key=lambda c: c.order_key).binding, quads)
+    return replace(
+        _untyped_unit(quads[0].subject, quads),
+        schema_class=schema.unit_class,
+        anchor_predicate=schema.anchor_predicate,
+    )

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgunits import vocab
@@ -12,6 +12,7 @@ from kgunits.compound import (
     DATASET,
     ORDERED_LIST,
     SET,
+    _order_walk,
     build_all,
     build_context_units,
     build_granular_item_groups,
@@ -327,6 +328,57 @@ def test_granularity_builders_equal_the_rescanning_oracles(catalog, schemas, dat
     )
 
 
+_DIAMOND = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("a", "d")]
+
+
+@st.composite
+def _digraphs(draw):
+    """Edges over six nodes: acyclic ones (each edge from a lesser node to a
+    greater) or any, so with self-loops and 2-cycles; often a diamond with
+    its transitive edge, and often a second part apart from the first."""
+    nodes = st.sampled_from("abcdef")
+    edges = draw(st.lists(st.tuples(nodes, nodes), max_size=12))
+    if draw(st.booleans()):
+        edges = [(a, b) for a, b in edges if a < b]
+    if draw(st.booleans()):
+        edges += _DIAMOND
+    if draw(st.booleans()):
+        edges += [("x", "y"), ("y", "z"), ("x", "z")]
+    return set(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+@example({("a", "a")})
+@example({("a", "b"), ("b", "a")})
+@example(set(_DIAMOND))
+@example({("a", "b"), ("c", "d")})
+def test_order_walk_equals_the_three_walks_it_replaced(edges):
+    """One walk finds the old search's first cycle (self-loops and 2-cycles
+    included), or else the old per-edge transitive reduction (a diamond
+    loses its transitive edge) and, from each root, the old reach."""
+    nodes = {n for e in edges for n in e}
+    cycle, reduced, descendants = _order_walk(edges)
+    assert cycle == compound_oracle._find_cycle(nodes, edges)
+    if cycle is None:
+        assert reduced == compound_oracle._transitive_reduction(nodes, edges)
+        roots = sorted(nodes - {b for _, b in edges})
+        assert [(r, below | {r}) for r, below in descendants.items()] == [
+            (r, compound_oracle._reachable(r, reduced)) for r in roots
+        ]
+
+
+def test_order_walk_takes_a_chain_deeper_than_the_recursion_limit():
+    """The old recursive cycle search raised ``RecursionError`` on a chain
+    of about a thousand nodes, and ``compound`` ended in a traceback."""
+    nodes = [f"n{i:05d}" for i in range(5000)]
+    edges = set(zip(nodes, nodes[1:]))
+    cycle, reduced, descendants = _order_walk(edges)
+    assert cycle is None and reduced == edges
+    assert descendants == {nodes[0]: set(nodes[1:])}
+    assert _order_walk(edges | {(nodes[-1], nodes[0])})[0] == nodes + [nodes[0]]
+
+
 # -- granularity trees ----------------------------------------------------------
 
 
@@ -558,13 +610,19 @@ def test_dataset_unit_rejects_unknown_members(catalog):
 
 
 def test_collection_units_persist_and_reload(catalog, schemas):
-    from kgunits.compound import collection_unit_quads
+    """A collection unit persists as its ``compound_quads`` (with the
+    ordered-list indexes) and each membership unit's data graph and
+    declaration."""
+    from kgunits.store import declaration_quads
     from kgunits.units import partition as run
 
     compound, memberships = make_collection_unit(
         ORDERED_LIST, [EX + "authorA", EX + "authorB"], catalog, UpriMinter(seed=9)
     )
-    quads = collection_unit_quads(compound, memberships, catalog)
+    quads = compound_quads([compound], catalog)
+    for m in memberships:
+        quads += m.quads
+        quads += declaration_quads(m.upri, m.classes, m.subject, (), catalog)
     dataset = QuadDataset(quads)
     # the synthesized membership units are adopted on re-partition
     result = run(dataset, schemas, catalog, UpriMinter(seed=10))

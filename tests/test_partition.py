@@ -462,10 +462,10 @@ _QUALITATIVE_CASE, _QUANTITATIVE_CASE = _hand_cases()
 
 
 @st.composite
-def _schema_cases(draw):
+def _random_schemas(draw):
     """A schema of one to four templates over a small vocabulary, most of
     them about ``?s`` and most of their objects variables, which are
-    adjuncts more often than not; and 12 to 40 quads in two graphs."""
+    adjuncts more often than not."""
     templates = draw(st.lists(
         st.builds(
             TripleTemplate,
@@ -489,6 +489,13 @@ def _schema_cases(draw):
         numeric=[v for v in arguments if relation == QUANTITATIVE and draw(st.booleans())],
         anchor=draw(st.sampled_from([t.predicate for t in templates])),
     )
+    return schema
+
+
+@st.composite
+def _schema_cases(draw):
+    """A random schema and 12 to 40 quads in two graphs."""
+    schema = draw(_random_schemas())
     quads = draw(st.lists(
         st.builds(Quad, st.sampled_from(_R), st.sampled_from(_P), st.sampled_from(_OBJECTS),
                   st.sampled_from(_G)),
@@ -540,3 +547,119 @@ def test_optional_anchor_template_is_matched_once():
     (candidate,) = _enumerate_candidates(schema, _quad_index(quads))
     assert (candidate.templates_matched, candidate.unbound_adjuncts) == (1, 0)
     assert list(candidate.claimed.values()) == quads
+
+
+# -- adoption ---------------------------------------------------------------
+
+from collections import Counter
+
+from kgunits._record import replace
+from kgunits.store import declaration_quads
+from kgunits.units import _adopt_units, _builtin_schemas
+
+from conftest import benchmark_module
+
+
+def _adoptions(dataset, schemas, catalog):
+    """``_adopt_units`` and the per-unit oracle on the dataset's adopted
+    quads, in canonical order."""
+    data, units_layer = dataset.split_layers(catalog)
+    unit_graphs = dataset.unit_graphs(catalog)
+    adopted = [q for q in data if q.graph in unit_graphs]
+    return (
+        _adopt_units(adopted, units_layer, schemas, catalog),
+        partition_oracle.adopt_units(adopted, units_layer, schemas, catalog),
+    )
+
+
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_adoption_equals_the_per_unit_oracle_on_fixtures(catalog, schemas, name):
+    units, expected = _adoptions(partitioned(name, catalog, schemas).dataset, schemas, catalog)
+    assert units == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_adoption_equals_the_per_unit_oracle_on_generated_inputs(tmp_path, seed):
+    """The benchmark's pre-organized dataset, and its raw graph once
+    organized, at a size that is not a multiple of either record mix."""
+    from kgunits import compile_schema, load_catalog, parse_quads
+
+    gen = benchmark_module("gen")
+    catalog, schemas = load_catalog(gen.CATALOG), compile_schema(gen.SCHEMAS)
+    gen.generate("reason-organized", seed, 13, tmp_path / "reason")
+    gen.generate("organize-large", seed, 13, tmp_path / "organize")
+    organized = parse_quads((tmp_path / "reason" / "organized.nq").read_text("utf-8"), "nquads")
+    raw = parse_quads((tmp_path / "organize" / "input.trig").read_text("utf-8"), "trig")
+    for dataset in (organized, partition(raw, schemas, catalog, UpriMinter(seed=seed)).dataset):
+        units, expected = _adoptions(dataset, schemas, catalog)
+        assert units and units == expected
+
+
+_UNITS = [f"{EX}u{i}" for i in range(3)]
+
+
+@st.composite
+def _declared_units(draw):
+    """Two or three random schemas, and 20 to 60 quads in three unit graphs,
+    each declared with a random subject and one or two classes: the
+    schemas', an identification class and an undeclared one."""
+    schemas = [
+        replace(draw(_random_schemas()), unit_class=f"{SUC}s{i}")
+        for i in range(draw(st.integers(2, 3)))
+    ]
+    quads = draw(st.lists(
+        st.builds(Quad, st.sampled_from(_R), st.sampled_from(_P), st.sampled_from(_OBJECTS),
+                  st.sampled_from(_UNITS)),
+        min_size=20,
+        max_size=60,
+    ))
+    classes = [s.unit_class for s in schemas]
+    classes += [vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT, SUC + "undeclared"]
+    declared = [
+        (upri, draw(st.sets(st.sampled_from(classes), min_size=1, max_size=2)),
+         draw(st.sampled_from(_R)))
+        for upri in _UNITS
+    ]
+    return schemas, quads, declared
+
+
+@settings(max_examples=200, deadline=None)
+@given(_declared_units())
+def test_adoption_equals_the_per_unit_oracle_on_random_units(catalog, case):
+    """One match per schema over all the unit graphs gives each graph the
+    unit its own match gave it: the best-ranked candidate of its schema
+    there, or the schema's untyped parts."""
+    schemas, quads, declared = case
+    for upri, classes, subject in declared:
+        quads = quads + declaration_quads(upri, classes, subject, (), catalog)
+    units, expected = _adoptions(QuadDataset(quads), schemas, catalog)
+    assert units == expected
+
+
+def test_adoption_matches_each_declared_schema_once(tmp_path, monkeypatch):
+    """Re-partitioning organized output runs the matcher once per schema,
+    built-in or declared, on the new quads, and once more for each distinct
+    schema the adopted units declare, however many units declare it."""
+    from kgunits import compile_schema, load_catalog, parse_quads, units
+
+    gen = benchmark_module("gen")
+    catalog, schemas = load_catalog(gen.CATALOG), compile_schema(gen.SCHEMAS)
+    gen.generate("organize-large", 1, 40, tmp_path)
+    raw = parse_quads((tmp_path / "input.trig").read_text("utf-8"), "trig")
+    organized = partition(raw, schemas, catalog, UpriMinter(seed=1)).dataset
+    runs: Counter = Counter()
+    enumerate_candidates = units._enumerate_candidates
+
+    def counted(schema, index):
+        runs[schema.unit_class] += 1
+        return enumerate_candidates(schema, index)
+
+    monkeypatch.setattr(units, "_enumerate_candidates", counted)
+    again = partition(organized, schemas, catalog, UpriMinter(seed=2))
+    declared = Counter(
+        u.schema_class for u in again.units if u.schema_class and not u.is_identification
+    )
+    assert max(declared.values()) > 1
+    assert runs == Counter(s.unit_class for s in _builtin_schemas(schemas, catalog)) + Counter(
+        set(declared)
+    )

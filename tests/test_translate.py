@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import importlib.util
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +43,7 @@ from kgunits.translate import (
 )
 from kgunits.units import _builtin_schemas
 
-from conftest import fixture_dataset, fixture_text, partitioned
+from conftest import benchmark_module, fixture_dataset, fixture_text, partitioned
 
 EX = "https://example.org/kg/"
 REL = "https://example.org/rel/"
@@ -512,10 +510,7 @@ def test_builtins_match_oracles_on_fixture_schemas(catalog, schemas, default):
 
 
 def test_builtins_match_oracles_on_benchmark_schemas():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = benchmark_module("gen")
     _assert_builtins_match_oracles(compile_schema(gen.SCHEMAS), load_catalog(gen.CATALOG))
 
 
