@@ -2,7 +2,11 @@
 
 ``dataclasses`` compiles each class's methods from source with ``exec`` at
 import, about a millisecond a class, and loads ``inspect``: a large share
-of a kgunits command. ``record`` builds them from closures instead.
+of a kgunits command. ``record`` builds them from closures instead. It
+builds the settings, schema, unit, rule, OWL and report classes; the terms,
+quads and atoms, built by the million, are tuples (``store.Iri``,
+``store.Literal``, ``store.Quad``, ``logic.Atom``), whose hash, equality
+and canonical order are the tuple's own.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ factory = namedtuple("factory", "make")  # a default made anew for each instance
 set_field = object.__setattr__  # how a written-out __init__ sets a frozen field
 
 
-def record(cls=None, /, *, slots: bool = False, order: bool = False):
+def record(cls=None, /, *, slots: bool = False):
     """Make ``cls`` a frozen record of its annotated fields, as
-    ``dataclass(frozen=True, slots=slots, order=order)`` does, keeping the
-    methods the class defines. A slotted record writes its own
-    ``__init__``: those are the classes built by the million."""
+    ``dataclass(frozen=True, slots=slots)`` does, keeping the methods the
+    class defines. A slotted record writes its own ``__init__``."""
     if cls is None:
-        return lambda cls: record(cls, slots=slots, order=order)
+        return lambda cls: record(cls, slots=slots)
     names = tuple(cls.__annotations__)
     body = dict(vars(cls))
     defaults = {name: body[name] for name in names if name in body}
@@ -58,14 +61,11 @@ def record(cls=None, /, *, slots: bool = False, order: bool = False):
     methods = {
         "__init__": __init__,
         "__repr__": __repr__,
-        "__eq__": _compare(operator.eq, key),
+        "__eq__": _equality(key),
         "__hash__": lambda self: hash(key(self)),
         "__setattr__": _frozen,
         "__delattr__": _frozen,
     }
-    if order:
-        for op in (operator.lt, operator.le, operator.gt, operator.ge):
-            methods[f"__{op.__name__}__"] = _compare(op, key)
     for name, method in methods.items():
         if name not in body:
             setattr(cls, name, method)
@@ -82,13 +82,13 @@ def replace(record, /, **changes):
     return type(record)(**(values | changes))
 
 
-def _compare(op, key):
-    def method(self, other):
+def _equality(key):
+    def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return op(key(self), key(other))
+            return key(self) == key(other)
         return NotImplemented
 
-    return method
+    return __eq__
 
 
 def _frozen(self, name, *value):

@@ -328,7 +328,7 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
 
 def _quad_rows(unit: StatementUnit) -> list[str]:
     rows = []
-    for q in sorted(unit.quads, key=lambda q: (q.predicate,) + q.key()):
+    for q in sorted(unit.quads, key=lambda q: (q.predicate, q)):
         if isinstance(q.object, Iri):
             o = f"<{q.object.value}>"
         else:

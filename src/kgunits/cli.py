@@ -364,7 +364,7 @@ def stage_reason(ctx: Context) -> dict:
     lines = []
     for i, model in enumerate(models):
         lines.append(f"# model {i}\n")
-        atoms = sorted(model, key=lambda a: a.key())
+        atoms = sorted(model)
         lines.extend(line + "\n" for line in render_atoms(atoms, ctx.catalog.prefixes))
     _write_atomic(ctx.out / "models.txt", lines)
     return {

@@ -404,38 +404,35 @@ def build_granularity_tree_units(
         if not units:
             continue
         edges: dict[tuple[str, str], list[StatementUnit]] = {}
+        units_from: dict[str, list[StatementUnit]] = {}  # by the source of their edges
         for u in units:
             for obj in u.argument_iris():
                 edges.setdefault((u.subject, obj), []).append(u)
+                units_from.setdefault(u.subject, []).append(u)
         root_of = _components({n for e in edges for n in e}, edges)
         # The edges of each component, in the order of ``edges``.
         by_component: dict[str, dict] = {}
         for (a, b), us in edges.items():
             by_component.setdefault(root_of[a], {})[a, b] = us
-        for root in sorted(by_component):
-            comp_edge_units = by_component[root]
-            cycle, reduced, descendants = _order_walk(comp_edge_units)
+        for _, comp_edges in sorted(by_component.items()):
+            cycle, reduced, roots = _order_walk(comp_edges)
             if cycle:
                 cycles.append(
                     f"{predicate}: cycle through {' -> '.join(cycle)}; component skipped"
                 )
                 continue
-            for root, below in descendants.items():
-                tree = below | {root}
-                tree_edges = tuple(sorted(e for e in reduced if e[0] in tree))
-                member_units = sorted(
-                    {
-                        u.upri
-                        for (a, _), us in comp_edge_units.items()
-                        if a in tree
-                        for u in us
-                    }
-                )
-                associated = list(member_units)
-                for m in member_units:
-                    t = typed_by_ref.get(m)
-                    if t:
-                        associated.append(t)
+            for root in roots:
+                # The tree is what the reduced edges reach from its root.
+                tree, stack, tree_edges = {root}, [root], []
+                while stack:
+                    a = stack.pop()
+                    for b in reduced[a]:
+                        tree_edges.append((a, b))
+                        if b not in tree:
+                            tree.add(b)
+                            stack.append(b)
+                member_units = sorted({u.upri for n in tree for u in units_from.get(n, ())})
+                associated = member_units + [typed_by_ref[m] for m in member_units if m in typed_by_ref]
                 trees.append(
                     CompoundUnit(
                         upri=minter(),
@@ -443,7 +440,7 @@ def build_granularity_tree_units(
                         classes=frozenset({vocab.GRANULARITY_TREE_UNIT}),
                         associated=tuple(associated),
                         subject=root,
-                        edges=tree_edges,
+                        edges=tuple(sorted(tree_edges)),
                         order_predicate=predicate,
                     )
                 )
@@ -468,14 +465,14 @@ def _components(nodes, edges) -> dict[str, str]:
     return {n: find(n) for n in parent}
 
 
-def _order_walk(edges) -> tuple[list[str] | None, set[tuple[str, str]], dict[str, set[str]]]:
+def _order_walk(edges) -> tuple[list[str] | None, dict[str, list[str]], list[str]]:
     """One depth-first walk over a component's edges, taking nodes and each
     node's children in sorted order. If it meets a cycle it returns the path
-    from the repeated node back to it. Otherwise it returns the edges that
-    are not transitive (a -> b is transitive when b is a descendant of
-    another child of a) and each root, in sorted order, with its set of
-    descendants. The walk keeps its own stack, so a long chain cannot
-    exhaust the interpreter's recursion limit, and holds each node's
+    from the repeated node back to it. Otherwise it returns each node's
+    children along the edges that are not transitive (a -> b is transitive
+    when b is a descendant of another child of a), in sorted order, and the
+    roots in sorted order. The walk keeps its own stack, so a long chain
+    cannot exhaust the interpreter's recursion limit, and holds each node's
     descendants as an integer bit set, so a deep order costs n² bits."""
     children: dict[str, list[str]] = {}
     for a, b in sorted(edges):
@@ -484,7 +481,7 @@ def _order_walk(edges) -> tuple[list[str] | None, set[tuple[str, str]], dict[str
     bit = {n: 1 << i for i, n in enumerate(children)}
     seen: set[str] = set()
     below: dict[str, int] = {}  # the nodes the walk has finished
-    reduced: set[tuple[str, str]] = set()
+    reduced: dict[str, list[str]] = {}
     for start in sorted(children):
         if start in seen:
             continue
@@ -498,16 +495,15 @@ def _order_walk(edges) -> tuple[list[str] | None, set[tuple[str, str]], dict[str
                 via = 0
                 for c in children[n]:
                     via |= below[c]
-                reduced.update((n, c) for c in children[n] if not via & bit[c])
+                reduced[n] = [c for c in children[n] if not via & bit[c]]
                 below[n] = via | sum(bit[c] for c in children[n])
             elif c in seen:  # on the path: a cycle
                 path = [m for m, _ in stack]
-                return path[path.index(c) :] + [c], set(), {}
+                return path[path.index(c) :] + [c], {}, []
             else:
                 seen.add(c)
                 stack.append((c, iter(children[c])))
-    roots = sorted(set(children) - {b for _, b in edges})
-    return None, reduced, {r: {n for n in children if below[r] & bit[n]} for r in roots}
+    return None, reduced, sorted(set(children) - {b for _, b in edges})
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,9 @@ def _record_quads(record: ProvenanceRecord, about: str, graph: str) -> list[Quad
 
 def _record_from_quads(quads: list[Quad]) -> ProvenanceRecord:
     """The record ``_record_quads`` wrote: a single-valued field keeps its
-    last value in key order, and quads of other predicates are skipped."""
+    last value in canonical order, and quads of other predicates are skipped."""
     fields = {"creator": "", "created": "", "contributors": ()}
-    for q in sorted(quads, key=Quad.key):
+    for q in sorted(quads):
         if name := _FIELD_OF.get(q.predicate):
             value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
             fields[name] = (*fields[name], value) if name == "contributors" else value

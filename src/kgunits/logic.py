@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ._record import record, set_field
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
-from .store import IRI_TOKEN
+from .store import IRI_TOKEN, _field, _Named, _new
 
 
 DEFAULT_BOUND = 24  # most default-negated atoms the solver takes unless told otherwise
@@ -49,16 +49,18 @@ def is_variable(token) -> bool:
     return isinstance(token, str) and bool(_VAR_RE.match(token))
 
 
-@record(slots=True)
-class Atom:
-    predicate: str
-    terms: tuple[str, ...]
-    negated: bool  # classical negation
+class Atom(_Named):
+    """The tuple ``(predicate, terms, negated)``, so atoms sort by predicate,
+    then terms, the classically negated one last."""
 
-    def __init__(self, predicate: str, terms: tuple[str, ...] = (), negated: bool = False):
-        set_field(self, "predicate", predicate)
-        set_field(self, "terms", terms)
-        set_field(self, "negated", negated)
+    __slots__ = ()
+    _args = ("predicate", "terms", "negated")
+    predicate = _field(0, "the predicate")
+    terms = _field(1, "the argument terms")
+    negated = _field(2, "classical negation")
+
+    def __new__(cls, predicate: str, terms: tuple[str, ...] = (), negated: bool = False):
+        return _new(cls, (predicate, terms, negated))
 
     def variables(self) -> frozenset[str]:
         return frozenset(t for t in self.terms if is_variable(t))
@@ -74,9 +76,6 @@ class Atom:
 
     def complement(self) -> "Atom":
         return Atom(self.predicate, self.terms, not self.negated)
-
-    def key(self) -> tuple:
-        return (self.predicate, self.terms, self.negated)
 
     def render(self, prefixes: Mapping[str, str] | None = None) -> str:
         ordered = _by_namespace_length(prefixes)
@@ -642,9 +641,7 @@ def stable_models(program: LogicProgram, bound: int = DEFAULT_BOUND) -> list[fro
     if offending is not None:
         raise RuleError(f"program is not ground: {offending.render()}")
 
-    negated_support = sorted(
-        {a for rule in program.rules for a in rule.negative}, key=lambda a: a.key()
-    )
+    negated_support = sorted({a for rule in program.rules for a in rule.negative})
     if not negated_support:
         model = least_model(program.rules)
         return [model] if _consistent(model) else []
@@ -663,5 +660,5 @@ def stable_models(program: LogicProgram, bound: int = DEFAULT_BOUND) -> list[fro
             continue
         if candidate not in models:
             models.append(candidate)
-    models.sort(key=lambda m: sorted(a.key() for a in m))
+    models.sort(key=sorted)
     return models

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 
 from . import vocab
 from .errors import BlankNodeError, ParseError
@@ -467,9 +467,7 @@ def _term_nq(term: Term) -> str:
 
 
 def serialize_nquads(dataset: QuadDataset) -> str:
-    return "".join(
-        f"<{q.subject}> <{q.predicate}> {_term_nq(q.object)} <{q.graph}> .\n" for q in dataset
-    )
+    return "".join(f"<{s}> <{p}> {_term_nq(o)} <{g}> .\n" for g, s, p, o in dataset)
 
 
 class _Compacted(dict):
@@ -510,11 +508,10 @@ def trig_pieces(dataset: QuadDataset, prefixes: dict[str, str] | None = None) ->
     compacted = _Compacted(prefixes)
     pieces = [""]
     # The canonical order sorts by graph first: each graph is one run.
-    for name, quads in groupby(dataset, attrgetter("graph")):
+    for name, quads in groupby(dataset, itemgetter(0)):
         lines = [f"{compacted[name]} {{\n"]
-        for q in quads:
-            obj = _term_trig(q.object, compacted)
-            lines.append(f"    {compacted[q.subject]} {compacted[q.predicate]} {obj} .\n")
+        for _, s, p, o in quads:
+            lines.append(f"    {compacted[s]} {compacted[p]} {_term_trig(o, compacted)} .\n")
             if len(lines) == _PIECE_LINES:
                 pieces.append("".join(lines))
                 lines.clear()

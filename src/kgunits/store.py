@@ -18,12 +18,12 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property, wraps
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import vocab
-from ._record import factory, fields, record, set_field
+from ._record import factory, fields, record
 from .errors import (
     AmbiguousResourceKindError,
     CatalogError,
@@ -55,29 +55,61 @@ def local_name(iri: str) -> str:
     return iri
 
 
-@record(slots=True, order=True)
-class Iri:
-    value: str
+try:  # the C getter of namedtuple's fields
+    from _collections import _tuplegetter as _field
+except ImportError:  # pragma: no cover - an interpreter without it
+    _field = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
+_new = tuple.__new__
 
-    def __init__(self, value: str):
-        set_field(self, "value", value)
+
+class _Named(tuple):
+    """A tuple with named fields; ``_args`` lists them in the order the
+    constructor takes them, for ``repr`` and for copying."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        return tuple(getattr(self, name) for name in self._args)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__name__}({pairs})"
+
+
+class Iri(_Named):
+    """An IRI term, the tuple ``(0, value)``. Terms are tuples in the
+    canonical order: IRIs before literals, then by their fields in order."""
+
+    __slots__ = ()
+    _args = ("value",)
+    value = _field(1, "the IRI")
+
+    def __new__(cls, value: str):
+        return _new(cls, (0, value))
 
     def __str__(self) -> str:
         return self.value
 
 
-@record(slots=True)
-class Literal:
-    lexical: str
-    datatype: str
-    language: str | None
+class Literal(_Named):
+    """A literal term, the tuple ``(1, lexical, datatype, language or "")``;
+    a language tag makes the datatype ``rdf:langString``."""
 
-    def __init__(
-        self, lexical: str, datatype: str = vocab.XSD_STRING, language: str | None = None
+    __slots__ = ()
+    _args = ("lexical", "datatype", "language")
+    lexical = _field(1, "the lexical form")
+    datatype = _field(2, "the datatype IRI")
+
+    def __new__(
+        cls, lexical: str, datatype: str = vocab.XSD_STRING, language: str | None = None
     ):
-        set_field(self, "lexical", lexical)
-        set_field(self, "datatype", datatype if language is None else vocab.RDF_LANGSTRING)
-        set_field(self, "language", language)
+        if language is None:
+            return _new(cls, (1, lexical, datatype, ""))
+        return _new(cls, (1, lexical, vocab.RDF_LANGSTRING, language))
+
+    @property
+    def language(self) -> str | None:
+        return self[3] or None
 
     def __str__(self) -> str:
         return self.lexical
@@ -86,31 +118,23 @@ class Literal:
 Term = Union[Iri, Literal]
 
 
-def term_key(term: Term) -> tuple:
-    """Total order over terms: IRIs before literals, then lexicographic."""
-    if isinstance(term, Iri):
-        return (0, term.value, "", "")
-    return (1, term.lexical, term.datatype, term.language or "")
+class Quad(_Named):
+    """A quad, the tuple ``(graph, subject, predicate, object)``, so quads
+    sort in the canonical order: by graph, subject, predicate, then object.
+    The constructor takes the fields in triple order, the graph last."""
 
+    __slots__ = ()
+    _args = ("subject", "predicate", "object", "graph")
+    graph = _field(0, "the graph name")
+    subject = _field(1, "the subject IRI")
+    predicate = _field(2, "the predicate IRI")
+    object = _field(3, "the object term")
 
-@record(slots=True)
-class Quad:
-    subject: str
-    predicate: str
-    object: Term
-    graph: str
-
-    def __init__(self, subject: str, predicate: str, object: Term, graph: str):
-        set_field(self, "subject", subject)
-        set_field(self, "predicate", predicate)
-        set_field(self, "object", object)
-        set_field(self, "graph", graph)
-
-    def key(self) -> tuple:
-        return (self.graph, self.subject, self.predicate) + term_key(self.object)
+    def __new__(cls, subject: str, predicate: str, object: Term, graph: str):
+        return _new(cls, (graph, subject, predicate, object))
 
     def rehome(self, graph: str) -> "Quad":
-        return Quad(self.subject, self.predicate, self.object, graph)
+        return _new(Quad, (graph, *self[1:]))
 
 
 def _memoized(method):
@@ -134,10 +158,7 @@ class QuadDataset:
     __slots__ = ("_quads", "_views")
 
     def __init__(self, quads: Iterable[Quad] = ()):
-        seen: dict[tuple, Quad] = {}
-        for quad in quads:
-            seen.setdefault(quad.key(), quad)
-        self._quads = tuple(seen[k] for k in sorted(seen))
+        self._quads = tuple(sorted(set(quads)))
         self._views: dict[tuple, tuple] = {}
 
     def _view(self, name: str, catalog: "VocabularyCatalog | None", build: Callable):
@@ -161,7 +182,7 @@ class QuadDataset:
         return iter(self._quads)
 
     def __contains__(self, quad: Quad) -> bool:
-        return quad.key() in self._keys()
+        return quad in self._by_subject().get(quad.subject, ())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuadDataset) and self._quads == other._quads
@@ -170,19 +191,12 @@ class QuadDataset:
         return hash(self._quads)
 
     def merge(self, *extra: Iterable[Quad]) -> "QuadDataset":
-        quads: list[Quad] = list(self._quads)
-        for chunk in extra:
-            quads.extend(chunk)
-        return QuadDataset(quads)
-
-    @_memoized
-    def _keys(self) -> frozenset[tuple]:
-        return frozenset(q.key() for q in self._quads)
+        return QuadDataset(chain(self._quads, *extra))
 
     @_memoized
     def _by_graph(self) -> dict[str, tuple[Quad, ...]]:
         # The canonical order sorts by graph first: each graph is one run.
-        return {name: tuple(run) for name, run in groupby(self._quads, attrgetter("graph"))}
+        return {name: tuple(run) for name, run in groupby(self._quads, itemgetter(0))}
 
     @_memoized
     def _by_subject(self) -> dict[str, list[Quad]]:
@@ -205,12 +219,10 @@ class QuadDataset:
     def resources(self) -> frozenset[str]:
         """All IRIs occurring in subject, predicate, object, or graph position."""
         out: set[str] = set()
-        for q in self._quads:
-            out.add(q.subject)
-            out.add(q.predicate)
-            out.add(q.graph)
-            if isinstance(q.object, Iri):
-                out.add(q.object.value)
+        for g, s, p, o in self._quads:
+            out.update((g, s, p))
+            if isinstance(o, Iri):
+                out.add(o.value)
         return frozenset(out)
 
     # -- layer split -------------------------------------------------------
@@ -218,30 +230,24 @@ class QuadDataset:
     @_memoized
     def unit_graphs(self, catalog: "VocabularyCatalog") -> frozenset[str]:
         """Graph names declared as semantic-unit data graphs."""
-        declared = set()
-        for q in self._quads:
-            if q.predicate in (
-                catalog.has_semantic_unit_subject,
-                catalog.has_associated_semantic_unit,
-            ):
-                declared.add(q.subject)
-        return frozenset(declared)
+        declaring = (catalog.has_semantic_unit_subject, catalog.has_associated_semantic_unit)
+        return frozenset(s for _, s, p, _ in self._quads if p in declaring)
 
     @_memoized
     def unit_resources(self, catalog: "VocabularyCatalog") -> frozenset[str]:
         """Resources that stand for semantic units."""
         out: set[str] = set()
-        for q in self._quads:
-            if q.predicate == catalog.has_semantic_unit_subject:
-                out.add(q.subject)
-            elif q.predicate in (
+        for _, s, p, o in self._quads:
+            if p == catalog.has_semantic_unit_subject:
+                out.add(s)
+            elif p in (
                 catalog.has_associated_semantic_unit,
                 catalog.has_linked_semantic_unit,
                 catalog.object_described_by_semantic_unit,
             ):
-                out.add(q.subject)
-                if isinstance(q.object, Iri):
-                    out.add(q.object.value)
+                out.add(s)
+                if isinstance(o, Iri):
+                    out.add(o.value)
         return frozenset(out)
 
     @_memoized
@@ -263,11 +269,11 @@ class QuadDataset:
         data: list[Quad] = []
         units: list[Quad] = []
         for q in self._quads:
-            if q.predicate in structural:
+            g, s, p, o = q
+            if p in structural:
                 units.append(q)
-            elif q.graph not in unit_graphs and (
-                q.subject in unit_resources
-                or (isinstance(q.object, Iri) and q.object.value in unit_resources)
+            elif g not in unit_graphs and (
+                s in unit_resources or (isinstance(o, Iri) and o.value in unit_resources)
             ):
                 units.append(q)
             else:
@@ -308,13 +314,15 @@ def read_declarations(
     classes: dict[str, set[str]] = {}
     subjects: dict[str, str] = {}
     associated: dict[str, list[str]] = {}
-    for q in quads:
-        if q.predicate == catalog.type and isinstance(q.object, Iri):
-            classes.setdefault(q.subject, set()).add(q.object.value)
-        elif q.predicate == catalog.has_semantic_unit_subject and isinstance(q.object, Iri):
-            subjects.setdefault(q.subject, q.object.value)
-        elif q.predicate == catalog.has_associated_semantic_unit and isinstance(q.object, Iri):
-            associated.setdefault(q.subject, []).append(q.object.value)
+    for _, s, p, o in quads:
+        if not isinstance(o, Iri):
+            continue
+        if p == catalog.type:
+            classes.setdefault(s, set()).add(o.value)
+        elif p == catalog.has_semantic_unit_subject:
+            subjects.setdefault(s, o.value)
+        elif p == catalog.has_associated_semantic_unit:
+            associated.setdefault(s, []).append(o.value)
     return classes, subjects, associated
 
 

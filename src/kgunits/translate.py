@@ -126,11 +126,11 @@ def facts_from_units(partition: PartitionResult, catalog: VocabularyCatalog) -> 
         atoms.add(Atom(catalog.has_semantic_unit_subject, (unit.upri, unit.subject)))
         for cls in unit.classes:
             atoms.add(Atom(cls, (unit.upri,)))
-        for q in unit.quads:
-            obj = _term_constant(q.object)
-            atoms.add(Atom(q.predicate, (q.subject, obj)))
-            atoms.add(Atom(vocab.ASSERTS, (unit.upri, q.subject, q.predicate, obj)))
-    return sorted(atoms, key=lambda a: a.key())
+        for _, s, p, o in unit.quads:
+            obj = _term_constant(o)
+            atoms.add(Atom(p, (s, obj)))
+            atoms.add(Atom(vocab.ASSERTS, (unit.upri, s, p, obj)))
+    return sorted(atoms)
 
 
 def default_rules() -> LogicProgram:
@@ -332,7 +332,7 @@ def translate_to_owl(
     model, patterns: list[TranslationPattern]
 ) -> list[OwlAxiom]:
     """Apply every pattern under every guard-satisfying substitution."""
-    index = AtomIndex(sorted(model, key=Atom.key))
+    index = AtomIndex(sorted(model))
     axioms: set[OwlAxiom] = set()
     for pattern in patterns:
         variables: dict[str, int] = {}
@@ -379,7 +379,7 @@ def check_conflicts(
     unit some disagreement unit targets."""
     classical: list[tuple[str, str]] = []
     model_set = set(model)
-    for atom in sorted(model_set, key=lambda a: a.key()):
+    for atom in sorted(model_set):
         if not atom.negated and atom.complement() in model_set:
             classical.append(
                 (atom.render(prefixes), atom.complement().render(prefixes))

@@ -147,7 +147,7 @@ def _builtin_schemas(
 class _Candidate:
     schema: StatementSchema
     binding: dict[str, Term]
-    claimed: dict[tuple, Quad]
+    claimed: tuple[Quad, ...]  # in canonical order
     templates_matched: int
     unbound_adjuncts: int
 
@@ -157,7 +157,7 @@ class _Candidate:
 
     @property
     def order_key(self) -> tuple:
-        return self.rank + (sorted(self.claimed),)
+        return self.rank + (self.claimed,)
 
 
 def _quad_index(quads) -> AtomIndex:
@@ -222,17 +222,17 @@ def _enumerate_candidates(schema: StatementSchema, index: AtomIndex) -> list[_Ca
             if hits:
                 binding, known = hits[0], trial
         values = dict(zip(known, binding))
-        claimed = {q.key(): q for name, q in values.items() if name[0] == "Q"}
+        claimed = tuple(sorted({q for name, q in values.items() if name[0] == "Q"}))
         binding = {name[1:]: t for name, t in values.items() if name[0] == "V"}
         matched = sum(name[0] == "Q" for name in known)
         unmatched = len(required) + len(adjuncts) - matched
         candidate = _Candidate(schema, binding, claimed, matched, unmatched)
-        unique.setdefault((schema.unit_class, tuple(sorted(claimed))), candidate)
+        unique.setdefault((schema.unit_class, claimed), candidate)
     return list(unique.values())
 
 
 def _resolve_overlaps(candidates: list[_Candidate]) -> list[_Candidate]:
-    claimed_by: dict[tuple, _Candidate] = {}
+    claimed_by: dict[Quad, _Candidate] = {}
     winners: list[_Candidate] = []
     for cand in sorted(candidates, key=lambda c: c.order_key):
         conflicts = {id(claimed_by[k]): claimed_by[k] for k in cand.claimed if k in claimed_by}
@@ -243,7 +243,10 @@ def _resolve_overlaps(candidates: list[_Candidate]) -> list[_Candidate]:
             continue
         for other in conflicts.values():
             if other.rank == cand.rank:
-                shared = sorted(set(cand.claimed) & set(other.claimed))[0]
+                g, s, p, o = min(set(cand.claimed) & set(other.claimed))
+                # Named as (graph, subject, predicate, term kind, value or
+                # lexical form, datatype, language), both term kinds padded to seven.
+                shared = (g, s, p, *o, "", "")[:7]
                 raise OverlapConflictError(
                     f"triple {shared} claimed by two equally ranked matches of "
                     f"{other.schema.unit_class} and {cand.schema.unit_class}"
@@ -285,7 +288,7 @@ def partition(
     category_of = ResourceKinds.of(dataset, catalog).category_of
     adopted = _adopt_units(adopted_quads, units_layer, schemas, catalog)
     units = [_completed(u, category_of, catalog) for u in adopted]
-    triple_map: dict[tuple, str] = {q.key(): u.upri for u in units for q in u.quads}
+    triple_map: dict[Quad, str] = {q: u.upri for u in units for q in u.quads}
 
     id_groups, remaining = _identification_pass(fresh_quads, catalog)
 
@@ -296,20 +299,18 @@ def partition(
         candidates.extend(_enumerate_candidates(schema, index))
     winners = _resolve_overlaps(candidates)
 
-    claimed_keys = set()
-    for cand in winners:
-        claimed_keys.update(cand.claimed)
-    leftovers = [q for q in remaining if q.key() not in claimed_keys]
+    claimed = {q for cand in winners for q in cand.claimed}
+    leftovers = [q for q in remaining if q not in claimed]
 
     # Build new units, their UPRIs still empty, in a deterministic order;
     # then mint and complete each.
     fresh: list[StatementUnit] = []
     for (resource, kind), quads in sorted(id_groups.items()):
         id_class = _KIND_TO_IDENTIFICATION_CLASS[kind]
-        fresh.append(_identification_unit(resource, sorted(quads, key=Quad.key), catalog, id_class))
+        fresh.append(_identification_unit(resource, sorted(quads), catalog, id_class))
     for c in sorted(winners, key=lambda c: c.order_key):
-        fresh.append(_schema_unit(c.schema, c.binding, sorted(c.claimed.values(), key=Quad.key)))
-    fresh.extend(_untyped_unit(q.subject, [q]) for q in sorted(leftovers, key=Quad.key))
+        fresh.append(_schema_unit(c.schema, c.binding, c.claimed))
+    fresh.extend(_untyped_unit(q.subject, [q]) for q in sorted(leftovers))
     for unit in fresh:
         upri = minter()
         if unit.schema_class and not unit.is_identification and category_of(unit.subject) is None:
@@ -317,7 +318,7 @@ def partition(
         rehomed = tuple(q.rehome(upri) for q in unit.quads)
         units.append(_completed(unit, category_of, catalog, upri=upri, quads=rehomed))
         for q in unit.quads:
-            triple_map[q.key()] = upri
+            triple_map[q] = upri
 
     fallback_units = tuple(
         u for u in units if not u.adopted and vocab.UNTYPED_STATEMENT_UNIT in u.classes
@@ -377,9 +378,9 @@ def _identification_unit(
     subject: str, quads: list[Quad], catalog: VocabularyCatalog, unit_class: str
 ) -> StatementUnit:
     """The unminted identification unit of ``subject`` over its ``quads``
-    in key order. The anchor is the class affiliation with an IRI object,
-    the one that decides the resource's kind. The unit is qualitative even
-    when an affiliation has a numeric literal object."""
+    in canonical order. The anchor is the class affiliation with an IRI
+    object, the one that decides the resource's kind. The unit is
+    qualitative even when an affiliation has a numeric literal object."""
     affiliations = (catalog.type, catalog.some_instance_of, catalog.every_instance_of)
     objects: list[UnitObject] = []
     bindings: list[tuple[str, Term]] = [("s", Iri(subject))]
@@ -413,8 +414,8 @@ def _identification_unit(
 def _schema_unit(
     schema: StatementSchema, binding: dict[str, Term], quads: list[Quad]
 ) -> StatementUnit:
-    """The unminted unit of ``schema`` over ``quads`` in key order, where
-    the schema's variables take ``binding``. Its objects are the bound
+    """The unminted unit of ``schema`` over ``quads`` in canonical order,
+    where the schema's variables take ``binding``. Its objects are the bound
     argument variables, then the bound adjunct variables; the schema's
     relation, not the terms bound, makes it qualitative or quantitative."""
     subject = binding.get(schema.subject_var)
@@ -441,9 +442,9 @@ def _schema_unit(
 
 
 def _untyped_unit(subject: str, quads: list[Quad]) -> StatementUnit:
-    """The unminted untyped unit of ``quads`` in key order: the objects of
-    the quads about ``subject`` are its unnamed arguments and the first
-    quad's predicate is its anchor."""
+    """The unminted untyped unit of ``quads`` in canonical order: the
+    objects of the quads about ``subject`` are its unnamed arguments and the
+    first quad's predicate is its anchor."""
     return StatementUnit(
         "",
         frozenset({vocab.UNTYPED_STATEMENT_UNIT}),
@@ -527,7 +528,7 @@ def _adopt_units(
     """One unit per declared unit data graph, in UPRI order, with the
     declared classes and subject (by default its first quad's) and the
     parts its quads give it. The quads arrive in canonical order, so each
-    graph's quads are in key order.
+    graph's quads are in canonical order.
 
     A graph declared with the class of a declared schema, and not as an
     identification unit, takes the best-ranked (least ``order_key``) match
@@ -552,7 +553,7 @@ def _adopt_units(
     best: dict[str, _Candidate] = {}
     for schema in {s.unit_class: s for s in schema_of.values()}.values():
         for cand in _enumerate_candidates(schema, index):
-            upri = next(iter(cand.claimed.values())).graph
+            upri = cand.claimed[0].graph
             if schema_of[upri] is schema and (
                 upri not in best or cand.order_key < best[upri].order_key
             ):

@@ -61,7 +61,7 @@ def _record_from_quads(quads: list[Quad]) -> ProvenanceRecord:
     title = None
     contributors: list[str] = []
     last_updated = None
-    for q in sorted(quads, key=lambda q: q.key()):
+    for q in sorted(quads):
         value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
         if q.predicate == vocab.META_CREATOR:
             creator = value
@@ -231,8 +231,8 @@ def emit_nanopublication(
 
     return Nanopublication(
         upri=np_upri,
-        head=tuple(sorted(head, key=lambda q: q.key())),
-        assertion=tuple(sorted(assertion, key=lambda q: q.key())),
-        provenance=tuple(sorted(prov_quads, key=lambda q: q.key())),
-        pubinfo=tuple(sorted(pub_quads, key=lambda q: q.key())),
+        head=tuple(sorted(head)),
+        assertion=tuple(sorted(assertion)),
+        provenance=tuple(sorted(prov_quads)),
+        pubinfo=tuple(sorted(pub_quads)),
     )

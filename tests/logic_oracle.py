@@ -71,9 +71,9 @@ def _substitute(atom: Atom, binding: dict[str, str]) -> Atom:
 
 def _rule_key(rule: Rule) -> tuple:
     return (
-        rule.head.key(),
-        tuple(a.key() for a in rule.positive),
-        tuple(a.key() for a in rule.negative),
+        rule.head,
+        rule.positive,
+        rule.negative,
     )
 
 
@@ -98,7 +98,7 @@ def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom
         atoms.update(rule.positive)
         atoms.update(rule.negative)
     negated_support = sorted(
-        {a for rule in program.rules for a in rule.negative}, key=lambda a: a.key()
+        {a for rule in program.rules for a in rule.negative}
     )
     if not negated_support:
         model = least_model(tuple(Rule(r.head, r.positive) for r in program.rules))
@@ -122,7 +122,7 @@ def stable_models(program: LogicProgram, bound: int = 24) -> list[frozenset[Atom
             continue
         if candidate not in models:
             models.append(candidate)
-    models.sort(key=lambda m: sorted(a.key() for a in m))
+    models.sort(key=sorted)
     return models
 
 
@@ -132,7 +132,7 @@ def _consistent(model: frozenset[Atom]) -> bool:
 
 def translate_to_owl(model, patterns) -> list:
     index: dict[tuple[str, bool], list[Atom]] = {}
-    for atom in sorted(model, key=lambda a: a.key()):
+    for atom in sorted(model):
         index.setdefault((atom.predicate, atom.negated), []).append(atom)
     axioms = set()
     for pattern in patterns:

@@ -33,7 +33,7 @@ def quads_by_predicate(quads) -> dict[str, list[Quad]]:
     for q in quads:
         out.setdefault(q.predicate, []).append(q)
     for group in out.values():
-        group.sort(key=lambda q: q.key())
+        group.sort()
     return out
 
 
@@ -90,7 +90,7 @@ def enumerate_candidates(
             continue
         # One schema instantiation never spans input graphs.
         locality = anchor_quad.graph
-        partials = [(binding, {anchor_quad.key(): anchor_quad})]
+        partials = [(binding, {anchor_quad: None})]
         dead = False
         for template in required:
             if template is anchor:
@@ -103,7 +103,7 @@ def enumerate_candidates(
                     nb = _match_template(schema, template, quad, b)
                     if nb is not None:
                         nc = dict(claimed)
-                        nc[quad.key()] = quad
+                        nc[quad] = None
                         extended.append((nb, nc))
             if not extended:
                 dead = True
@@ -122,7 +122,7 @@ def enumerate_candidates(
                     nb = _match_template(schema, template, quad, b)
                     if nb is not None:
                         claimed = dict(claimed)
-                        claimed[quad.key()] = quad
+                        claimed[quad] = None
                         hits += 1
                         # First match (in canonical quad order) binds the
                         # adjunct variables for label rendering.
@@ -136,7 +136,7 @@ def enumerate_candidates(
                 _Candidate(
                     schema=schema,
                     binding=b,
-                    claimed=claimed,
+                    claimed=tuple(sorted(claimed)),
                     templates_matched=matched,
                     unbound_adjuncts=unbound,
                 )
@@ -145,7 +145,7 @@ def enumerate_candidates(
     # schema (possible with constant-only templates).
     unique: dict[tuple, _Candidate] = {}
     for cand in candidates:
-        key = (schema.unit_class, tuple(sorted(cand.claimed)))
+        key = (schema.unit_class, cand.claimed)
         unique.setdefault(key, cand)
     return list(unique.values())
 
@@ -167,7 +167,7 @@ def adopt_units(
     by_class: dict[str, StatementSchema] = {s.unit_class: s for s in schemas}
     out: list[StatementUnit] = []
     for upri in sorted(by_graph):
-        quads = sorted(by_graph[upri], key=Quad.key)
+        quads = sorted(by_graph[upri])
         declared = classes.get(upri, set())
         subject = subjects.get(upri) or quads[0].subject
         id_class = declared & vocab.IDENTIFICATION_UNIT_CLASSES

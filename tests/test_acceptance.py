@@ -152,7 +152,7 @@ def test_acceptance_1_partition_law(catalog):
         dataset, chosen = _generate_dataset(rng, pool)
         result = partition(dataset, chosen, catalog, UpriMinter(seed=run))
         data, _ = dataset.split_layers(catalog)
-        data_keys = {q.key() for q in data}
+        data_keys = set(data)
         # totality and single-valuedness of the triple -> unit map
         assert set(result.triple_map) == data_keys
         # union of the unit data graphs is the data layer and pairwise
@@ -262,7 +262,7 @@ def test_acceptance_2_fixture_inventories(catalog, schemas):
 
 
 def _oracle_stable_models(program: LogicProgram) -> list[frozenset[Atom]]:
-    atoms = sorted(program_atoms(program), key=lambda a: a.key())
+    atoms = sorted(program_atoms(program))
     out = []
     for bits in itertools.product((False, True), repeat=len(atoms)):
         candidate = frozenset(a for a, bit in zip(atoms, bits) if bit)
@@ -275,7 +275,7 @@ def _oracle_stable_models(program: LogicProgram) -> list[frozenset[Atom]]:
             a.complement() in candidate for a in candidate if a.negated
         ):
             out.append(candidate)
-    out.sort(key=lambda m: sorted(a.key() for a in m))
+    out.sort(key=sorted)
     return out
 
 
@@ -493,11 +493,11 @@ def test_acceptance_8_access_policy(catalog, schemas):
     assert len(decision.visible) == len(result.units) - 2
     redacted = redact_dataset(result.dataset, decision.hidden, catalog)
     hidden_quads = {
-        q.key() for u in result.units if u.upri in location_units for q in u.quads
+        q for u in result.units if u.upri in location_units for q in u.quads
     }
     text = serialize_quads(redacted, "trig", dict(catalog.prefixes))
     reparsed = parse_quads(text, "trig")
-    assert not hidden_quads & {q.key() for q in reparsed}
+    assert not hidden_quads & set(reparsed)
     _passed(8, "endangered-species policy hides exactly the location units")
 
 

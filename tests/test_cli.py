@@ -27,7 +27,9 @@ from kgunits.rdfio import parse_trig, serialize_trig
 from kgunits.store import DEFAULT_CATALOG, Iri, Literal, Quad, QuadDataset, setting_lines
 from kgunits.translate import parse_patterns
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, benchmark_module, fixture_text
+
+gen = benchmark_module("gen")
 
 
 def run(capsys, *argv) -> tuple[int, dict[str, str]]:
@@ -225,18 +227,31 @@ HASH_SEED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(HASH_SEED_RUNS))
+# The benchmark's generated inputs, as ``workload:seed``, at a size that is
+# not a multiple of any workload's record mix.
+GENERATED_HASH_SEED_RUNS = [f"{w}:{seed}" for w in gen.WORKLOADS for seed in (2, 5)]
+
+
+@pytest.mark.parametrize("command", [*sorted(HASH_SEED_RUNS), *GENERATED_HASH_SEED_RUNS])
 def test_seeded_runs_are_identical_under_every_hash_seed(tmp_path, command):
     """A seeded run writes the same exit code, stdout, stderr and artifact
-    bytes whatever ``PYTHONHASHSEED`` orders its sets and dicts by."""
+    bytes whatever ``PYTHONHASHSEED`` orders its sets and dicts by, on
+    fixtures and on each benchmark workload's generated input."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    if command in HASH_SEED_RUNS:
+        argv, cwd = [*map(str, HASH_SEED_RUNS[command])], None
+    else:
+        workload, seed = command.split(":")
+        cwd = tmp_path / "input"
+        argv = gen.generate(workload, int(seed), 13, cwd)["argv"]
     outcomes = []
     for hash_seed in ("0", "1", "2"):
         out = tmp_path / hash_seed
         result = subprocess.run(
-            [sys.executable, "-m", "kgunits.cli", *map(str, HASH_SEED_RUNS[command]),
-             *common(out)],
+            [sys.executable, "-m", "kgunits.cli", *argv,
+             *(common(out) if cwd is None else ["--out", str(out)])],
             capture_output=True,
+            cwd=cwd,
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
         )
         artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}

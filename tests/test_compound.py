@@ -311,8 +311,17 @@ def _order_graphs(draw):
     return QuadDataset(quads)
 
 
+def _has_part_star(leaves: int) -> QuadDataset:
+    """A ``has-part`` star: each leaf has part one shared hub, so each leaf
+    roots a tree of its own, and the hub and two leaves are typed."""
+    quads = [Quad(f"{EX}leaf{i}", REL + "has-part", Iri(EX + "hub"), EX + "g") for i in range(leaves)]
+    quads += [Quad(f"{EX}{n}", vocab.RDF_TYPE, Iri(EX + "A"), EX + "g") for n in ("hub", "leaf0", "leaf7")]
+    return QuadDataset(quads)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_order_graphs())
+@example(_has_part_star(60))
 def test_granularity_builders_equal_the_rescanning_oracles(catalog, schemas, dataset):
     result = partition(dataset, schemas, catalog, UpriMinter(seed=4))
     typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=5))
@@ -356,16 +365,18 @@ def _digraphs(draw):
 def test_order_walk_equals_the_three_walks_it_replaced(edges):
     """One walk finds the old search's first cycle (self-loops and 2-cycles
     included), or else the old per-edge transitive reduction (a diamond
-    loses its transitive edge) and, from each root, the old reach."""
+    loses its transitive edge), each node's children along it in sorted
+    order, and the roots."""
     nodes = {n for e in edges for n in e}
-    cycle, reduced, descendants = _order_walk(edges)
+    cycle, reduced, roots = _order_walk(edges)
     assert cycle == compound_oracle._find_cycle(nodes, edges)
     if cycle is None:
-        assert reduced == compound_oracle._transitive_reduction(nodes, edges)
-        roots = sorted(nodes - {b for _, b in edges})
-        assert [(r, below | {r}) for r, below in descendants.items()] == [
-            (r, compound_oracle._reachable(r, reduced)) for r in roots
-        ]
+        assert {(a, b) for a, bs in reduced.items() for b in bs} == (
+            compound_oracle._transitive_reduction(nodes, edges)
+        )
+        assert set(reduced) == nodes
+        assert all(bs == sorted(bs) for bs in reduced.values())
+        assert roots == sorted(nodes - {b for _, b in edges})
 
 
 def test_order_walk_takes_a_chain_deeper_than_the_recursion_limit():
@@ -373,9 +384,9 @@ def test_order_walk_takes_a_chain_deeper_than_the_recursion_limit():
     of about a thousand nodes, and ``compound`` ended in a traceback."""
     nodes = [f"n{i:05d}" for i in range(5000)]
     edges = set(zip(nodes, nodes[1:]))
-    cycle, reduced, descendants = _order_walk(edges)
-    assert cycle is None and reduced == edges
-    assert descendants == {nodes[0]: set(nodes[1:])}
+    cycle, reduced, roots = _order_walk(edges)
+    assert cycle is None and roots == [nodes[0]]
+    assert reduced == {**{a: [b] for a, b in zip(nodes, nodes[1:])}, nodes[-1]: []}
     assert _order_walk(edges | {(nodes[-1], nodes[0])})[0] == nodes + [nodes[0]]
 
 

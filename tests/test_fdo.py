@@ -30,7 +30,7 @@ from kgunits.fdo import (
     sha256_hex,
 )
 from kgunits.rdfio import parse_quads, serialize_quads
-from kgunits.store import Iri, Literal, Quad, QuadDataset, term_key
+from kgunits.store import Iri, Literal, Quad, QuadDataset
 from kgunits.translate import skolem
 from kgunits.units import StatementUnit
 
@@ -197,7 +197,7 @@ _FIELD_PREDICATES = [
 
 def _in_key_order(agents: list[str]) -> tuple[str, ...]:
     """Contributors as the reader gives them back: in the key order of their quads."""
-    return tuple(sorted(agents, key=lambda agent: term_key(fdo_oracle._agent_term(agent))))
+    return tuple(sorted(agents, key=fdo_oracle._agent_term))
 
 
 @given(
@@ -407,12 +407,12 @@ def test_redaction_removes_hidden_data_graphs(catalog, schemas):
     redacted = redact_dataset(result.dataset, decision.hidden, catalog)
     hidden_lookup = {u.upri: u for u in result.units if u.upri in set(decision.hidden)}
     remaining_graphs = {x.graph for x in redacted}
-    hidden_quad_keys = set()
+    hidden_quads = set()
     for unit in hidden_lookup.values():
         for q in unit.quads:
             assert q.graph not in remaining_graphs
-            hidden_quad_keys.add(q.key())
-    assert not hidden_quad_keys & {q.key() for q in redacted}
+            hidden_quads.add(q)
+    assert not hidden_quads & set(redacted)
     # no occurrence data for the endangered species survives, while the
     # open species' location does
     found_at = "https://example.org/rel/found-at"

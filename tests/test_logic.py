@@ -26,7 +26,7 @@ from kgunits.logic import (
 def brute_force_stable_models(program: LogicProgram) -> list[frozenset[Atom]]:
     """Oracle: sweep all 2^n candidate atom sets and keep those equal to
     the least model of their own reduct."""
-    atoms = sorted(program_atoms(program), key=lambda a: a.key())
+    atoms = sorted(program_atoms(program))
     models = []
     for bits in itertools.product((False, True), repeat=len(atoms)):
         candidate = frozenset(a for a, bit in zip(atoms, bits) if bit)
@@ -39,7 +39,7 @@ def brute_force_stable_models(program: LogicProgram) -> list[frozenset[Atom]]:
             a.complement() in candidate for a in candidate if a.negated
         ):
             models.append(candidate)
-    models.sort(key=lambda m: sorted(a.key() for a in m))
+    models.sort(key=sorted)
     return models
 
 

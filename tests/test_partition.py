@@ -135,7 +135,7 @@ def test_partition_is_total_and_disjoint(catalog, schemas):
     result = partition(dataset, schemas, catalog, UpriMinter(seed=3))
     data, _ = dataset.split_layers(catalog)
     mapped = set(result.triple_map)
-    assert mapped == {q.key() for q in data}
+    assert mapped == set(data)
     total = sum(len(u.quads) for u in result.units)
     assert total == len(data)
 
@@ -325,7 +325,7 @@ def test_partition_totality_property(quads):
     dataset = QuadDataset(quads)
     result = partition(dataset, schemas, catalog, UpriMinter(seed=1))
     data, units_layer = dataset.split_layers(catalog)
-    assert set(result.triple_map) == {q.key() for q in data}
+    assert set(result.triple_map) == set(data)
     assert sum(len(u.quads) for u in result.units) == len(data)
     # classification axes stay disjoint on every unit
     for unit in result.units:
@@ -507,7 +507,7 @@ def _schema_cases(draw):
 
 def _candidate_rows(candidates):
     return [
-        (c.binding, list(c.claimed.items()), c.templates_matched, c.unbound_adjuncts)
+        (c.binding, c.claimed, c.templates_matched, c.unbound_adjuncts)
         for c in candidates
     ]
 
@@ -546,7 +546,7 @@ def test_optional_anchor_template_is_matched_once():
     quads = [Quad(EX + "trip", on_date, Literal("2024-05-01"), EX + "g")]
     (candidate,) = _enumerate_candidates(schema, _quad_index(quads))
     assert (candidate.templates_matched, candidate.unbound_adjuncts) == (1, 0)
-    assert list(candidate.claimed.values()) == quads
+    assert list(candidate.claimed) == quads
 
 
 # -- adoption ---------------------------------------------------------------
@@ -663,3 +663,55 @@ def test_adoption_matches_each_declared_schema_once(tmp_path, monkeypatch):
     assert runs == Counter(s.unit_class for s in _builtin_schemas(schemas, catalog)) + Counter(
         set(declared)
     )
+
+
+# -- write, parse, partition again ---------------------------------------------
+
+_GENERATED_INPUTS = {
+    "organize-large": ("input.trig",),
+    "reason-organized": ("organized.nq",),
+    "align-versions": ("version-a.trig", "version-b.trig"),
+}
+
+
+def _assert_written_partition_reads_back(request, dataset, schemas, catalog, seed):
+    """Partitioning ``dataset``, writing ``organized.trig`` as the CLI does,
+    parsing it and partitioning it again gives the same dataset and the same
+    units, each adopted the second time. While adoption matches declared
+    schemas only, an input that holds an is-about unit must fail."""
+    from kgunits.rdfio import parse_trig, serialize_trig
+
+    first = partition(dataset, schemas, catalog, UpriMinter(seed=seed))
+    if any(vocab.IS_ABOUT_STATEMENT_UNIT in u.classes for u in first.units):
+        request.applymarker(pytest.mark.xfail(
+            strict=True,
+            reason="adoption looks schema classes up in the declared schemas only, so an "
+            "adopted is-about unit loses its schema class and bindings",
+        ))
+    written = serialize_trig(first.dataset, dict(catalog.prefixes))
+    again = partition(parse_trig(written), schemas, catalog, UpriMinter(seed=seed + 1))
+    assert again.dataset == first.dataset
+    assert all(u.adopted for u in again.units)
+    adopted = {u.upri: replace(u, adopted=True) for u in first.units}
+    assert again.units_by_upri == adopted
+
+
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_written_partition_reads_back_on_fixtures(request, catalog, schemas, name):
+    _assert_written_partition_reads_back(request, fixture_dataset(name), schemas, catalog, 7)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "workload, file",
+    [(w, f) for w, files in _GENERATED_INPUTS.items() for f in files],
+)
+def test_written_partition_reads_back_on_generated_inputs(request, tmp_path, workload, file, seed):
+    from kgunits import compile_schema, load_catalog, parse_quads
+
+    gen = benchmark_module("gen")
+    catalog, schemas = load_catalog(gen.CATALOG), compile_schema(gen.SCHEMAS)
+    gen.generate(workload, seed, 13, tmp_path)
+    text = (tmp_path / file).read_text("utf-8")
+    dataset = parse_quads(text, "nquads" if file.endswith(".nq") else "trig")
+    _assert_written_partition_reads_back(request, dataset, schemas, catalog, seed)

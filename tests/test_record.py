@@ -8,7 +8,6 @@ import dataclasses
 import importlib
 import inspect
 import itertools
-import operator
 import pkgutil
 
 import pytest
@@ -16,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgunits
-from kgunits import vocab
 from kgunits._record import factory, fields, replace
-from kgunits.logic import Atom, Rule
+from kgunits.logic import Rule
 from kgunits.owl import AllValuesFrom, SomeValuesFrom
 from kgunits.schemas import Var
-from kgunits.store import Iri, Literal, Quad
+from kgunits.store import Iri
 
 RECORDS = sorted(
     (
@@ -34,8 +32,7 @@ RECORDS = sorted(
     ),
     key=lambda cls: (cls.__module__, cls.__name__),
 )
-SLOTTED = {Iri, Literal, Quad, Atom, Rule}
-ORDERED = {Iri}
+SLOTTED = {Rule}
 
 # Hashable values of several types, and absolute IRIs, which some
 # ``__post_init__`` checks ask for.
@@ -48,12 +45,6 @@ VALUES = st.one_of(
     st.tuples(st.text(max_size=2)),
     st.frozensets(st.integers(0, 3), max_size=2),
 )
-
-
-def _literal_post_init(self):
-    """What ``Literal.__post_init__`` did before it folded into ``__init__``."""
-    if self.language is not None:
-        object.__setattr__(self, "datatype", vocab.RDF_LANGSTRING)
 
 
 def _defaults(cls) -> dict:
@@ -77,11 +68,9 @@ def _twin(cls):
     namespace = {}
     if "__post_init__" in vars(cls):
         namespace["__post_init__"] = vars(cls)["__post_init__"]
-    if cls is Literal:
-        namespace["__post_init__"] = _literal_post_init
     return dataclasses.make_dataclass(
         cls.__name__, specs, namespace=namespace, frozen=True,
-        slots=cls in SLOTTED, order=cls in ORDERED,
+        slots=cls in SLOTTED,
     )
 
 
@@ -109,10 +98,9 @@ def _arguments(data, cls) -> tuple[tuple, dict]:
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 40
-    assert SLOTTED | ORDERED <= set(RECORDS)
+    assert len(RECORDS) == 36
     assert {cls for cls in RECORDS if "__slots__" in vars(cls)} == SLOTTED
-    assert {cls for cls in RECORDS if "__lt__" in vars(cls)} == ORDERED
+    assert not any("__lt__" in vars(cls) for cls in RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: f"{cls.__module__[8:]}.{cls.__name__}")
@@ -137,9 +125,6 @@ def test_record_behaves_like_its_dataclass_twin(cls, data):
     assert (a == b) == (twin_a == twin_b)
     assert (a != b) == (twin_a != twin_b)
     assert a == a and a != twin_a
-    if cls in ORDERED:
-        for op in (operator.lt, operator.le, operator.gt, operator.ge):
-            assert _outcome(lambda: op(a, b)) == _outcome(lambda: op(twin_a, twin_b))
     name = data.draw(st.sampled_from([f.name for f in fields(cls)]))
     with pytest.raises(AttributeError):
         setattr(a, name, None)
