@@ -3,10 +3,10 @@
 ``dataclasses`` compiles each class's methods from source with ``exec`` at
 import, about a millisecond a class, and loads ``inspect``: a large share
 of a kgunits command. ``record`` builds them from closures instead. It
-builds the settings, schema, unit, rule, OWL and report classes; the terms,
-quads and atoms, built by the million, are tuples (``store.Iri``,
-``store.Literal``, ``store.Quad``, ``logic.Atom``), whose hash, equality
-and canonical order are the tuple's own.
+builds the settings, schema, unit, OWL and report classes. The terms,
+quads, atoms and rules, built by the thousand, are ``_Named`` tuples
+(``store.Iri``, ``store.Literal``, ``store.Quad``, ``logic.Atom``,
+``logic.Rule``), whose hash, equality and order are the tuple's own.
 """
 
 from __future__ import annotations
@@ -16,25 +16,35 @@ from collections import namedtuple
 
 Field = namedtuple("Field", "name type")  # the type is the annotation string
 factory = namedtuple("factory", "make")  # a default made anew for each instance
-set_field = object.__setattr__  # how a written-out __init__ sets a frozen field
+
+try:  # the C getter of namedtuple's fields
+    from _collections import _tuplegetter as _field
+except ImportError:  # pragma: no cover - an interpreter without it
+    _field = lambda index, doc: property(operator.itemgetter(index), doc=doc)  # noqa: E731
+_new = tuple.__new__
 
 
-def record(cls=None, /, *, slots: bool = False):
+class _Named(tuple):
+    """A tuple with named fields; ``_args`` lists them in the order the
+    constructor takes them, for ``repr`` and for copying."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        return tuple(getattr(self, name) for name in self._args)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
+        return f"{type(self).__name__}({pairs})"
+
+
+def record(cls):
     """Make ``cls`` a frozen record of its annotated fields, as
-    ``dataclass(frozen=True, slots=slots)`` does, keeping the methods the
-    class defines. A slotted record writes its own ``__init__``."""
-    if cls is None:
-        return lambda cls: record(cls, slots=slots)
+    ``dataclass(frozen=True)`` does, keeping the methods the class defines."""
     names = tuple(cls.__annotations__)
-    body = dict(vars(cls))
+    body = vars(cls)
     defaults = {name: body[name] for name in names if name in body}
     post_init = body.get("__post_init__")
-    if slots:
-        if "__init__" not in body:
-            raise TypeError(f"slotted record {cls.__name__} must define __init__")
-        body.pop("__dict__", None)
-        body.pop("__weakref__", None)
-        cls = type(cls)(cls.__name__, cls.__bases__, {**body, "__slots__": names})
     get = operator.attrgetter(*names)
     key = get if len(names) > 1 else lambda self: (get(self),)
 

@@ -33,9 +33,9 @@ import itertools
 import re
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from ._record import record, set_field
+from ._record import _field, _Named, _new, record
 from .errors import BoundExceededError, RuleError, UnsafeRuleError
-from .store import IRI_TOKEN, _field, _Named, _new
+from .store import IRI_TOKEN
 
 
 DEFAULT_BOUND = 24  # most default-negated atoms the solver takes unless told otherwise
@@ -115,18 +115,18 @@ def _shorten(token: str, ordered: list[tuple[str, str]]) -> str:
     return token
 
 
-@record(slots=True)
-class Rule:
-    head: Atom
-    positive: tuple[Atom, ...]
-    negative: tuple[Atom, ...]
+class Rule(_Named):
+    """The tuple ``(head, positive, negative)``: a head atom, the atoms of
+    the positive body and those under default negation."""
 
-    def __init__(
-        self, head: Atom, positive: tuple[Atom, ...] = (), negative: tuple[Atom, ...] = ()
-    ):
-        set_field(self, "head", head)
-        set_field(self, "positive", positive)
-        set_field(self, "negative", negative)
+    __slots__ = ()
+    _args = ("head", "positive", "negative")
+    head = _field(0, "the head atom")
+    positive = _field(1, "the positive body")
+    negative = _field(2, "the default-negated body")
+
+    def __new__(cls, head: Atom, positive: tuple[Atom, ...] = (), negative: tuple[Atom, ...] = ()):
+        return _new(cls, (head, positive, negative))
 
     @property
     def is_fact(self) -> bool:
@@ -482,14 +482,13 @@ def herbrand_size(program: LogicProgram, facts: Iterable[Atom] = ()) -> int:
     ground: dict[tuple, set[tuple]] = {}  # shape -> terms of earlier ground rules
     patterns: dict[tuple, list[tuple]] = {}  # shape -> slots of earlier rules with variables
     for atom in facts:
-        ground.setdefault(_shape(Rule(atom)), set()).add(atom.terms)
+        ground.setdefault(_shape(0, (atom,)), set()).add(atom.terms)
     for rule in program.rules:
+        atoms = (rule.head, *rule.positive, *rule.negative)
         variables: dict[str, int] = {}
-        slots = tuple(
-            s for atom in (rule.head, *rule.positive, *rule.negative) for s in atom.slots(variables)
-        )
+        slots = tuple(s for atom in atoms for s in atom.slots(variables))
         width = len(variables)
-        shape = _shape(rule)
+        shape = _shape(len(rule.positive), atoms)
         earlier_ground = ground.setdefault(shape, set())
         earlier = patterns.setdefault(shape, [])
         if not width:
@@ -508,11 +507,11 @@ def herbrand_size(program: LogicProgram, facts: Iterable[Atom] = ()) -> int:
     return size
 
 
-def _shape(rule: Rule) -> tuple:
-    """Predicates, signs and arities of a rule's atoms: two rules are equal
-    exactly when their shapes and flat term tuples are."""
-    atoms = (rule.head, *rule.positive, *rule.negative)
-    return (len(rule.positive),) + tuple((a.predicate, a.negated, len(a.terms)) for a in atoms)
+def _shape(n_positive: int, atoms: tuple[Atom, ...]) -> tuple:
+    """Predicates, signs and arities of a rule's atoms, head first, and the
+    length of its positive body: two rules are equal exactly when their
+    shapes and flat term tuples are."""
+    return (n_positive,) + tuple((a.predicate, a.negated, len(a.terms)) for a in atoms)
 
 
 def _unify(slots: tuple, width: int, other: tuple) -> tuple[tuple, int] | None:

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from . import vocab
-from ._record import factory, fields, record
+from ._record import _field, _Named, _new, factory, fields, record
 from .errors import (
     AmbiguousResourceKindError,
     CatalogError,
@@ -53,27 +53,6 @@ def local_name(iri: str) -> str:
         if head and tail:
             return tail
     return iri
-
-
-try:  # the C getter of namedtuple's fields
-    from _collections import _tuplegetter as _field
-except ImportError:  # pragma: no cover - an interpreter without it
-    _field = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
-_new = tuple.__new__
-
-
-class _Named(tuple):
-    """A tuple with named fields; ``_args`` lists them in the order the
-    constructor takes them, for ``repr`` and for copying."""
-
-    __slots__ = ()
-
-    def __getnewargs__(self):
-        return tuple(getattr(self, name) for name in self._args)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._args)
-        return f"{type(self).__name__}({pairs})"
 
 
 class Iri(_Named):

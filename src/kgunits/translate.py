@@ -22,7 +22,7 @@ from . import vocab
 from ._record import fields, record, replace
 from .errors import PatternError
 from .fdo import sha256_hex
-from .logic import Atom, AtomIndex, JoinStep, LogicProgram, Rule, is_variable, parse_rules
+from .logic import Atom, AtomIndex, JoinStep, LogicProgram, Rule, _shortener, is_variable, parse_rules
 from .owl import (
     AllValuesFrom,
     ClassAssertion,
@@ -36,7 +36,7 @@ from .owl import (
     QualifiedCardinality,
     SomeValuesFrom,
     SubClassOf,
-    render_axiom,
+    _render,
 )
 from .schemas import QUALITATIVE, StatementSchema
 from .store import IRI_TOKEN_RE, NUMBER_RE, Iri, VocabularyCatalog, is_absolute_iri, setting_lines
@@ -351,7 +351,8 @@ def translate_to_owl(
                 axiom = _instantiate(template, binding)
                 if _axiom_well_formed(axiom):
                     axioms.add(axiom)
-    return sorted(axioms, key=render_axiom)
+    shorten = _shortener(None)  # render_axiom's text, with one shortener for the whole sort
+    return sorted(axioms, key=lambda axiom: _render(axiom, shorten))
 
 
 # ---------------------------------------------------------------------------

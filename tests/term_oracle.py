@@ -1,7 +1,8 @@
-"""Terms, quads and atoms as they were before they became tuples in their
-own canonical order: frozen slotted records that compared field by field,
-with the order defined outside them by ``term_key``, ``Quad.key`` and
-``Atom.key``, and ``QuadDataset`` deduplicating and sorting by ``Quad.key``.
+"""Terms, quads, atoms and rules as they were before they became tuples:
+frozen slotted records that compared field by field. The order of terms,
+quads and atoms was defined outside them by ``term_key``, ``Quad.key`` and
+``Atom.key``, and ``QuadDataset`` deduplicated and sorted by ``Quad.key``;
+rules had no order, and their atoms are today's ``logic.Atom`` tuples.
 
 The records were built by ``kgunits._record.record``, which
 ``test_record.py`` checked against these ``dataclasses`` twins. Kept as
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from kgunits import vocab
+from kgunits import logic, vocab
+from kgunits.errors import UnsafeRuleError
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -73,6 +75,47 @@ class Atom:
 
     def key(self) -> tuple:
         return (self.predicate, self.terms, self.negated)
+
+
+@dataclass(frozen=True, slots=True)
+class Rule:
+    head: logic.Atom
+    positive: tuple[logic.Atom, ...] = ()
+    negative: tuple[logic.Atom, ...] = ()
+
+    @property
+    def is_fact(self) -> bool:
+        return not self.positive and not self.negative
+
+    def variables(self) -> frozenset[str]:
+        out = set(self.head.variables())
+        for a in self.positive + self.negative:
+            out |= a.variables()
+        return frozenset(out)
+
+    def check_safety(self):
+        positive_vars = set()
+        for a in self.positive:
+            positive_vars |= a.variables()
+        for v in sorted(self.head.variables() - positive_vars):
+            raise UnsafeRuleError(
+                f"unsafe rule: head variable {v} does not occur in the positive body: "
+                f"{self.render()}"
+            )
+        for a in self.negative:
+            for v in sorted(a.variables() - positive_vars):
+                raise UnsafeRuleError(
+                    f"unsafe rule: variable {v} occurs only under default negation: "
+                    f"{self.render()}"
+                )
+
+    def render(self, prefixes: dict[str, str] | None = None) -> str:
+        head = self.head.render(prefixes)
+        if self.is_fact:
+            return f"{head}."
+        body = [a.render(prefixes) for a in self.positive]
+        body += [f"not {a.render(prefixes)}" for a in self.negative]
+        return f"{head} :- {', '.join(body)}."
 
 
 def dataset_quads(quads) -> tuple[Quad, ...]:

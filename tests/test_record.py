@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import inspect
 import itertools
 import pkgutil
 
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 import kgunits
 from kgunits._record import factory, fields, replace
-from kgunits.logic import Rule
 from kgunits.owl import AllValuesFrom, SomeValuesFrom
 from kgunits.schemas import Var
 from kgunits.store import Iri
@@ -32,7 +30,6 @@ RECORDS = sorted(
     ),
     key=lambda cls: (cls.__module__, cls.__name__),
 )
-SLOTTED = {Rule}
 
 # Hashable values of several types, and absolute IRIs, which some
 # ``__post_init__`` checks ask for.
@@ -48,11 +45,7 @@ VALUES = st.one_of(
 
 
 def _defaults(cls) -> dict:
-    """The defaults a class declares: in the signature of its written-out
-    ``__init__``, else as class-level values."""
-    if cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__":
-        params = inspect.signature(cls.__init__).parameters.values()
-        return {p.name: p.default for p in params if p.default is not p.empty}
+    """The defaults a class declares, as class-level values."""
     return {name: vars(cls)[name] for name in cls.__annotations__ if name in vars(cls)}
 
 
@@ -68,10 +61,7 @@ def _twin(cls):
     namespace = {}
     if "__post_init__" in vars(cls):
         namespace["__post_init__"] = vars(cls)["__post_init__"]
-    return dataclasses.make_dataclass(
-        cls.__name__, specs, namespace=namespace, frozen=True,
-        slots=cls in SLOTTED,
-    )
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)
 
 
 TWINS = {cls: _twin(cls) for cls in RECORDS}
@@ -98,8 +88,8 @@ def _arguments(data, cls) -> tuple[tuple, dict]:
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 36
-    assert {cls for cls in RECORDS if "__slots__" in vars(cls)} == SLOTTED
+    assert len(RECORDS) == 35
+    assert not any("__slots__" in vars(cls) for cls in RECORDS)
     assert not any("__lt__" in vars(cls) for cls in RECORDS)
 
 

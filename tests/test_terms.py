@@ -3,20 +3,24 @@ their own canonical order, against the records they replaced
 (``term_oracle``), whose order was ``term_key``, ``Quad.key`` and
 ``Atom.key``: the same sort order, equality exactly where the old keys were
 equal, hashes that agree with equality, the same fields, and the same
-deduplicated, sorted ``QuadDataset``."""
+deduplicated, sorted ``QuadDataset``. Rules, tuples too, are compared with
+the old ``Rule`` record on equality, hashing, their methods and the
+programs grounded and solved from them."""
 
 from __future__ import annotations
 
 import copy
 import itertools
 import pickle
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import term_oracle as old
-from kgunits import store, vocab
-from kgunits.logic import Atom
+from kgunits import logic, store, vocab
+from kgunits.errors import BoundExceededError, UnsafeRuleError
+from kgunits.logic import Atom, LogicProgram, Rule
 from kgunits.store import Iri, Quad, QuadDataset
 
 EX = "https://example.org/"
@@ -139,3 +143,79 @@ def test_terms_quads_and_atoms_survive_copy_and_pickle():
     for value in (Iri(EX + "a"), store.Literal("1", vocab.XSD_INTEGER), quad, Atom("p", ("a",), True)):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def test_rules_survive_copy_and_pickle():
+    rule = Rule(Atom("p", ("X",)), (Atom("q", ("X", "a")),), (Atom("r", ("X",), True),))
+    for twin in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+        assert type(twin) is Rule and twin == rule and repr(twin) == repr(rule)
+
+
+# Few predicates, constants and variables, so that rules collide and ground
+# to shared instances.
+_RULE_TERMS = ("a", "b", "X", "Y")
+
+
+def _rule_atoms(terms):
+    return st.builds(
+        Atom, st.sampled_from(("p", "q")), st.lists(terms, max_size=2).map(tuple), st.booleans()
+    )
+
+
+@st.composite
+def _rule_fields(draw):
+    """The head, positive body and negative body of a rule that is mostly
+    safe: its head and negative body use constants, the variables of its
+    positive body and, now and then, the unbound ``W``."""
+    positive = draw(st.lists(_rule_atoms(st.sampled_from(_RULE_TERMS)), max_size=2))
+    bound = sorted({t for a in positive for t in a.terms if logic.is_variable(t)})
+    unsafe = ("W",) if draw(st.integers(0, 5)) == 0 else ()
+    safe = st.sampled_from(("a", "b", *bound, *unsafe))
+    head = draw(_rule_atoms(safe))
+    negative = draw(st.lists(_rule_atoms(safe), max_size=1))
+    return head, tuple(positive), tuple(negative)
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type and text of what it raised."""
+    try:
+        return call()
+    except (UnsafeRuleError, BoundExceededError) as exc:
+        return type(exc), str(exc)
+
+
+def _solved(program, facts, cls):
+    """The ground program's rules, each of class ``cls``, as field tuples;
+    its stable models; and the program's Herbrand size."""
+    ground = logic.ground_program(program, facts)
+    assert all(type(r) is cls for r in ground.rules)
+    rules = [(r.head, r.positive, r.negative) for r in ground.rules]
+    models = _outcome(lambda: logic.stable_models(ground, bound=8))
+    return rules, models, logic.herbrand_size(program, facts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_rule_fields(), min_size=1, max_size=5),
+    st.lists(_rule_atoms(st.sampled_from(("a", "b", "c"))), max_size=4),
+)
+@example(  # an even loop through default negation: two stable models
+    [(Atom("p", ("a",)), (), (Atom("q", ("a",)),)), (Atom("q", ("a",)), (), (Atom("p", ("a",)),))],
+    [],
+)
+def test_rules_agree_with_the_old_rule_record(specs, facts):
+    olds = [old.Rule(*spec) for spec in specs]
+    news = [Rule(*spec) for spec in specs]
+    for i, j in itertools.product(range(len(news)), repeat=2):
+        assert (news[i] == news[j]) == (olds[i] == olds[j])
+        assert (news[i] != news[j]) == (olds[i] != olds[j])
+    for new, before in zip(news, olds):
+        assert hash(new) == hash(before) and repr(new) == repr(before)
+        assert new == (before.head, before.positive, before.negative)
+        assert new.render() == before.render()
+        assert new.is_fact == before.is_fact and new.variables() == before.variables()
+        assert _outcome(new.check_safety) == _outcome(before.check_safety)
+    # The grounder builds its rules as ``logic.Rule``: patched, the old class.
+    with mock.patch.object(logic, "Rule", old.Rule):
+        expected = _outcome(lambda: _solved(LogicProgram(tuple(olds)), facts, old.Rule))
+    assert _outcome(lambda: _solved(LogicProgram(tuple(news)), facts, Rule)) == expected
