@@ -95,11 +95,11 @@ def _subject_classes(graph: ProcessedGraph, resource: str) -> frozenset[str]:
 def _canonical_graph(unit: StatementUnit, catalog: VocabularyCatalog) -> str:
     """Canonical rendering of the unit's data graph with instance
     identifiers replaced by placeholders (minimal over all assignments)."""
-    kind_preds = catalog.kind_predicates
+    affiliations = catalog.affiliations
     instances: set[str] = set()
     for q in unit.quads:
         instances.add(q.subject)
-        if isinstance(q.object, Iri) and q.predicate not in kind_preds:
+        if isinstance(q.object, Iri) and q.predicate not in affiliations:
             instances.add(q.object.value)
     instances.discard(unit.subject)
     locals_sorted = sorted(instances)

@@ -18,6 +18,7 @@ from .store import (
     Quad,
     QuadDataset,
     ResourceKind,
+    ResourceKinds,
     VocabularyCatalog,
     classify_resource,
     declaration_quads,
@@ -88,6 +89,11 @@ def _resource_kind(
         return None
 
 
+def _category(dataset: QuadDataset, resource: str, catalog: VocabularyCatalog) -> str | None:
+    """The subject category of ``resource``, ``None`` for no instance-like kind."""
+    return ResourceKinds.CATEGORIES.get(_resource_kind(dataset, resource, catalog))
+
+
 # ---------------------------------------------------------------------------
 # Typed statement units
 # ---------------------------------------------------------------------------
@@ -95,7 +101,6 @@ def _resource_kind(
 
 def build_typed_statement_units(
     partition: PartitionResult,
-    catalog: VocabularyCatalog,
     minter,
 ) -> tuple[list[CompoundUnit], list[str]]:
     """One typed statement unit per non-identification statement unit.
@@ -148,7 +153,6 @@ def build_typed_statement_units(
 def build_quality_measurement_units(
     typed: list[CompoundUnit],
     partition: PartitionResult,
-    catalog: VocabularyCatalog,
     minter,
 ) -> list[CompoundUnit]:
     """Group each qualitative typed unit with every quantitative typed unit
@@ -248,16 +252,13 @@ def build_item_units(
     out: list[CompoundUnit] = []
     for subject in sorted(has_content):
         classes = {vocab.ITEM_UNIT}
-        kind = _resource_kind(partition.dataset, subject, catalog)
+        category = _category(partition.dataset, subject, catalog)
         if subject in descriptions and subject in mentions:
             classes.add(vocab.TEXT_RESOURCE_HYBRID_ITEM_UNIT)
-        elif kind in (ResourceKind.SOME_INSTANCE, ResourceKind.EVERY_INSTANCE):
-            classes.add(vocab.CLASS_ITEM_UNIT)
-        elif kind in (
-            ResourceKind.NAMED_INDIVIDUAL,
-            ResourceKind.SEMANTIC_UNIT_RESOURCE,
-        ):
+        elif category == vocab.ASSERTIONAL_STATEMENT_UNIT:
             classes.add(vocab.INSTANCE_ITEM_UNIT)
+        elif category is not None:
+            classes.add(vocab.CLASS_ITEM_UNIT)
         out.append(
             CompoundUnit(
                 upri=minter(),
@@ -344,23 +345,15 @@ def build_item_group_units(
         comp_items = sorted(components[root], key=lambda i: i.upri)
         member_upris = [i.upri for i in comp_items] + orphans_by_component[root]
         comp_links = tuple(links_by_component.get(root, ()))
-        subject_kinds = {
-            _resource_kind(partition.dataset, i.subject, catalog) for i in comp_items
-        }
+        categories = {_category(partition.dataset, i.subject, catalog) for i in comp_items}
         classes = {vocab.ITEM_GROUP_UNIT}
-        if subject_kinds and subject_kinds <= {
-            ResourceKind.SOME_INSTANCE,
-            ResourceKind.EVERY_INSTANCE,
-        }:
-            if ResourceKind.EVERY_INSTANCE in subject_kinds:
+        if categories <= {vocab.ASSERTIONAL_STATEMENT_UNIT}:
+            classes.add(vocab.INSTANCE_ITEM_GROUP_UNIT)
+        elif categories <= {vocab.CONTINGENT_STATEMENT_UNIT, vocab.UNIVERSAL_STATEMENT_UNIT}:
+            if vocab.UNIVERSAL_STATEMENT_UNIT in categories:
                 classes.add(vocab.CLASS_AXIOM_ITEM_GROUP_UNIT)
             else:
                 classes.add(vocab.CLASS_ITEM_GROUP_UNIT)
-        elif subject_kinds <= {
-            ResourceKind.NAMED_INDIVIDUAL,
-            ResourceKind.SEMANTIC_UNIT_RESOURCE,
-        }:
-            classes.add(vocab.INSTANCE_ITEM_GROUP_UNIT)
         out.append(
             CompoundUnit(
                 upri=minter(),
@@ -383,7 +376,7 @@ def build_granularity_tree_units(
     partition: PartitionResult,
     catalog: VocabularyCatalog,
     minter,
-    typed: list[CompoundUnit] | None = None,
+    typed: list[CompoundUnit],
 ) -> TreeResult:
     """Trees induced by the catalog's partial-order predicates.
 
@@ -391,7 +384,6 @@ def build_granularity_tree_units(
     disqualifies its whole component. Transitive edges are dropped for the
     tree shape but their statement units stay associated with the tree.
     """
-    typed = typed or []
     typed_by_ref: dict[str, str] = {t.associated[0]: t.upri for t in typed}
     trees: list[CompoundUnit] = []
     cycles: list[str] = []
@@ -514,7 +506,6 @@ def _order_walk(edges) -> tuple[list[str] | None, dict[str, list[str]], list[str
 def build_granular_item_groups(
     trees: list[CompoundUnit],
     items: list[CompoundUnit],
-    partition: PartitionResult,
     minter,
 ) -> list[CompoundUnit]:
     """Derived view joining each granularity tree with the item units whose
@@ -564,7 +555,7 @@ def build_context_units(
     ]
     is_about_upris = {u.upri for u in is_about_units}
 
-    kind_preds = catalog.kind_predicates
+    affiliations = catalog.affiliations
     nodes: set[str] = set()
     edges: list[tuple[str, str]] = []
     for u in partition.units:
@@ -572,7 +563,7 @@ def build_context_units(
             continue
         for q in u.quads:
             nodes.add(q.subject)
-            if q.predicate in kind_preds:
+            if q.predicate in affiliations:
                 continue
             if isinstance(q.object, Iri):
                 nodes.add(q.object.value)
@@ -749,12 +740,12 @@ class CompoundResult:
 def build_all(
     partition: PartitionResult, catalog: VocabularyCatalog, minter
 ) -> CompoundResult:
-    typed, gaps = build_typed_statement_units(partition, catalog, minter)
-    quality = build_quality_measurement_units(typed, partition, catalog, minter)
+    typed, gaps = build_typed_statement_units(partition, minter)
+    quality = build_quality_measurement_units(typed, partition, minter)
     items = build_item_units(partition, typed, quality, catalog, minter)
     groups = build_item_group_units(items, partition, catalog, minter)
     trees = build_granularity_tree_units(partition, catalog, minter, typed)
-    granular = build_granular_item_groups(list(trees.units), items, partition, minter)
+    granular = build_granular_item_groups(list(trees.units), items, minter)
     contexts = build_context_units(partition, catalog, minter)
     return CompoundResult(
         typed=tuple(typed),

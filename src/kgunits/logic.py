@@ -612,15 +612,6 @@ def least_model(rules: tuple[Rule, ...]) -> frozenset[Atom]:
     return frozenset(model)
 
 
-def program_atoms(program: LogicProgram) -> frozenset[Atom]:
-    out: set[Atom] = set()
-    for rule in program.rules:
-        out.add(rule.head)
-        out.update(rule.positive)
-        out.update(rule.negative)
-    return frozenset(out)
-
-
 def _consistent(model: frozenset[Atom]) -> bool:
     return not any(a.complement() in model for a in model if a.negated)
 

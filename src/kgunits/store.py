@@ -16,6 +16,7 @@ writer and ``read_declarations`` the one reader of that format.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import chain, groupby
@@ -387,8 +388,9 @@ class VocabularyCatalog:
         )
 
     @cached_property
-    def kind_predicates(self) -> frozenset[str]:
-        return frozenset({self.type, self.some_instance_of, self.every_instance_of})
+    def affiliations(self) -> dict[str, ResourceKind]:
+        """Class-affiliation predicate -> the instance kind it gives."""
+        return {getattr(self, _TERMS[row.term]): kind for kind, row in INSTANCE_KINDS.items()}
 
 
 # Catalog key -> field name: ``hasSemanticUnitSubject`` -> ``has_semantic_unit_subject``.
@@ -450,17 +452,31 @@ class ResourceKind(Enum):
     SEMANTIC_UNIT_RESOURCE = "semantic-unit-resource"
 
 
+# One row per instance kind: the catalog term of the class affiliation that
+# gives a resource the kind, the class of the resource's identification unit,
+# the subject category of the units about it and the identification label.
+InstanceKind = namedtuple("InstanceKind", "term identification_class category label")
+INSTANCE_KINDS = {
+    ResourceKind.NAMED_INDIVIDUAL: InstanceKind(
+        "type", vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT,
+        vocab.ASSERTIONAL_STATEMENT_UNIT, "{s} is an instance of {c}"),
+    ResourceKind.SOME_INSTANCE: InstanceKind(
+        "someInstanceOf", vocab.SOME_INSTANCE_IDENTIFICATION_UNIT,
+        vocab.CONTINGENT_STATEMENT_UNIT, "{s} is some instance of {c}"),
+    ResourceKind.EVERY_INSTANCE: InstanceKind(
+        "everyInstanceOf", vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT,
+        vocab.UNIVERSAL_STATEMENT_UNIT, "{s} is every instance of {c}"),
+}
+
+
 class ResourceKinds:
     """The kind of every resource of a dataset, from one pass over its data
     layer. ``kind_of`` answers as ``classify_resource`` documents;
     ``category_of`` is the lenient subject-category reading partition uses."""
 
     # The statement-unit category a subject of each instance-like kind gives.
-    CATEGORIES = {
-        ResourceKind.NAMED_INDIVIDUAL: vocab.ASSERTIONAL_STATEMENT_UNIT,
-        ResourceKind.SEMANTIC_UNIT_RESOURCE: vocab.ASSERTIONAL_STATEMENT_UNIT,
-        ResourceKind.SOME_INSTANCE: vocab.CONTINGENT_STATEMENT_UNIT,
-        ResourceKind.EVERY_INSTANCE: vocab.UNIVERSAL_STATEMENT_UNIT,
+    CATEGORIES = {kind: row.category for kind, row in INSTANCE_KINDS.items()} | {
+        ResourceKind.SEMANTIC_UNIT_RESOURCE: vocab.ASSERTIONAL_STATEMENT_UNIT
     }
 
     @staticmethod
@@ -471,11 +487,7 @@ class ResourceKinds:
     def __init__(self, dataset: QuadDataset, catalog: VocabularyCatalog):
         self._resources = dataset.resources()
         self._units = dataset.unit_resources(catalog)
-        affiliation = {
-            catalog.type: ResourceKind.NAMED_INDIVIDUAL,
-            catalog.some_instance_of: ResourceKind.SOME_INSTANCE,
-            catalog.every_instance_of: ResourceKind.EVERY_INSTANCE,
-        }
+        affiliations = catalog.affiliations
         self._affiliations: dict[str, set[ResourceKind]] = {}
         self._iri_affiliations: dict[str, set[ResourceKind]] = {}
         self._classes: set[str] = set()  # objects of a class affiliation
@@ -490,7 +502,7 @@ class ResourceKinds:
                 self._nodes.add(q.subject)
             if obj is not None:
                 self._nodes.add(obj)
-            kind = affiliation.get(q.predicate)
+            kind = affiliations.get(q.predicate)
             if kind is not None:
                 self._affiliations.setdefault(q.subject, set()).add(kind)
                 if obj is not None:

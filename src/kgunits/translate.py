@@ -239,11 +239,7 @@ def builtin_patterns(
     for schema in sorted(schemas, key=lambda s: s.unit_class):
         if schema.relation != QUALITATIVE:
             continue
-        if schema.unit_class in (
-            vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT,
-            vocab.SOME_INSTANCE_IDENTIFICATION_UNIT,
-            vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT,
-        ):
+        if schema.unit_class in vocab.IDENTIFICATION_UNIT_CLASSES:
             continue
         K = schema.unit_class
         P = schema.anchor_predicate

@@ -35,6 +35,8 @@ from .schemas import (
     Var,
 )
 from .store import (
+    INSTANCE_KINDS,
+    InstanceKind,
     Iri,
     Literal,
     Quad,
@@ -50,12 +52,6 @@ from .store import (
 
 ARGUMENT = "argument"
 ADJUNCT = "adjunct"
-
-_KIND_TO_IDENTIFICATION_CLASS = {
-    "type": vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT,
-    "someInstanceOf": vocab.SOME_INSTANCE_IDENTIFICATION_UNIT,
-    "everyInstanceOf": vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT,
-}
 
 
 @record
@@ -305,8 +301,7 @@ def partition(
     # Build new units, their UPRIs still empty, in a deterministic order;
     # then mint and complete each.
     fresh: list[StatementUnit] = []
-    for (resource, kind), quads in sorted(id_groups.items()):
-        id_class = _KIND_TO_IDENTIFICATION_CLASS[kind]
+    for (resource, id_class), quads in sorted(id_groups.items()):
         fresh.append(_identification_unit(resource, sorted(quads), catalog, id_class))
     for c in sorted(winners, key=lambda c: c.order_key):
         fresh.append(_schema_unit(c.schema, c.binding, c.claimed))
@@ -343,32 +338,28 @@ def _identification_pass(
     quads: list[Quad], catalog: VocabularyCatalog
 ) -> tuple[dict, list[Quad]]:
     """Sweep class-affiliation, label, and cardinality triples into one
-    identification unit per (resource, kind)."""
-    kind_of: dict[str, str] = {}
-    kind_preds = {
-        catalog.type: "type",
-        catalog.some_instance_of: "someInstanceOf",
-        catalog.every_instance_of: "everyInstanceOf",
-    }
+    identification unit per (resource, identification class)."""
+    affiliations = catalog.affiliations
+    kind_of: dict[str, InstanceKind] = {}
     for q in quads:
-        kind = kind_preds.get(q.predicate)
-        if kind and isinstance(q.object, Iri):
-            existing = kind_of.get(q.subject)
-            if existing is not None and existing != kind:
+        kind = affiliations.get(q.predicate)
+        if kind is not None and isinstance(q.object, Iri):
+            row = INSTANCE_KINDS[kind]
+            existing = kind_of.setdefault(q.subject, row)
+            if existing != row:
                 raise AmbiguousResourceKindError(
-                    f"{q.subject} has both {existing} and {kind} class affiliations"
+                    f"{q.subject} has both {existing.term} and {row.term} class affiliations"
                 )
-            kind_of[q.subject] = kind
 
     groups: dict[tuple[str, str], list[Quad]] = {}
     remaining: list[Quad] = []
     for q in quads:
-        kind = kind_of.get(q.subject)
-        if kind and (
-            kind_preds.get(q.predicate)
+        row = kind_of.get(q.subject)
+        if row is not None and (
+            q.predicate in affiliations
             or q.predicate in (catalog.label, catalog.qualified_cardinality)
         ):
-            groups.setdefault((q.subject, kind), []).append(q)
+            groups.setdefault((q.subject, row.identification_class), []).append(q)
         else:
             remaining.append(q)
     return groups, remaining
@@ -381,7 +372,7 @@ def _identification_unit(
     in canonical order. The anchor is the class affiliation with an IRI
     object, the one that decides the resource's kind. The unit is
     qualitative even when an affiliation has a numeric literal object."""
-    affiliations = (catalog.type, catalog.some_instance_of, catalog.every_instance_of)
+    affiliations = catalog.affiliations
     objects: list[UnitObject] = []
     bindings: list[tuple[str, Term]] = [("s", Iri(subject))]
     anchor = catalog.type
@@ -639,11 +630,7 @@ def label_index(dataset: QuadDataset, catalog: VocabularyCatalog) -> Mapping[str
     return dataset._view("labels", catalog, build)
 
 
-_BUILTIN_LABELS = {
-    vocab.NAMED_INDIVIDUAL_IDENTIFICATION_UNIT: "{s} is an instance of {c}",
-    vocab.SOME_INSTANCE_IDENTIFICATION_UNIT: "{s} is some instance of {c}",
-    vocab.EVERY_INSTANCE_IDENTIFICATION_UNIT: "{s} is every instance of {c}",
-}
+_BUILTIN_LABELS = {row.identification_class: row.label for row in INSTANCE_KINDS.values()}
 
 
 def label_templates(

@@ -27,7 +27,6 @@ RDFS_LABEL = RDFS_NS + "label"
 XSD_STRING = XSD_NS + "string"
 XSD_INTEGER = XSD_NS + "integer"
 XSD_DECIMAL = XSD_NS + "decimal"
-XSD_DOUBLE = XSD_NS + "double"
 XSD_BOOLEAN = XSD_NS + "boolean"
 XSD_DATETIME = XSD_NS + "dateTime"
 RDF_LANGSTRING = RDF_NS + "langString"
@@ -72,7 +71,6 @@ MEMBER_OF = SU_NS + "memberOf"
 HAS_MEMBER = SU_NS + "hasMember"
 
 # Statement-unit classes.
-STATEMENT_UNIT = SU_NS + "StatementUnit"
 ASSERTIONAL_STATEMENT_UNIT = SU_NS + "AssertionalStatementUnit"
 CONTINGENT_STATEMENT_UNIT = SU_NS + "ContingentStatementUnit"
 UNIVERSAL_STATEMENT_UNIT = SU_NS + "UniversalStatementUnit"

@@ -370,7 +370,7 @@ def build_context_units(
     ]
     is_about_upris = {u.upri for u in is_about_units}
 
-    kind_preds = catalog.kind_predicates
+    kind_preds = {catalog.type, catalog.some_instance_of, catalog.every_instance_of}
     nodes: set[str] = set()
     edges: list[tuple[str, str]] = []
     for u in partition.units:

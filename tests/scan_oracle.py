@@ -123,7 +123,7 @@ def classify_resource(
             elif q.predicate == catalog.type:
                 typed_subject = True
         if (
-            q.predicate in catalog.kind_predicates
+            q.predicate in (catalog.type, catalog.some_instance_of, catalog.every_instance_of)
             and isinstance(q.object, Iri)
             and q.object.value == resource
         ):

@@ -77,7 +77,7 @@ def _renamed(dataset, catalog) -> QuadDataset:
     classes = {
         q.object.value
         for q in dataset
-        if q.predicate in catalog.kind_predicates and isinstance(q.object, Iri)
+        if q.predicate in catalog.affiliations and isinstance(q.object, Iri)
     }
 
     def rename(iri: str) -> str:

@@ -260,6 +260,59 @@ def test_seeded_runs_are_identical_under_every_hash_seed(tmp_path, command):
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
+_AFFILIATIONS = {"type": vocab.RDF_TYPE, "someInstanceOf": vocab.SOME_INSTANCE_OF,
+                 "everyInstanceOf": vocab.EVERY_INSTANCE_OF}
+
+
+def _renamable(path) -> bool:
+    """Whether the fixture has class affiliations and no negation units: a
+    negation unit is typed with rdf:type whatever the catalog names."""
+    quads = parse_trig(fixture_text(path.name))
+    return any(q.predicate in _AFFILIATIONS.values() for q in quads) and all(
+        q.object != Iri(vocab.NEGATION_UNIT) for q in quads
+    )
+
+
+_RENAMABLE = sorted(path.name for path in FIXTURES.glob("*.trig") if _renamable(path))
+
+
+@pytest.mark.parametrize("name", _RENAMABLE)
+def test_renaming_the_affiliation_terms_changes_no_unit_compound_or_label(tmp_path, capsys, name):
+    """Metamorphic: give the ``type``, ``someInstanceOf`` and ``everyInstanceOf``
+    terms new IRIs in the catalog and in the input quads. The units' classes
+    and subjects, the compounds' kinds and classes and ``labels.tsv`` stay the
+    same. The new IRIs keep their local names, which a fallback label shows."""
+    renamed = {iri: f"https://example.org/renamed/{term}" for term, iri in _AFFILIATIONS.items()}
+    (tmp_path / "renamed.cat").write_text(
+        fixture_text("catalog.cat")
+        + "".join(f"term {term} <{renamed[iri]}>\n" for term, iri in _AFFILIATIONS.items()),
+        encoding="utf-8",
+    )
+    dataset = parse_trig(fixture_text(name))
+    (tmp_path / "renamed.trig").write_text(serialize_trig(QuadDataset(
+        Quad(q.subject, renamed.get(q.predicate, q.predicate), q.object, q.graph)
+        for q in dataset
+    )), encoding="utf-8")
+    runs = []
+    for path, catalog in ((FIXTURES / name, FIXTURES / "catalog.cat"),
+                          (tmp_path / "renamed.trig", tmp_path / "renamed.cat")):
+        out = tmp_path / catalog.stem
+        argv = ["--schemas", str(FIXTURES / "schemas.sus"), "--catalog", str(catalog),
+                "--seed", "1", "--out", str(out)]
+        assert main(["pipeline", str(path), *argv]) == 0
+        stdout = capsys.readouterr().out
+        compounds = reconstruct_compounds(
+            parse_trig((out / "compounds.trig").read_text(encoding="utf-8")),
+            load_catalog(catalog.read_text(encoding="utf-8")),
+        )
+        runs.append((
+            stdout,
+            *((out / f).read_bytes() for f in ("units.tsv", "compounds.tsv", "labels.tsv")),
+            [(c.upri, c.kind, c.classes) for c in compounds],
+        ))
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("columns", ["40", "80", "120", None])
 def test_help_is_argparse_default_help_at_every_width(columns):
     """``--help`` prints what argparse's own formatter prints, at the width

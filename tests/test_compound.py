@@ -50,7 +50,7 @@ def _pipeline(name, catalog, schemas, seed=7):
 
 def test_typed_unit_merges_reference_and_identifications(catalog, schemas):
     result = partitioned("hand_assertional.trig", catalog, schemas)
-    typed, gaps = build_typed_statement_units(result, catalog, UpriMinter(seed=9))
+    typed, gaps = build_typed_statement_units(result, UpriMinter(seed=9))
     assert len(typed) == 1
     (unit,) = typed
     assert len(unit.associated) == 3
@@ -62,21 +62,21 @@ def test_typed_unit_merges_reference_and_identifications(catalog, schemas):
 
 def test_identification_units_produce_no_typed_units(catalog, schemas):
     result = partitioned("identify_named.trig", catalog, schemas)
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=9))
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=9))
     assert typed == []
 
 
 def test_typed_unit_count_matches_content_units(catalog, schemas):
     for name in ("hand_assertional.trig", "publication_frames.trig", "weight.trig", "antenna_item.trig"):
         result = partitioned(name, catalog, schemas)
-        typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=9))
+        typed, _ = build_typed_statement_units(result, UpriMinter(seed=9))
         expected = sum(1 for u in result.units if not u.is_identification)
         assert len(typed) == expected, name
 
 
 def test_typed_unit_records_gap_for_unidentified_resource(catalog, schemas):
     result = partitioned("hand_bare.trig", catalog, schemas)
-    typed, gaps = build_typed_statement_units(result, catalog, UpriMinter(seed=9))
+    typed, gaps = build_typed_statement_units(result, UpriMinter(seed=9))
     assert len(typed) == 1
     assert len(gaps) == 2  # neither hand nor thumb carries an identification
 
@@ -86,8 +86,8 @@ def test_typed_unit_records_gap_for_unidentified_resource(catalog, schemas):
 
 def test_weight_quality_measurement_unit(catalog, schemas):
     result = partitioned("weight.trig", catalog, schemas)
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=9))
-    quality = build_quality_measurement_units(typed, result, catalog, UpriMinter(seed=10))
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=9))
+    quality = build_quality_measurement_units(typed, result, UpriMinter(seed=10))
     assert len(quality) == 1
     (qm,) = quality
     assert qm.subject == EX + "objectX"
@@ -102,18 +102,16 @@ def test_two_measurements_share_one_quality_compound(catalog, schemas):
         Quad(EX + "weightQ1", REL + "has-unit", Iri(EX + "unit/Kilogram2"), EX + "g2"),
     ]
     result = partition(QuadDataset(quads), _schemas(), _catalog(), UpriMinter(seed=3))
-    typed, _ = build_typed_statement_units(result, _catalog(), UpriMinter(seed=9))
-    quality = build_quality_measurement_units(
-        typed, result, _catalog(), UpriMinter(seed=10)
-    )
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=9))
+    quality = build_quality_measurement_units(typed, result, UpriMinter(seed=10))
     assert len(quality) == 1
     assert len(quality[0].associated) == 3  # quality + two measurements
 
 
 def test_no_quantitative_units_no_quality_compounds(catalog, schemas):
     result = partitioned("hand_assertional.trig", catalog, schemas)
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=9))
-    assert build_quality_measurement_units(typed, result, catalog, UpriMinter(seed=10)) == []
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=9))
+    assert build_quality_measurement_units(typed, result, UpriMinter(seed=10)) == []
 
 
 def _lit(value):
@@ -180,7 +178,7 @@ def test_text_resource_hybrid_item_unit(catalog, schemas):
         Quad(EX + "thing1", vocab.RDF_TYPE, Iri(EX + "Thing"), EX + "g"),
     ]
     result = partition(QuadDataset(quads), [], catalog, UpriMinter(seed=1))
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=2))
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=2))
     items = build_item_units(result, typed, [], catalog, UpriMinter(seed=3))
     hybrid = [i for i in items if vocab.TEXT_RESOURCE_HYBRID_ITEM_UNIT in i.classes]
     assert len(hybrid) == 1
@@ -215,7 +213,7 @@ arg ?o
         Quad(EX + "daughter", REL + "child-of", Iri(EX + "father"), EX + "g"),
     ]
     result = partition(QuadDataset(quads), schemas, catalog, UpriMinter(seed=4))
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=5))
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=5))
     items = build_item_units(result, typed, [], catalog, UpriMinter(seed=6))
     assert len(items) == 2
     groups = build_item_group_units(items, result, catalog, UpriMinter(seed=7))
@@ -241,7 +239,7 @@ def test_unlinked_items_become_singleton_groups(catalog, schemas):
         Quad(EX + "b", REL + "has-part", Iri(EX + "b2"), EX + "g"),
     ]
     result = partition(QuadDataset(quads), schemas, catalog, UpriMinter(seed=4))
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=5))
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=5))
     items = build_item_units(result, typed, [], catalog, UpriMinter(seed=6))
     groups = build_item_group_units(items, result, catalog, UpriMinter(seed=7))
     assert len(items) == 2
@@ -286,7 +284,7 @@ def _item_graphs(draw):
 def test_item_groups_equal_the_rescanning_oracle(catalog, schemas, case):
     dataset, keep = case
     result = partition(dataset, schemas, catalog, UpriMinter(seed=4))
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=5))
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=5))
     items = build_item_units(result, typed, [], catalog, UpriMinter(seed=6))
     items = [i for i, k in zip(items, keep) if k]
     assert build_item_group_units(
@@ -324,14 +322,14 @@ def _has_part_star(leaves: int) -> QuadDataset:
 @example(_has_part_star(60))
 def test_granularity_builders_equal_the_rescanning_oracles(catalog, schemas, dataset):
     result = partition(dataset, schemas, catalog, UpriMinter(seed=4))
-    typed, _ = build_typed_statement_units(result, catalog, UpriMinter(seed=5))
+    typed, _ = build_typed_statement_units(result, UpriMinter(seed=5))
     items = build_item_units(result, typed, [], catalog, UpriMinter(seed=6))
     trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8), typed)
     assert trees == compound_oracle.build_granularity_tree_units(
         result, catalog, UpriMinter(seed=8), typed
     )
     assert build_granular_item_groups(
-        list(trees.units), items, result, UpriMinter(seed=9)
+        list(trees.units), items, UpriMinter(seed=9)
     ) == compound_oracle.build_granular_item_groups(
         list(trees.units), items, result, UpriMinter(seed=9)
     )
@@ -395,7 +393,7 @@ def test_order_walk_takes_a_chain_deeper_than_the_recursion_limit():
 
 def test_parthood_granularity_trees(catalog, schemas):
     result = partitioned("publication_frames.trig", catalog, schemas)
-    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8))
+    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8), [])
     assert trees.cycles == ()
     by_subject = {t.subject: t for t in trees.units}
     organism_tree = by_subject[EX + "organism1"]
@@ -410,7 +408,7 @@ def test_parthood_granularity_trees(catalog, schemas):
 
 def test_single_edge_trivial_tree(catalog, schemas):
     result = partitioned("hand_bare.trig", catalog, schemas)
-    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8))
+    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8), [])
     assert len(trees.units) == 1
     (tree,) = trees.units
     assert tree.subject == EX + "LarsRightHand"
@@ -423,7 +421,7 @@ def test_cycle_reported_and_skipped(catalog, schemas):
         Quad(EX + "b", REL + "has-part", Iri(EX + "a"), EX + "g"),
     ]
     result = partition(QuadDataset(quads), schemas, catalog, UpriMinter(seed=4))
-    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8))
+    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8), [])
     assert trees.units == ()
     assert len(trees.cycles) == 1
 
@@ -435,7 +433,7 @@ def test_transitive_edge_reduced_but_still_associated(catalog, schemas):
         Quad(EX + "a", REL + "has-part", Iri(EX + "c"), EX + "g"),
     ]
     result = partition(QuadDataset(quads), schemas, catalog, UpriMinter(seed=4))
-    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8))
+    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8), [])
     (tree,) = trees.units
     assert set(tree.edges) == {(EX + "a", EX + "b"), (EX + "b", EX + "c")}
     # the a->c statement unit stays associated with the tree unit
@@ -449,7 +447,7 @@ def test_multi_root_component_splits(catalog, schemas):
         Quad(EX + "r2", REL + "has-part", Iri(EX + "shared"), EX + "g"),
     ]
     result = partition(QuadDataset(quads), schemas, catalog, UpriMinter(seed=4))
-    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8))
+    trees = build_granularity_tree_units(result, catalog, UpriMinter(seed=8), [])
     assert sorted(t.subject for t in trees.units) == [EX + "r1", EX + "r2"]
 
 

@@ -17,7 +17,6 @@ from kgunits.logic import (
     herbrand_size,
     least_model,
     parse_rules,
-    program_atoms,
     render_atoms,
     stable_models,
 )
@@ -26,7 +25,7 @@ from kgunits.logic import (
 def brute_force_stable_models(program: LogicProgram) -> list[frozenset[Atom]]:
     """Oracle: sweep all 2^n candidate atom sets and keep those equal to
     the least model of their own reduct."""
-    atoms = sorted(program_atoms(program))
+    atoms = sorted({a for r in program.rules for a in (r.head, *r.positive, *r.negative)})
     models = []
     for bits in itertools.product((False, True), repeat=len(atoms)):
         candidate = frozenset(a for a, bit in zip(atoms, bits) if bit)

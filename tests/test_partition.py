@@ -12,7 +12,7 @@ from kgunits.errors import (
 )
 from kgunits.fdo import UpriMinter
 from kgunits.schemas import compile_schema
-from kgunits.store import Iri, Literal, Quad, QuadDataset
+from kgunits.store import Iri, Literal, Quad, QuadDataset, load_catalog
 from kgunits.units import classify_unit, partition
 
 from conftest import FIXTURES, fixture_dataset, partitioned
@@ -189,6 +189,43 @@ def test_mixed_kind_affiliations_rejected(catalog, schemas):
     )
     with pytest.raises(AmbiguousResourceKindError):
         partition(ds, [], catalog, UpriMinter(seed=1))
+
+
+# A catalog that renames the three class-affiliation terms.
+_RENAMED = load_catalog(
+    "".join(f"term {t} <https://example.org/renamed/{t}>\n"
+            for t in ("type", "someInstanceOf", "everyInstanceOf"))
+)
+
+
+def _mixed_kind_error(catalog, fields) -> str:
+    ds = QuadDataset(
+        [Quad(EX + "x", getattr(catalog, field), Iri(EX + "C"), EX + "g") for field in fields]
+    )
+    with pytest.raises(AmbiguousResourceKindError) as error:
+        partition(ds, [], catalog, UpriMinter(seed=1))
+    return str(error.value)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("type", "some_instance_of"), "has both type and someInstanceOf class affiliations"),
+        (("type", "every_instance_of"), "has both type and everyInstanceOf class affiliations"),
+        # The quads are met in canonical order: everyInstanceOf before someInstanceOf.
+        (("some_instance_of", "every_instance_of"),
+         "has both everyInstanceOf and someInstanceOf class affiliations"),
+    ],
+)
+def test_mixed_kind_error_text(catalog, fields, message):
+    assert _mixed_kind_error(catalog, fields) == f"{EX}x {message}"
+
+
+def test_mixed_kind_error_names_renamed_affiliations_by_their_catalog_terms():
+    # Renamed, someInstanceOf's IRI sorts before type's.
+    assert _mixed_kind_error(_RENAMED, ("type", "some_instance_of")) == (
+        f"{EX}x has both someInstanceOf and type class affiliations"
+    )
 
 
 def test_overlap_conflict_detected(catalog):

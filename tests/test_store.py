@@ -191,8 +191,11 @@ def test_catalog_partial_orders_load(catalog):
 
 
 def test_catalog_predicate_sets_are_built_once(catalog):
-    assert catalog.kind_predicates is catalog.kind_predicates
+    assert catalog.affiliations is catalog.affiliations
     assert catalog.structural_properties is catalog.structural_properties
-    assert catalog.kind_predicates == {catalog.type, catalog.some_instance_of,
-                                       catalog.every_instance_of}
+    assert catalog.affiliations == {
+        catalog.type: ResourceKind.NAMED_INDIVIDUAL,
+        catalog.some_instance_of: ResourceKind.SOME_INSTANCE,
+        catalog.every_instance_of: ResourceKind.EVERY_INSTANCE,
+    }
     assert catalog.index in catalog.structural_properties
