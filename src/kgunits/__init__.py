@@ -22,6 +22,7 @@ from .units import (
     PartitionResult,
     StatementUnit,
     classify_unit,
+    label_templates,
     partition,
     render_dynamic_label,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "facts_from_units",
     "ground_program",
     "herbrand_size",
+    "label_templates",
     "load_catalog",
     "load_policy",
     "make_collection_unit",

@@ -63,12 +63,6 @@ class ProcessedGraph:
     compounds: CompoundResult
     catalog: VocabularyCatalog
 
-    def items(self) -> tuple[CompoundUnit, ...]:
-        return self.compounds.items
-
-    def groups(self) -> tuple[CompoundUnit, ...]:
-        return self.compounds.groups
-
     @cached_property
     def subject_classes(self) -> dict[str, frozenset[str]]:
         """Classes each resource's identification units affiliate it with."""
@@ -293,8 +287,8 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     # statement unit lies in at most one item, the item of its subject; an
     # orphan unit is attached to one group only (the least of its roots);
     # and the free units lie in no group and no item.
-    groups_a = {g.upri: g for g in a.groups()}
-    groups_b = {g.upri: g for g in b.groups()}
+    groups_a = {g.upri: g for g in a.compounds.groups}
+    groups_b = {g.upri: g for g in b.compounds.groups}
     group_pairs = align_level(
         LEVEL_GROUP, [(groups_a, groups_b)], groups_a, groups_b, _group_signature, _jaccard_bags
     )

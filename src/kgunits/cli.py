@@ -240,7 +240,7 @@ class Products:
     @cached_property
     def rules(self) -> LogicProgram:
         """The default rules, then those of each ``--rules`` file."""
-        rules = list(default_rules().rules)
+        rules = list(default_rules(self.catalog).rules)
         for path in self.rules_paths:
             rules.extend(parse_rules(_read_text(path), self.catalog.prefixes).rules)
         return LogicProgram(tuple(rules))
@@ -349,9 +349,7 @@ def stage_label(ctx: Context) -> dict:
     rows = []
     warned: set[str] = set()
     for u in result.units:
-        label = render_dynamic_label(
-            u, result.dataset, ctx.catalog, templates=templates, warned=warned
-        )
+        label = render_dynamic_label(u, result.dataset, ctx.catalog, templates, warned=warned)
         rows.append(f"{u.upri}\t{label}\n")
     _write_atomic(ctx.out / "labels.tsv", rows)
     return {"labels": len(rows)}
@@ -389,7 +387,7 @@ def stage_translate(ctx: Context) -> dict:
     _write_atomic(ctx.out / "axioms.txt", sections)
 
     model = models[0] if models else frozenset()
-    report = check_conflicts(model, ctx.products.partition.units, prefixes)
+    report = check_conflicts(model, ctx.products.partition.units, prefixes, ctx.catalog)
     _write_atomic(ctx.out / "conflicts.txt", [
         *(f"classical\t{p}\t{n}\n" for p, n in report.classical),
         *(f"dispute\t{d}\t{target}\n" for d, target in report.disputes),

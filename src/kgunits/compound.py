@@ -51,12 +51,12 @@ _KIND_CLASS = {
     UNORDERED_LIST: vocab.UNORDERED_LIST_UNIT,
     SET: vocab.SET_UNIT,
 }
+_CLASS_KIND = {cls: kind for kind, cls in _KIND_CLASS.items()}
 
 
 @record
 class CompoundUnit:
     upri: str
-    kind: str
     classes: frozenset[str]
     associated: tuple[str, ...]
     subject: str | None = None
@@ -65,6 +65,13 @@ class CompoundUnit:
     edges: tuple[tuple[str, str], ...] = ()  # (parent, child) resources of trees
     order_predicate: str | None = None
     extra_quads: tuple[Quad, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """The kind of the least (in IRI order) of the unit's classes that
+        names one, ``"compound"`` when none does."""
+        kinded = [c for c in self.classes if c in _CLASS_KIND]
+        return _CLASS_KIND[min(kinded)] if kinded else "compound"
 
 
 @record
@@ -136,7 +143,6 @@ def build_typed_statement_units(
         typed.append(
             CompoundUnit(
                 upri=minter(),
-                kind=TYPED_STATEMENT,
                 classes=frozenset({vocab.TYPED_STATEMENT_UNIT}),
                 associated=tuple(dict.fromkeys(associated)),
                 subject=unit.subject,
@@ -185,7 +191,6 @@ def build_quality_measurement_units(
         out.append(
             CompoundUnit(
                 upri=minter(),
-                kind=QUALITY_MEASUREMENT,
                 classes=frozenset({vocab.QUALITY_MEASUREMENT_UNIT}),
                 associated=tuple([t.upri] + [m.upri for m in measurements]),
                 subject=ref.subject,
@@ -262,7 +267,6 @@ def build_item_units(
         out.append(
             CompoundUnit(
                 upri=minter(),
-                kind=ITEM,
                 classes=frozenset(classes),
                 associated=tuple(sorted(dict.fromkeys(members_by_subject[subject]))),
                 subject=subject,
@@ -357,7 +361,6 @@ def build_item_group_units(
         out.append(
             CompoundUnit(
                 upri=minter(),
-                kind=ITEM_GROUP,
                 classes=frozenset(classes),
                 associated=tuple(dict.fromkeys(member_upris)),
                 subject=None,
@@ -428,7 +431,6 @@ def build_granularity_tree_units(
                 trees.append(
                     CompoundUnit(
                         upri=minter(),
-                        kind=GRANULARITY_TREE,
                         classes=frozenset({vocab.GRANULARITY_TREE_UNIT}),
                         associated=tuple(associated),
                         subject=root,
@@ -522,7 +524,6 @@ def build_granular_item_groups(
         out.append(
             CompoundUnit(
                 upri=minter(),
-                kind=GRANULAR_ITEM_GROUP,
                 classes=frozenset({vocab.GRANULAR_ITEM_GROUP_UNIT}),
                 associated=tuple([tree.upri] + member_items),
                 subject=tree.subject,
@@ -604,7 +605,6 @@ def build_context_units(
         contexts.append(
             CompoundUnit(
                 upri=upri,
-                kind=CONTEXT,
                 classes=frozenset({vocab.CONTEXT_UNIT}),
                 associated=tuple(dict.fromkeys(pending_members[root])),
                 subject=None,
@@ -658,7 +658,6 @@ def make_collection_unit(
         return (
             CompoundUnit(
                 upri=upri,
-                kind=DATASET,
                 classes=frozenset({vocab.DATASET_UNIT}),
                 associated=tuple(members),
                 members=tuple(members),
@@ -700,7 +699,6 @@ def make_collection_unit(
             )
     compound = CompoundUnit(
         upri=list_upri,
-        kind=kind,
         classes=frozenset({_KIND_CLASS[kind], vocab.LIST_UNIT}),
         associated=tuple(m.upri for m in memberships),
         members=tuple(members),
@@ -791,15 +789,12 @@ def reconstruct_compounds(
     )
     classes, subjects, _ = read_declarations((q for q in dataset if q.subject in associated), catalog)
 
-    class_to_kind = {cls: kind for kind, cls in _KIND_CLASS.items()}
     out: list[CompoundUnit] = []
     for upri in sorted(associated):
         declared = frozenset(classes.get(upri, set()))
-        kind = next((class_to_kind[c] for c in sorted(declared) if c in class_to_kind), "compound")
         out.append(
             CompoundUnit(
                 upri=upri,
-                kind=kind,
                 classes=declared or frozenset({vocab.COMPOUND_UNIT}),
                 associated=tuple(sorted(dict.fromkeys(associated[upri]))),
                 subject=subjects.get(upri),

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from . import vocab
 from .errors import BlankNodeError, ParseError
-from .store import NUMBER_RE, Iri, Literal, Quad, QuadDataset, Term, is_absolute_iri
+from .store import NUMBER_RE, PN_PREFIX_RE, Iri, Literal, Quad, QuadDataset, Term, is_absolute_iri
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 # A local name a prefixed name may carry: ASCII letters, digits, '_', '-'
@@ -334,6 +334,8 @@ class _TrigParser:
         name = self.s.read_token()
         if not name.endswith(":"):
             raise self.s.error("prefix name must end with ':'")
+        if not PN_PREFIX_RE.fullmatch(name[:-1]):
+            raise self.s.error(f"prefix name is not a TriG PN_PREFIX: {name[:-1]!r}")
         self.s.skip_ws()
         self.prefixes[name[:-1]] = self.s.read_iriref()
 

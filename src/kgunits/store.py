@@ -40,6 +40,8 @@ IRI_TOKEN = f"<({_IRI})>"
 IRI_TOKEN_RE = re.compile(IRI_TOKEN)
 # INTEGER or DECIMAL of TriG, ASCII digits only; "" matches too, so fullmatch a token.
 NUMBER_RE = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]+)?)?")
+# A prefix name the TriG reader reads back: ASCII PN_PREFIX, or "" (the empty name).
+PN_PREFIX_RE = re.compile(r"(?:[A-Za-z](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?")
 
 
 def is_absolute_iri(value: str) -> bool:
@@ -407,9 +409,9 @@ def load_catalog(text: str) -> VocabularyCatalog:
     """Parse the declarative catalog format.
 
     Lines: ``term <key> <iri>``, ``partial-order <iri>``,
-    ``prefix <name:> <iri>``. A term the catalog does not name keeps its
-    default; an unknown term key is an error. ``setting_lines`` cuts the
-    comments.
+    ``prefix <name:> <iri>`` (a name ``PN_PREFIX_RE`` matches). A term the
+    catalog does not name keeps its default; an unknown term key is an
+    error. ``setting_lines`` cuts the comments.
     """
     terms: dict[str, str] = {}
     partial_orders: list[str] = []
@@ -423,7 +425,10 @@ def load_catalog(text: str) -> VocabularyCatalog:
         elif parts[0] == "partial-order" and len(parts) == 2:
             partial_orders.append(_strip_angle(parts[1], lineno))
         elif parts[0] == "prefix" and len(parts) == 3:
-            prefixes[parts[1].rstrip(":")] = _strip_angle(parts[2], lineno)
+            name = parts[1].rstrip(":")
+            if not PN_PREFIX_RE.fullmatch(name):
+                raise CatalogError(f"line {lineno}: prefix name is not a TriG PN_PREFIX: {name!r}")
+            prefixes[name] = _strip_angle(parts[2], lineno)
         else:
             raise CatalogError(f"line {lineno}: cannot parse catalog line: {line!r}")
     return VocabularyCatalog(

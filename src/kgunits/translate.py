@@ -39,7 +39,7 @@ from .owl import (
     _render,
 )
 from .schemas import QUALITATIVE, StatementSchema
-from .store import IRI_TOKEN_RE, NUMBER_RE, Iri, VocabularyCatalog, is_absolute_iri, setting_lines
+from .store import DEFAULT_CATALOG, IRI_TOKEN_RE, NUMBER_RE, Iri, VocabularyCatalog, is_absolute_iri, setting_lines
 from .units import PartitionResult, StatementUnit, _negated_units
 
 WILDCARD = "_"
@@ -133,12 +133,12 @@ def facts_from_units(partition: PartitionResult, catalog: VocabularyCatalog) -> 
     return sorted(atoms)
 
 
-def default_rules() -> LogicProgram:
+def default_rules(catalog: VocabularyCatalog) -> LogicProgram:
     """Rules every reasoning run includes.
 
     A unit that is both a negation unit and an assertional statement unit
     is a negated assertional statement unit; and a unit that some data
-    graph types as a negation unit (disagreement) counts as one.
+    graph types as a negation unit by ``catalog.type`` counts as one.
     """
     x = "X"
     return LogicProgram(
@@ -152,7 +152,7 @@ def default_rules() -> LogicProgram:
             ),
             Rule(
                 Atom(vocab.NEGATION_UNIT, (x,)),
-                (Atom(vocab.RDF_TYPE, (x, vocab.NEGATION_UNIT)),),
+                (Atom(catalog.type, (x, vocab.NEGATION_UNIT)),),
             ),
         )
     )
@@ -371,6 +371,7 @@ def check_conflicts(
     model,
     units: tuple[StatementUnit, ...] = (),
     prefixes: dict[str, str] | None = None,
+    catalog: VocabularyCatalog = DEFAULT_CATALOG,
 ) -> ConflictReport:
     """Classical (p, -p) pairs in the model plus dispute records for every
     unit some disagreement unit targets."""
@@ -387,7 +388,7 @@ def check_conflicts(
     for unit in sorted(units, key=lambda u: u.upri):
         if vocab.DISAGREEMENT_UNIT not in unit.classes:
             continue
-        disputes.extend((unit.upri, target) for target in _negated_units(unit, unit_upris))
+        disputes.extend((unit.upri, target) for target in _negated_units(unit, unit_upris, catalog))
     suppressed = tuple(sorted({target for _, target in disputes}))
     return ConflictReport(
         classical=tuple(classical),

@@ -14,6 +14,7 @@ guards do: each schema is a plan of ``JoinStep``s over one hashed
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -318,7 +319,7 @@ def partition(
     fallback_units = tuple(
         u for u in units if not u.adopted and vocab.UNTYPED_STATEMENT_UNIT in u.classes
     )
-    units = _derive_disagreements(units)
+    units = _derive_disagreements(units, catalog)
 
     organized = QuadDataset(
         [q for u in units for q in u.quads]
@@ -480,25 +481,25 @@ def _completed(
     return replace(unit, classes=frozenset(classes), **minted)
 
 
-def _negated_units(unit: StatementUnit, upris: set[str]) -> list[str]:
-    """The units among ``upris`` that ``unit``'s data graph types as
-    negation units, in quad order."""
+def _negated_units(unit: StatementUnit, upris: set[str], catalog: VocabularyCatalog) -> list[str]:
+    """The units among ``upris`` that ``unit``'s data graph types (with the
+    catalog's ``type``) as negation units, in quad order."""
     return [
         q.subject
         for q in unit.quads
-        if q.predicate == vocab.RDF_TYPE
+        if q.predicate == catalog.type
         and q.object == Iri(vocab.NEGATION_UNIT)
         and q.subject in upris
     ]
 
 
-def _derive_disagreements(units: list[StatementUnit]) -> list[StatementUnit]:
+def _derive_disagreements(units: list[StatementUnit], catalog: VocabularyCatalog) -> list[StatementUnit]:
     """A statement unit whose data graph types another unit as a negation
     unit is a disagreement unit."""
     unit_upris = {u.upri for u in units}
     out = []
     for u in units:
-        targets_negation = any(s != u.upri for s in _negated_units(u, unit_upris))
+        targets_negation = any(s != u.upri for s in _negated_units(u, unit_upris, catalog))
         if targets_negation and vocab.DISAGREEMENT_UNIT not in u.classes:
             u = replace(u, classes=u.classes | {vocab.DISAGREEMENT_UNIT})
         out.append(u)
@@ -630,17 +631,19 @@ def label_index(dataset: QuadDataset, catalog: VocabularyCatalog) -> Mapping[str
     return dataset._view("labels", catalog, build)
 
 
-_BUILTIN_LABELS = {row.identification_class: row.label for row in INSTANCE_KINDS.values()}
-
-
 def label_templates(
     schemas: list[StatementSchema], catalog: VocabularyCatalog
 ) -> dict[str, tuple[str, tuple[str, ...]]]:
     """Unit class -> (label template, adjunct variables) of the first
-    schema, declared or built in, that defines the class."""
+    schema, declared or built in, that defines the class. An identification
+    class that no schema labels takes its ``INSTANCE_KINDS`` label and keeps
+    the schema's adjuncts."""
     out: dict[str, tuple[str, tuple[str, ...]]] = {}
     for s in _builtin_schemas(list(schemas), catalog):
         out.setdefault(s.unit_class, (s.label_template, s.adjunct_vars))
+    for row in INSTANCE_KINDS.values():
+        template, adjuncts = out.get(row.identification_class, ("", ()))
+        out[row.identification_class] = (template or row.label, adjuncts)
     return out
 
 
@@ -648,17 +651,16 @@ def render_dynamic_label(
     unit: StatementUnit,
     dataset: QuadDataset,
     catalog: VocabularyCatalog,
-    schemas: list[StatementSchema] | None = None,
+    templates: Mapping[str, tuple[str, tuple[str, ...]]],
     *,
-    templates: Mapping[str, tuple[str, tuple[str, ...]]] | None = None,
     warned: set[str] | None = None,
 ) -> str:
     """Substitute resource labels into the unit's label template.
 
-    The template comes from ``schemas`` or, for a pass over many units,
-    from ``templates``: the ``label_templates`` of the schemas, resolved
-    once. Pass one or the other. Resources without a label fall back to
-    their IRI local name, with a warning logged once per resource not yet
+    The template of the unit's class comes from ``templates``, the
+    ``label_templates`` of the schemas; a class without one reads
+    ``{s} <anchor local name> {args}``. Resources without a label fall back
+    to their IRI local name, with a warning logged once per resource not yet
     in ``warned`` (a pass over many units shares one set); literals render
     as their lexical form. A placeholder naming an adjunct the unit left
     unbound is dropped together with the template text since the previous
@@ -666,15 +668,7 @@ def render_dynamic_label(
     """
     from .errors import LabelError
 
-    if schemas is not None and templates is not None:
-        raise TypeError("render_dynamic_label takes schemas or templates, not both")
-    template, adjuncts = "", ()
-    if unit.schema_class:
-        if templates is None:
-            templates = label_templates(schemas or [], catalog)
-        template, adjuncts = templates.get(unit.schema_class, ("", ()))
-    if not template:
-        template = _BUILTIN_LABELS.get(unit.schema_class or "", "")
+    template, adjuncts = templates.get(unit.schema_class, ("", ()))
     if not template:
         parts = ["{s}", local_name(unit.anchor_predicate or "relates to")]
         bound = [o for o in unit.objects if o.var]
@@ -708,23 +702,16 @@ def render_dynamic_label(
             return local_name(term.value)
         return label
 
-    out = []
-    since_placeholder = 0  # len(out) right after the previous placeholder
-    i = 0
-    while i < len(template):
-        ch = template[i]
-        if ch == "{":
-            j = template.index("}", i)
-            name = template[i + 1 : j].lstrip("?")
-            if name in adjuncts and name not in bindings:
-                del out[since_placeholder:]
-            else:
-                out.append(substitute(name))
-            since_placeholder = len(out)
-            i = j + 1
+    # Text, then (placeholder name, text) pairs.
+    pieces = re.split(r"\{([^}]*)\}", template)
+    out = [pieces[0]]
+    for name, text in zip(pieces[1::2], pieces[2::2]):
+        name = name.lstrip("?")
+        if name in adjuncts and name not in bindings:
+            out.pop()
         else:
-            out.append(ch)
-            i += 1
+            out.append(substitute(name))
+        out.append(text)
     return "".join(out)
 
 

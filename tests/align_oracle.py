@@ -82,8 +82,8 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     unmatched_right: list[tuple[str, str]] = []
 
     # Level 1: item group units.
-    groups_a = {g.upri: g for g in a.groups()}
-    groups_b = {g.upri: g for g in b.groups()}
+    groups_a = {g.upri: g for g in a.compounds.groups}
+    groups_b = {g.upri: g for g in b.compounds.groups}
     sig_ga = {u: _group_signature(a, g) for u, g in groups_a.items()}
     sig_gb = {u: _group_signature(b, g) for u, g in groups_b.items()}
     group_pairs = greedy_match_signatures(groups_a, groups_b, sig_ga, sig_gb, _jaccard_bags)

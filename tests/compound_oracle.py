@@ -23,10 +23,6 @@ from __future__ import annotations
 
 from kgunits import vocab
 from kgunits.compound import (
-    CONTEXT,
-    GRANULAR_ITEM_GROUP,
-    GRANULARITY_TREE,
-    ITEM_GROUP,
     CompoundUnit,
     ContextResult,
     TreeResult,
@@ -142,7 +138,6 @@ def build_item_group_units(
         out.append(
             CompoundUnit(
                 upri=minter(),
-                kind=ITEM_GROUP,
                 classes=frozenset(classes),
                 associated=tuple(dict.fromkeys(member_upris)),
                 subject=None,
@@ -220,7 +215,6 @@ def build_granularity_tree_units(
                 trees.append(
                     CompoundUnit(
                         upri=minter(),
-                        kind=GRANULARITY_TREE,
                         classes=frozenset({vocab.GRANULARITY_TREE_UNIT}),
                         associated=tuple(associated),
                         subject=root,
@@ -319,7 +313,6 @@ def build_granular_item_groups(
         out.append(
             CompoundUnit(
                 upri=minter(),
-                kind=GRANULAR_ITEM_GROUP,
                 classes=frozenset({vocab.GRANULAR_ITEM_GROUP_UNIT}),
                 associated=tuple([tree.upri] + member_items),
                 subject=tree.subject,
@@ -432,7 +425,6 @@ def build_context_units(
         contexts.append(
             CompoundUnit(
                 upri=upri,
-                kind=CONTEXT,
                 classes=frozenset({vocab.CONTEXT_UNIT}),
                 associated=tuple(dict.fromkeys(pending_members[root])),
                 subject=None,
@@ -466,22 +458,28 @@ def reconstruct_compounds(
     (association, class, and subject quads)."""
     classes, subjects, associated = read_declarations(dataset, catalog)
 
-    class_to_kind = {cls: kind for kind, cls in _KIND_CLASS.items()}
     out: list[CompoundUnit] = []
     for upri in sorted(associated):
         declared = frozenset(classes.get(upri, set()))
-        kind = "compound"
-        for cls in sorted(declared):
-            if cls in class_to_kind:
-                kind = class_to_kind[cls]
-                break
         out.append(
             CompoundUnit(
                 upri=upri,
-                kind=kind,
                 classes=declared or frozenset({vocab.COMPOUND_UNIT}),
                 associated=tuple(sorted(dict.fromkeys(associated[upri]))),
                 subject=subjects.get(upri),
             )
         )
     return out
+
+
+def compound_kind(classes: frozenset[str]) -> str:
+    """The kind `reconstruct_compounds` gave a unit with these classes before
+    the kind became `CompoundUnit.kind`: that of the first class, in sorted
+    order, that names one."""
+    class_to_kind = {cls: kind for kind, cls in _KIND_CLASS.items()}
+    kind = "compound"
+    for cls in sorted(classes):
+        if cls in class_to_kind:
+            kind = class_to_kind[cls]
+            break
+    return kind

@@ -322,7 +322,7 @@ def test_acceptance_4_non_monotonicity_witness():
 
 def _stable_model(result, catalog):
     facts = facts_from_units(result, catalog)
-    models = stable_models(ground_program(default_rules(), facts), bound=4096)
+    models = stable_models(ground_program(default_rules(catalog), facts), bound=4096)
     assert len(models) == 1
     return models[0]
 

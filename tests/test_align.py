@@ -187,10 +187,10 @@ def test_hierarchy_consistency(catalog, schemas):
     report = align_graphs(a, b)
     group_pairs = {(c.left, c.right) for c in at_level(report, LEVEL_GROUP)}
     item_pairs = {(c.left, c.right) for c in at_level(report, LEVEL_ITEM)}
-    items_a = {i.upri: i for i in a.items()}
-    items_b = {i.upri: i for i in b.items()}
-    groups_a = {g.upri: g for g in a.groups()}
-    groups_b = {g.upri: g for g in b.groups()}
+    items_a = {i.upri: i for i in a.compounds.items}
+    items_b = {i.upri: i for i in b.compounds.items}
+    groups_a = {g.upri: g for g in a.compounds.groups}
+    groups_b = {g.upri: g for g in b.compounds.groups}
     # every item correspondence sits inside a matched group pair
     for l, r in item_pairs:
         containing = [

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from kgunits import cli, compile_schema, load_catalog, parse_quads, partition, units, vocab
 from kgunits.cli import main
 from kgunits.compound import reconstruct_compounds
+from kgunits.errors import CatalogError
 from kgunits.fdo import ProvenanceRecord, UpriMinter, emit_nanopublication, load_policy
 from kgunits.owl import ClassAssertion
 from kgunits.rdfio import parse_trig, serialize_trig
@@ -265,12 +266,8 @@ _AFFILIATIONS = {"type": vocab.RDF_TYPE, "someInstanceOf": vocab.SOME_INSTANCE_O
 
 
 def _renamable(path) -> bool:
-    """Whether the fixture has class affiliations and no negation units: a
-    negation unit is typed with rdf:type whatever the catalog names."""
-    quads = parse_trig(fixture_text(path.name))
-    return any(q.predicate in _AFFILIATIONS.values() for q in quads) and all(
-        q.object != Iri(vocab.NEGATION_UNIT) for q in quads
-    )
+    """Whether the fixture has class affiliations."""
+    return any(q.predicate in _AFFILIATIONS.values() for q in parse_trig(fixture_text(path.name)))
 
 
 _RENAMABLE = sorted(path.name for path in FIXTURES.glob("*.trig") if _renamable(path))
@@ -280,8 +277,10 @@ _RENAMABLE = sorted(path.name for path in FIXTURES.glob("*.trig") if _renamable(
 def test_renaming_the_affiliation_terms_changes_no_unit_compound_or_label(tmp_path, capsys, name):
     """Metamorphic: give the ``type``, ``someInstanceOf`` and ``everyInstanceOf``
     terms new IRIs in the catalog and in the input quads. The units' classes
-    and subjects, the compounds' kinds and classes and ``labels.tsv`` stay the
-    same. The new IRIs keep their local names, which a fallback label shows."""
+    and subjects, the compounds' kinds and classes, ``labels.tsv`` and
+    ``conflicts.txt`` stay the same: a negation unit is typed with the
+    catalog's ``type`` too. The new IRIs keep their local names, which a
+    fallback label shows."""
     renamed = {iri: f"https://example.org/renamed/{term}" for term, iri in _AFFILIATIONS.items()}
     (tmp_path / "renamed.cat").write_text(
         fixture_text("catalog.cat")
@@ -307,7 +306,7 @@ def test_renaming_the_affiliation_terms_changes_no_unit_compound_or_label(tmp_pa
         )
         runs.append((
             stdout,
-            *((out / f).read_bytes() for f in ("units.tsv", "compounds.tsv", "labels.tsv")),
+            *((out / f).read_bytes() for f in ("units.tsv", "compounds.tsv", "labels.tsv", "conflicts.txt")),
             [(c.upri, c.kind, c.classes) for c in compounds],
         ))
     assert runs[1] == runs[0]
@@ -835,6 +834,34 @@ def test_unknown_catalog_term_is_data_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1: unknown catalog term: isAboutt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["po:-:", "1x:"])
+def test_catalog_prefix_outside_pn_prefix_is_data_error(capsys, tmp_path, name):
+    """``po:-`` once ended ``ingest`` in a ``KeyError`` when the TriG writer
+    split ``po:-:x`` at its first colon; ``1x`` was written as ``1x:x``, which
+    the reader reads as a number and so refused the written dataset."""
+    bad = tmp_path / "bad.cat"
+    bad.write_text(f"# plant ontology\nprefix {name} <https://example.org/plant/>\n", encoding="utf-8")
+    code = main(["ingest", str(FIXTURES / "fruit_negation.trig"), "--catalog", str(bad),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line 2: prefix name is not a TriG PN_PREFIX: {name[:-1]!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, allowed", [
+    ("", True), ("po", True), ("a.b-c_1", True), ("a.", False), ("-a", False),
+    ("_a", False), ("1x", False), ("po:-", False), ("\u00e9", False),
+])
+def test_catalog_prefix_names_are_ascii_pn_prefix_or_empty(name, allowed):
+    text = f"prefix {name}: <https://example.org/plant/>\n"
+    if allowed:
+        assert load_catalog(text).prefixes[name] == "https://example.org/plant/"
+    else:
+        with pytest.raises(CatalogError, match="line 1: prefix name"):
+            load_catalog(text)
 
 
 def test_translate_with_custom_pattern_file(capsys, tmp_path):

@@ -12,6 +12,7 @@ from kgunits.compound import (
     DATASET,
     ORDERED_LIST,
     SET,
+    CompoundUnit,
     _order_walk,
     build_all,
     build_context_units,
@@ -698,3 +699,18 @@ def test_reconstruction_equals_the_whole_dataset_reader_on_fixtures(catalog, sch
     rebuilt = reconstruct_compounds(downstream, catalog)
     assert rebuilt
     assert rebuilt == compound_oracle.reconstruct_compounds(downstream, catalog)
+    assert [c.kind for c in rebuilt] == [compound_oracle.compound_kind(c.classes) for c in rebuilt]
+
+
+_KIND_CLASSES = [vocab.TYPED_STATEMENT_UNIT, vocab.ITEM_UNIT, vocab.ITEM_GROUP_UNIT,
+                 vocab.CONTEXT_UNIT, vocab.ORDERED_LIST_UNIT, vocab.SET_UNIT]
+
+
+@given(st.frozensets(st.sampled_from(
+    _KIND_CLASSES + [vocab.LIST_UNIT, vocab.INSTANCE_ITEM_UNIT, vocab.COMPOUND_UNIT, EX + "Other"]
+)))
+def test_compound_kind_is_read_from_the_classes(classes):
+    """A compound unit's kind is that of its least class naming one, or
+    ``compound``, whichever builder or reader made it."""
+    unit = CompoundUnit(EX + "c", classes, ())
+    assert unit.kind == compound_oracle.compound_kind(classes)

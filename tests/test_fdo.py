@@ -262,7 +262,7 @@ _UNITS = st.builds(
     StatementUnit, upri=_UPRIS, classes=_CLASSES, subject=_IRIS, objects=st.just(()),
     quads=_QUADS, schema_class=st.none() | _IRIS,
 ) | st.builds(
-    CompoundUnit, upri=_UPRIS, kind=st.just("typed-statement"), classes=_CLASSES,
+    CompoundUnit, upri=_UPRIS, classes=_CLASSES,
     associated=st.lists(_UPRIS, max_size=3).map(tuple), subject=st.none() | _IRIS,
 ) | st.builds(  # any unit with associations is packaged as a compound, quads or not
     SimpleNamespace, upri=_UPRIS, classes=_CLASSES, subject=_IRIS, quads=_QUADS,
@@ -293,7 +293,7 @@ _UNIT = StatementUnit(EX + "u", frozenset(), EX + "s", (), (Quad(EX + "s", EX + 
 
 
 @pytest.mark.parametrize("unit, prov, pubinfo, error", [
-    (CompoundUnit(EX + "u", "typed-statement", frozenset(), ()), PROV, PUB, NanopubError),
+    (CompoundUnit(EX + "u", frozenset(), ()), PROV, PUB, NanopubError),
     (StatementUnit(EX + "u", frozenset(), EX + "s", (), ()), PROV, PUB, NanopubError),
     (_UNIT, ProvenanceRecord(creator="", created=PROV.created), PUB, ProvenanceError),
     (_UNIT, PROV, ProvenanceRecord(creator=PUB.creator, created="yesterday"), ProvenanceError),

@@ -428,6 +428,15 @@ def test_malformed_trig_fails_like_character_scanner(text):
     assert err.value.line >= 3
 
 
+@pytest.mark.parametrize("directive", ["@prefix 1x: <{}> .", "PREFIX 1x: <{}>", "@prefix po:-: <{}> ."])
+def test_prefix_name_outside_pn_prefix_is_parse_error(directive):
+    """The reader takes the prefix names the writer can use: a ``1x:o``
+    object would read back as the number ``1`` and a stray name."""
+    with pytest.raises(ParseError, match="not a TriG PN_PREFIX") as err:
+        parse_trig(directive.format(EX) + f"\n<{EX}s> <{REL}p> <{EX}o> .\n")
+    assert err.value.line == 1
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -55,7 +55,7 @@ UBERON = "https://example.org/uberon/"
 
 def _model(result, catalog, bound=2048):
     facts = facts_from_units(result, catalog)
-    program = ground_program(default_rules(), facts)
+    program = ground_program(default_rules(catalog), facts)
     models = stable_models(program, bound=bound)
     assert len(models) == 1
     return models[0]
@@ -218,6 +218,17 @@ def test_dispute_reported_and_suppressed(catalog, schemas):
     axioms = translate_to_owl(model, builtin_patterns(schemas, catalog))
     assert ClassAssertion(PO + "PomeFruit", EX + "fruitX") not in axioms
     assert ClassAssertion(ComplementOf(PO + "PomeFruit"), EX + "fruitX") in axioms
+
+
+def test_negation_unit_rule_reads_the_catalog_type():
+    """Under a catalog that renames ``type``, ``T(u, su:NegationUnit)`` with
+    the new term ``T`` derives ``su:NegationUnit(u)``; ``rdf:type`` is data."""
+    catalog = load_catalog("term type <https://example.org/ns/isA>\n")
+    unit = EX + "unit-claim"
+    for predicate, derived in ((catalog.type, True), (vocab.RDF_TYPE, False)):
+        facts = [Atom(predicate, (unit, vocab.NEGATION_UNIT))]
+        (model,) = stable_models(ground_program(default_rules(catalog), facts), bound=64)
+        assert (Atom(vocab.NEGATION_UNIT, (unit,)) in model) is derived
 
 
 def test_classical_conflict_pair_reported():
