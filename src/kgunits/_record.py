@@ -87,11 +87,6 @@ def fields(record) -> tuple[Field, ...]:
     return record.__record_fields__
 
 
-def replace(record, /, **changes):
-    values = {f.name: getattr(record, f.name) for f in record.__record_fields__}
-    return type(record)(**(values | changes))
-
-
 def _equality(key):
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import get_args
 
 from . import vocab
-from ._record import fields, record, replace
+from ._record import fields, record
 from .errors import PatternError
 from .fdo import sha256_hex
 from .logic import Atom, AtomIndex, JoinStep, LogicProgram, Rule, _shortener, is_variable, parse_rules
@@ -302,13 +302,13 @@ def _instantiate(node, binding: dict[str, str]):
         return tuple(_instantiate(n, binding) for n in node)
     if isinstance(node, Fresh):
         return skolem(node.tag, *_instantiate(node.keys, binding))
+    values = [_instantiate(getattr(node, f.name), binding) for f in fields(node)]
     if isinstance(node, QualifiedCardinality) and isinstance(node.cardinality, str):
-        value = _instantiate(node.cardinality, binding)
-        try:
-            node = replace(node, cardinality=int(value))
+        try:  # the cardinality, the second field
+            values[1] = int(values[1])
         except ValueError as exc:
-            raise PatternError(f"cardinality slot bound to non-integer {value!r}") from exc
-    return type(node)(*(_instantiate(getattr(node, f.name), binding) for f in fields(node)))
+            raise PatternError(f"cardinality slot bound to non-integer {values[1]!r}") from exc
+    return type(node)(*values)
 
 
 def _axiom_well_formed(axiom) -> bool:
@@ -388,7 +388,7 @@ def check_conflicts(
     for unit in sorted(units, key=lambda u: u.upri):
         if vocab.DISAGREEMENT_UNIT not in unit.classes:
             continue
-        disputes.extend((unit.upri, target) for target in _negated_units(unit, unit_upris, catalog))
+        disputes.extend((unit.upri, target) for target in _negated_units(unit.quads, unit_upris, catalog))
     suppressed = tuple(sorted({target for _, target in disputes}))
     return ConflictReport(
         classical=tuple(classical),

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import vocab
-from ._record import record, replace
+from ._record import record
 from .errors import (
     AmbiguousResourceKindError,
     ClassificationError,
@@ -284,8 +284,7 @@ def partition(
 
     category_of = ResourceKinds.of(dataset, catalog).category_of
     adopted = _adopt_units(adopted_quads, units_layer, schemas, catalog)
-    units = [_completed(u, category_of, catalog) for u in adopted]
-    triple_map: dict[Quad, str] = {q: u.upri for u in units for q in u.quads}
+    triple_map: dict[Quad, str] = {q: u["upri"] for u in adopted for q in u["quads"]}
 
     id_groups, remaining = _identification_pass(fresh_quads, catalog)
 
@@ -299,9 +298,9 @@ def partition(
     claimed = {q for cand in winners for q in cand.claimed}
     leftovers = [q for q in remaining if q not in claimed]
 
-    # Build new units, their UPRIs still empty, in a deterministic order;
-    # then mint and complete each.
-    fresh: list[StatementUnit] = []
+    # The fields of each new unit in a deterministic order; each is minted
+    # and re-homed, then every unit is built once, knowing every UPRI.
+    fresh: list[dict] = []
     for (resource, id_class), quads in sorted(id_groups.items()):
         fresh.append(_identification_unit(resource, sorted(quads), catalog, id_class))
     for c in sorted(winners, key=lambda c: c.order_key):
@@ -309,18 +308,19 @@ def partition(
     fresh.extend(_untyped_unit(q.subject, [q]) for q in sorted(leftovers))
     for unit in fresh:
         upri = minter()
-        if unit.schema_class and not unit.is_identification and category_of(unit.subject) is None:
-            warnings.append(f"subject {unit.subject} of unit {upri} has no identification unit")
-        rehomed = tuple(q.rehome(upri) for q in unit.quads)
-        units.append(_completed(unit, category_of, catalog, upri=upri, quads=rehomed))
-        for q in unit.quads:
+        subject = unit["subject"]
+        if unit.get("schema_class") and not unit["classes"] & vocab.IDENTIFICATION_UNIT_CLASSES:
+            if category_of(subject) is None:
+                warnings.append(f"subject {subject} of unit {upri} has no identification unit")
+        for q in unit["quads"]:
             triple_map[q] = upri
+        unit.update(upri=upri, quads=tuple(q.rehome(upri) for q in unit["quads"]))
 
+    upris = {u["upri"] for u in adopted + fresh}
+    units = [_completed(u, category_of, catalog, upris) for u in adopted + fresh]
     fallback_units = tuple(
         u for u in units if not u.adopted and vocab.UNTYPED_STATEMENT_UNIT in u.classes
     )
-    units = _derive_disagreements(units, catalog)
-
     organized = QuadDataset(
         [q for u in units for q in u.quads]
         + list(units_layer)
@@ -368,11 +368,12 @@ def _identification_pass(
 
 def _identification_unit(
     subject: str, quads: list[Quad], catalog: VocabularyCatalog, unit_class: str
-) -> StatementUnit:
-    """The unminted identification unit of ``subject`` over its ``quads``
-    in canonical order. The anchor is the class affiliation with an IRI
-    object, the one that decides the resource's kind. The unit is
-    qualitative even when an affiliation has a numeric literal object."""
+) -> dict:
+    """The fields, all but the UPRI, of the identification unit of
+    ``subject`` over its ``quads`` in canonical order. The anchor is the
+    class affiliation with an IRI object, the one that decides the
+    resource's kind. The unit is qualitative even when an affiliation has a
+    numeric literal object."""
     affiliations = catalog.affiliations
     objects: list[UnitObject] = []
     bindings: list[tuple[str, Term]] = [("s", Iri(subject))]
@@ -391,75 +392,71 @@ def _identification_unit(
         elif q.predicate == catalog.qualified_cardinality:
             objects.append(UnitObject(q.object, ADJUNCT, "n"))
             bindings.append(("n", q.object))
-    return StatementUnit(
-        "",
-        frozenset({unit_class, vocab.QUALITATIVE_STATEMENT_UNIT}),
-        subject,
-        tuple(objects),
-        tuple(quads),
-        unit_class,
-        anchor,
-        tuple(bindings),
+    return dict(
+        classes={unit_class, vocab.QUALITATIVE_STATEMENT_UNIT},
+        subject=subject,
+        objects=tuple(objects),
+        quads=tuple(quads),
+        schema_class=unit_class,
+        anchor_predicate=anchor,
+        bindings=tuple(bindings),
     )
 
 
-def _schema_unit(
-    schema: StatementSchema, binding: dict[str, Term], quads: list[Quad]
-) -> StatementUnit:
-    """The unminted unit of ``schema`` over ``quads`` in canonical order,
-    where the schema's variables take ``binding``. Its objects are the bound
-    argument variables, then the bound adjunct variables; the schema's
-    relation, not the terms bound, makes it qualitative or quantitative."""
+def _schema_unit(schema: StatementSchema, binding: dict[str, Term], quads: list[Quad]) -> dict:
+    """The fields, all but the UPRI, of the unit of ``schema`` over
+    ``quads`` in canonical order, where the schema's variables take
+    ``binding``. Its objects are the bound argument variables, then the
+    bound adjunct variables; the schema's relation, not the terms bound,
+    makes it qualitative or quantitative."""
     subject = binding.get(schema.subject_var)
     relation = (
         vocab.QUANTITATIVE_STATEMENT_UNIT
         if schema.relation == QUANTITATIVE
         else vocab.QUALITATIVE_STATEMENT_UNIT
     )
-    return StatementUnit(
-        "",
-        frozenset({schema.unit_class, relation}),
-        subject.value if isinstance(subject, Iri) else str(subject),
-        tuple(
+    return dict(
+        classes={schema.unit_class, relation},
+        subject=subject.value if isinstance(subject, Iri) else str(subject),
+        objects=tuple(
             UnitObject(binding[var], role, var)
             for role, names in ((ARGUMENT, schema.argument_vars), (ADJUNCT, schema.adjunct_vars))
             for var in names
             if var in binding
         ),
-        tuple(quads),
-        schema.unit_class,
-        schema.anchor_predicate,
-        tuple(sorted(binding.items())),
+        quads=tuple(quads),
+        schema_class=schema.unit_class,
+        anchor_predicate=schema.anchor_predicate,
+        bindings=tuple(sorted(binding.items())),
     )
 
 
-def _untyped_unit(subject: str, quads: list[Quad]) -> StatementUnit:
-    """The unminted untyped unit of ``quads`` in canonical order: the
-    objects of the quads about ``subject`` are its unnamed arguments and the
-    first quad's predicate is its anchor."""
-    return StatementUnit(
-        "",
-        frozenset({vocab.UNTYPED_STATEMENT_UNIT}),
-        subject,
-        tuple(UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject),
-        tuple(quads),
+def _untyped_unit(subject: str, quads: list[Quad]) -> dict:
+    """The fields, all but the UPRI, of the untyped unit of ``quads`` in
+    canonical order: the objects of the quads about ``subject`` are its
+    unnamed arguments and the first quad's predicate is its anchor."""
+    return dict(
+        classes={vocab.UNTYPED_STATEMENT_UNIT},
+        subject=subject,
+        objects=tuple(UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject),
+        quads=tuple(quads),
         anchor_predicate=quads[0].predicate,
     )
 
 
 def _completed(
-    unit: StatementUnit, category_of, catalog: VocabularyCatalog, **minted
+    unit: dict, category_of, catalog: VocabularyCatalog, upris: set[str]
 ) -> StatementUnit:
-    """The unit with the classes its parts imply, for a new unit and for an
-    adopted one alike: its subject's category unless it has one, the
+    """The ``StatementUnit`` of a new or an adopted unit's fields, with the
+    classes its parts imply: its subject's category unless it has one, the
     qualitative or quantitative class unless it has one (quantitative when
-    an argument is a numeric literal), and the cardinality-restriction
-    class for an identification unit with a qualified cardinality. A new
-    unit passes its minted ``upri`` and re-homed ``quads`` in ``minted``:
-    the completed copy takes them too, so the unit is copied once."""
-    classes = set(unit.classes)
+    an argument is a numeric literal), the cardinality-restriction class
+    for an identification unit with a qualified cardinality, and the
+    disagreement class when its quads type another unit among ``upris``,
+    the UPRIs of every unit, as a negation unit."""
+    classes = set(unit["classes"])
     if classes.isdisjoint(vocab.SUBJECT_CATEGORY_CLASSES):
-        category = category_of(unit.subject)
+        category = category_of(unit["subject"])
         if category:
             classes.add(category)
     if classes.isdisjoint((vocab.QUALITATIVE_STATEMENT_UNIT, vocab.QUANTITATIVE_STATEMENT_UNIT)):
@@ -467,43 +464,31 @@ def _completed(
             o.role == ARGUMENT
             and isinstance(o.term, Literal)
             and o.term.datatype in vocab.NUMERIC_DATATYPES
-            for o in unit.objects
+            for o in unit["objects"]
         )
         classes.add(
             vocab.QUANTITATIVE_STATEMENT_UNIT if numeric else vocab.QUALITATIVE_STATEMENT_UNIT
         )
-    if unit.is_identification and any(
-        q.predicate == catalog.qualified_cardinality for q in unit.quads
+    quads = unit["quads"]
+    if not classes.isdisjoint(vocab.IDENTIFICATION_UNIT_CLASSES) and any(
+        q.predicate == catalog.qualified_cardinality for q in quads
     ):
         classes.add(vocab.CARDINALITY_RESTRICTION_UNIT)
-    if classes == unit.classes and not minted:
-        return unit
-    return replace(unit, classes=frozenset(classes), **minted)
+    if any(s != unit["upri"] for s in _negated_units(quads, upris, catalog)):
+        classes.add(vocab.DISAGREEMENT_UNIT)
+    return StatementUnit(**{**unit, "classes": frozenset(classes)})
 
 
-def _negated_units(unit: StatementUnit, upris: set[str], catalog: VocabularyCatalog) -> list[str]:
-    """The units among ``upris`` that ``unit``'s data graph types (with the
-    catalog's ``type``) as negation units, in quad order."""
+def _negated_units(quads, upris: set[str], catalog: VocabularyCatalog) -> list[str]:
+    """The units among ``upris`` that ``quads``, a unit's data graph, type
+    (with the catalog's ``type``) as negation units, in quad order."""
     return [
         q.subject
-        for q in unit.quads
+        for q in quads
         if q.predicate == catalog.type
         and q.object == Iri(vocab.NEGATION_UNIT)
         and q.subject in upris
     ]
-
-
-def _derive_disagreements(units: list[StatementUnit], catalog: VocabularyCatalog) -> list[StatementUnit]:
-    """A statement unit whose data graph types another unit as a negation
-    unit is a disagreement unit."""
-    unit_upris = {u.upri for u in units}
-    out = []
-    for u in units:
-        targets_negation = any(s != u.upri for s in _negated_units(u, unit_upris, catalog))
-        if targets_negation and vocab.DISAGREEMENT_UNIT not in u.classes:
-            u = replace(u, classes=u.classes | {vocab.DISAGREEMENT_UNIT})
-        out.append(u)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +501,11 @@ def _adopt_units(
     units_layer: tuple[Quad, ...],
     schemas: list[StatementSchema],
     catalog: VocabularyCatalog,
-) -> list[StatementUnit]:
-    """One unit per declared unit data graph, in UPRI order, with the
-    declared classes and subject (by default its first quad's) and the
-    parts its quads give it. The quads arrive in canonical order, so each
-    graph's quads are in canonical order.
+) -> list[dict]:
+    """The fields of one unit per declared unit data graph, in UPRI order,
+    with the declared classes and subject (by default its first quad's) and
+    the parts its quads give it. The quads arrive in canonical order, so
+    each graph's quads are in canonical order.
 
     A graph declared with the class of a declared schema, and not as an
     identification unit, takes the best-ranked (least ``order_key``) match
@@ -551,7 +536,7 @@ def _adopt_units(
             ):
                 best[upri] = cand
 
-    out: list[StatementUnit] = []
+    out: list[dict] = []
     for upri in sorted(by_graph):
         quads = by_graph[upri]
         declared = classes.get(upri, set())
@@ -563,20 +548,17 @@ def _adopt_units(
         elif upri in best:
             unit = _schema_unit(schema, best[upri].binding, quads)
         elif schema is not None:
-            unit = replace(
-                _untyped_unit(quads[0].subject, quads),
-                schema_class=schema.unit_class,
-                anchor_predicate=schema.anchor_predicate,
-            )
+            unit = _untyped_unit(quads[0].subject, quads)
+            unit.update(schema_class=schema.unit_class, anchor_predicate=schema.anchor_predicate)
         else:
             unit = _untyped_unit(subject, quads)
-        out.append(replace(
-            unit,
+        unit.update(
             upri=upri,
             classes=frozenset(declared or {vocab.UNTYPED_STATEMENT_UNIT}),
             subject=subject,
             adopted=True,
-        ))
+        )
+        out.append(unit)
     return out
 
 

@@ -8,24 +8,33 @@ tried in canonical order. It serves as the oracle for differential tests.
 ``adopt_units`` is ``units._adopt_units`` as it was before it matched each
 declared schema once over all the adopted graphs: here every adopted unit
 of a declared schema sorts its own quads, indexes them and plans and runs
-its schema's join alone (``rebind_schema``).
+its schema's join alone (``rebind_schema``). It builds each unit with the
+constructors ``units`` had before they returned a unit's fields: an
+unminted ``StatementUnit`` (empty UPRI), then a copy by ``replace`` with
+the declared UPRI, classes and subject.
 """
 
 from __future__ import annotations
 
 from kgunits import vocab
-from kgunits._record import replace
-from kgunits.schemas import QUALITATIVE, StatementSchema, TripleTemplate, Var
+from kgunits._record import fields
+from kgunits.schemas import QUALITATIVE, QUANTITATIVE, StatementSchema, TripleTemplate, Var
 from kgunits.store import Iri, Literal, Quad, Term, VocabularyCatalog, read_declarations
 from kgunits.units import (
+    ADJUNCT,
+    ARGUMENT,
     StatementUnit,
+    UnitObject,
     _Candidate,
     _enumerate_candidates,
-    _identification_unit,
     _quad_index,
-    _schema_unit,
-    _untyped_unit,
 )
+
+
+def replace(record, /, **changes):
+    """A copy of ``record`` with ``changes``, as ``dataclasses.replace``."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return type(record)(**(values | changes))
 
 
 def quads_by_predicate(quads) -> dict[str, list[Quad]]:
@@ -173,11 +182,11 @@ def adopt_units(
         id_class = declared & vocab.IDENTIFICATION_UNIT_CLASSES
         schema = next((by_class[c] for c in sorted(declared) if c in by_class), None)
         if id_class:
-            unit = _identification_unit(subject, quads, catalog, min(id_class))
+            unit = identification_unit(subject, quads, catalog, min(id_class))
         elif schema is not None:
             unit = rebind_schema(schema, quads)
         else:
-            unit = _untyped_unit(subject, quads)
+            unit = untyped_unit(subject, quads)
         out.append(replace(
             unit,
             upri=upri,
@@ -194,9 +203,90 @@ def rebind_schema(schema: StatementSchema, quads: list[Quad]) -> StatementUnit:
     parts."""
     candidates = _enumerate_candidates(schema, _quad_index(quads))
     if candidates:
-        return _schema_unit(schema, min(candidates, key=lambda c: c.order_key).binding, quads)
+        return schema_unit(schema, min(candidates, key=lambda c: c.order_key).binding, quads)
     return replace(
-        _untyped_unit(quads[0].subject, quads),
+        untyped_unit(quads[0].subject, quads),
         schema_class=schema.unit_class,
         anchor_predicate=schema.anchor_predicate,
+    )
+
+
+def identification_unit(
+    subject: str, quads: list[Quad], catalog: VocabularyCatalog, unit_class: str
+) -> StatementUnit:
+    """The unminted identification unit of ``subject`` over its ``quads``
+    in canonical order. The anchor is the class affiliation with an IRI
+    object, the one that decides the resource's kind. The unit is
+    qualitative even when an affiliation has a numeric literal object."""
+    affiliations = catalog.affiliations
+    objects: list[UnitObject] = []
+    bindings: list[tuple[str, Term]] = [("s", Iri(subject))]
+    anchor = catalog.type
+    for q in quads:
+        if q.predicate in affiliations:
+            objects.append(UnitObject(q.object, ARGUMENT, "c"))
+            if isinstance(q.object, Iri):
+                anchor = q.predicate
+            if not any(n == "c" for n, _ in bindings):
+                bindings.append(("c", q.object))
+        elif q.predicate == catalog.label:
+            objects.append(UnitObject(q.object, ADJUNCT, "l"))
+            if not any(n == "l" for n, _ in bindings):
+                bindings.append(("l", q.object))
+        elif q.predicate == catalog.qualified_cardinality:
+            objects.append(UnitObject(q.object, ADJUNCT, "n"))
+            bindings.append(("n", q.object))
+    return StatementUnit(
+        "",
+        frozenset({unit_class, vocab.QUALITATIVE_STATEMENT_UNIT}),
+        subject,
+        tuple(objects),
+        tuple(quads),
+        unit_class,
+        anchor,
+        tuple(bindings),
+    )
+
+
+def schema_unit(
+    schema: StatementSchema, binding: dict[str, Term], quads: list[Quad]
+) -> StatementUnit:
+    """The unminted unit of ``schema`` over ``quads`` in canonical order,
+    where the schema's variables take ``binding``. Its objects are the bound
+    argument variables, then the bound adjunct variables; the schema's
+    relation, not the terms bound, makes it qualitative or quantitative."""
+    subject = binding.get(schema.subject_var)
+    relation = (
+        vocab.QUANTITATIVE_STATEMENT_UNIT
+        if schema.relation == QUANTITATIVE
+        else vocab.QUALITATIVE_STATEMENT_UNIT
+    )
+    return StatementUnit(
+        "",
+        frozenset({schema.unit_class, relation}),
+        subject.value if isinstance(subject, Iri) else str(subject),
+        tuple(
+            UnitObject(binding[var], role, var)
+            for role, names in ((ARGUMENT, schema.argument_vars), (ADJUNCT, schema.adjunct_vars))
+            for var in names
+            if var in binding
+        ),
+        tuple(quads),
+        schema.unit_class,
+        schema.anchor_predicate,
+        tuple(sorted(binding.items())),
+    )
+
+
+def untyped_unit(subject: str, quads: list[Quad]) -> StatementUnit:
+    """The unminted untyped unit of ``quads`` in canonical order: the
+    objects of the quads about ``subject`` are its unnamed arguments and the
+    first quad's predicate is its anchor."""
+    return StatementUnit(
+        "",
+        frozenset({vocab.UNTYPED_STATEMENT_UNIT}),
+        subject,
+        tuple(UnitObject(q.object, ARGUMENT, None) for q in quads if q.subject == subject),
+        tuple(quads),
+        anchor_predicate=quads[0].predicate,
     )

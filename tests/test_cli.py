@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,19 +14,21 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgunits import cli, compile_schema, load_catalog, parse_quads, partition, units, vocab
-from kgunits.cli import main
+from kgunits.cli import _write_trig, main
 from kgunits.compound import reconstruct_compounds
 from kgunits.errors import CatalogError
 from kgunits.fdo import ProvenanceRecord, UpriMinter, emit_nanopublication, load_policy
+from kgunits.logic import Atom, render_atoms
 from kgunits.owl import ClassAssertion
-from kgunits.rdfio import parse_trig, serialize_trig
-from kgunits.store import DEFAULT_CATALOG, Iri, Literal, Quad, QuadDataset, setting_lines
+from kgunits.rdfio import parse_trig, serialize_nquads, serialize_trig
+from kgunits.store import _TERMS, DEFAULT_CATALOG, Iri, Literal, Quad, QuadDataset, setting_lines
 from kgunits.translate import parse_patterns
 
 from conftest import FIXTURES, benchmark_module, fixture_text
@@ -261,53 +264,85 @@ def test_seeded_runs_are_identical_under_every_hash_seed(tmp_path, command):
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
-_AFFILIATIONS = {"type": vocab.RDF_TYPE, "someInstanceOf": vocab.SOME_INSTANCE_OF,
-                 "everyInstanceOf": vocab.EVERY_INSTANCE_OF}
+_AFFILIATIONS = {vocab.RDF_TYPE, vocab.SOME_INSTANCE_OF, vocab.EVERY_INSTANCE_OF}
 
 
 def _renamable(path) -> bool:
     """Whether the fixture has class affiliations."""
-    return any(q.predicate in _AFFILIATIONS.values() for q in parse_trig(fixture_text(path.name)))
+    return any(q.predicate in _AFFILIATIONS for q in parse_trig(fixture_text(path.name)))
 
 
 _RENAMABLE = sorted(path.name for path in FIXTURES.glob("*.trig") if _renamable(path))
+_RENAMED = "https://example.org/renamed/"
+_RENAMING_PATTERNS = (
+    "pattern identified-subject\n"
+    "when su:NamedIndividualIdentificationUnit(U), su:hasSemanticUnitSubject(U, Y)\n"
+    "emit ClassAssertion(<https://example.org/kg/Identified>, Y)\n"
+)
 
 
 @pytest.mark.parametrize("name", _RENAMABLE)
 def test_renaming_the_affiliation_terms_changes_no_unit_compound_or_label(tmp_path, capsys, name):
-    """Metamorphic: give the ``type``, ``someInstanceOf`` and ``everyInstanceOf``
-    terms new IRIs in the catalog and in the input quads. The units' classes
-    and subjects, the compounds' kinds and classes, ``labels.tsv`` and
-    ``conflicts.txt`` stay the same: a negation unit is typed with the
-    catalog's ``type`` too. The new IRIs keep their local names, which a
-    fallback label shows."""
-    renamed = {iri: f"https://example.org/renamed/{term}" for term, iri in _AFFILIATIONS.items()}
+    """Metamorphic: give all 14 catalog terms new IRIs ``ren:<term>`` at
+    once, in the catalog, the input quads and the rule and pattern files.
+    stdout, the units' classes and subjects, the compounds' kinds and
+    classes, ``labels.tsv`` and ``conflicts.txt`` stay the same, and so do
+    ``models.txt`` and ``axioms.txt`` once each ``ren:<term>`` reads as the
+    old term again (within each model, since the new IRIs sort elsewhere).
+    A disagreement unit is found with the catalog's ``type`` too. The new
+    IRIs keep their local names, which a fallback label shows."""
+    catalog = load_catalog(fixture_text("catalog.cat"))
+    old = {key: getattr(catalog, field) for key, field in _TERMS.items()}
+    written = {key: render_atoms([Atom(iri)], catalog.prefixes)[0] for key, iri in old.items()}
+    renamed = {iri: _RENAMED + key for key, iri in old.items()}
+
+    def rename(iri: str) -> str:
+        return renamed.get(iri, iri)
+
     (tmp_path / "renamed.cat").write_text(
         fixture_text("catalog.cat")
-        + "".join(f"term {term} <{renamed[iri]}>\n" for term, iri in _AFFILIATIONS.items()),
+        + f"prefix ren: <{_RENAMED}>\n"
+        + "".join(f"term {key} <{_RENAMED}{key}>\n" for key in old),
         encoding="utf-8",
     )
-    dataset = parse_trig(fixture_text(name))
     (tmp_path / "renamed.trig").write_text(serialize_trig(QuadDataset(
-        Quad(q.subject, renamed.get(q.predicate, q.predicate), q.object, q.graph)
-        for q in dataset
+        Quad(rename(q.subject), rename(q.predicate),
+             Iri(rename(q.object.value)) if isinstance(q.object, Iri) else q.object, rename(q.graph))
+        for q in parse_trig(fixture_text(name))
     )), encoding="utf-8")
+    (tmp_path / "catalog.pat").write_text(_RENAMING_PATTERNS, encoding="utf-8")
+    for settings, text in (("lp", fixture_text("thumb.lp")), ("pat", _RENAMING_PATTERNS)):
+        for key, before in written.items():
+            text = text.replace(f"{before}(", f"ren:{key}(")
+        (tmp_path / f"renamed.{settings}").write_text(text, encoding="utf-8")
+
+    def as_before(path) -> list[list[str]]:
+        """The file's lines with each ``ren:<term>`` read as the old term,
+        sorted within each ``# model`` section."""
+        text = re.sub(r"ren:(\w+)", lambda m: written[m.group(1)], path.read_text(encoding="utf-8"))
+        sections = re.split(r"^# model \d+\n", text, flags=re.M)
+        return [sorted(section.splitlines()) for section in sections]
+
     runs = []
-    for path, catalog in ((FIXTURES / name, FIXTURES / "catalog.cat"),
-                          (tmp_path / "renamed.trig", tmp_path / "renamed.cat")):
-        out = tmp_path / catalog.stem
-        argv = ["--schemas", str(FIXTURES / "schemas.sus"), "--catalog", str(catalog),
+    for path, settings in ((FIXTURES / name, "catalog"), (tmp_path / "renamed.trig", "renamed")):
+        out = tmp_path / settings
+        cat = tmp_path / f"{settings}.cat" if settings == "renamed" else FIXTURES / "catalog.cat"
+        rules = tmp_path / "renamed.lp" if settings == "renamed" else FIXTURES / "thumb.lp"
+        argv = ["--schemas", str(FIXTURES / "schemas.sus"), "--catalog", str(cat),
+                "--rules", str(rules), "--patterns", str(tmp_path / f"{settings}.pat"),
                 "--seed", "1", "--out", str(out)]
         assert main(["pipeline", str(path), *argv]) == 0
         stdout = capsys.readouterr().out
         compounds = reconstruct_compounds(
             parse_trig((out / "compounds.trig").read_text(encoding="utf-8")),
-            load_catalog(catalog.read_text(encoding="utf-8")),
+            load_catalog(cat.read_text(encoding="utf-8")),
         )
         runs.append((
             stdout,
             *((out / f).read_bytes() for f in ("units.tsv", "compounds.tsv", "labels.tsv", "conflicts.txt")),
             [(c.upri, c.kind, c.classes) for c in compounds],
+            as_before(out / "models.txt"),
+            as_before(out / "axioms.txt"),
         ))
     assert runs[1] == runs[0]
 
@@ -761,6 +796,96 @@ def test_any_config_file_exits_without_traceback(lines):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert code == 0 or err.getvalue().strip()
+
+
+# The file each fuzzed run reads, by suffix, and its text before mutation;
+# the input is a fixture, as TriG or as N-Quads.
+_FUZZ_SETTINGS = {
+    "sus": fixture_text("schemas.sus"),
+    "cat": fixture_text("catalog.cat"),
+    "pol": fixture_text("endangered.pol"),
+    "lp": fixture_text("thumb.lp"),
+    "pat": "pattern p\nwhen su:NegationUnit(X)\n"
+           "emit ClassAssertion(<https://example.org/kg/Negated>, X)\n"
+           "pattern q\nwhen rdf:type(X, C)\n"
+           "emit SubClassOf(C, QualifiedCardinality(rel:has-part, 2, C))\n",
+}
+_FUZZ_INPUTS = ["endangered.trig", "fruit_disagreement.trig", "head_cardinality.trig",
+                "identify_some.trig", "publication_frames.trig", "weight.trig"]
+_FUZZ_TOKENS = [".", ";", ",", "{", "}", "<", ">", '"', "'", ":", "a", "_:b0", "^^", "@en", "#",
+                "\\", "\\u00", "?x", "(", ")", ":-", "not ", "-1", "0", "1.5e3", "\n", " ",
+                "@prefix", "PREFIX", "GRAPH", "prefix", "term", "unit", "template", "arg",
+                "adjunct", "subject", "anchor", "label", "deny", "allow", "pattern", "when", "emit"]
+_FUZZ_COMMANDS = ["pipeline", "compound", "reason", "translate", "nanopub", "acl", "align"]
+# Catalog lines that once ended a run in a ``KeyError`` (``po:-:``) or
+# wrote TriG that the reader refused (``1x:``).
+_BAD_PREFIXES = [f"prefix {name} <https://example.org/plant/>\n" for name in ("po:-:", "1x:")]
+
+
+def _mutated(text: str, edit) -> str:
+    """``text`` with one edit: cut a span of up to 24 characters, insert a
+    token, or duplicate or swap lines. Positions wrap around the text."""
+    op, i, j, token = edit
+    if op == "cut":
+        i %= len(text) + 1
+        return text[:i] + text[i + 1 + j % 24:]
+    if op == "insert":
+        i %= len(text) + 1
+        return text[:i] + token + text[i:]
+    lines = text.splitlines(keepends=True) or [""]
+    i, j = i % len(lines), j % len(lines)
+    if op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(_FUZZ_INPUTS),
+    st.sampled_from(["trig", "nq", *_FUZZ_SETTINGS]),
+    st.tuples(st.sampled_from(["cut", "insert", "duplicate", "swap"]),
+              st.integers(0, 10**4), st.integers(0, 10**4), st.sampled_from(_FUZZ_TOKENS)),
+    st.sampled_from(_FUZZ_COMMANDS),
+)
+@example("fruit_negation.trig", "cat", ("insert", 0, 0, _BAD_PREFIXES[0]), "pipeline")
+@example("fruit_negation.trig", "cat", ("insert", 0, 0, _BAD_PREFIXES[1]), "pipeline")
+def test_any_mutated_input_or_settings_file_exits_without_traceback(fixture, target, edit, command):
+    """One edit to the input (TriG or N-Quads) or to a schema, catalog,
+    policy, rule or pattern file ends any command in exit 0, 1, 2 or 3,
+    never a traceback; on exit 0, every TriG artifact written parses back to
+    the dataset it was written from."""
+    texts = {"trig": fixture_text(fixture), **_FUZZ_SETTINGS}
+    texts["nq"] = serialize_nquads(parse_trig(texts["trig"]))
+    texts[target] = _mutated(texts[target], edit)
+    written = {}
+
+    def write_trig(ctx, name, dataset):
+        written[name] = dataset
+        _write_trig(ctx, name, dataset)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {suffix: Path(tmp) / f"input.{suffix}" for suffix in texts}
+        for suffix, path in paths.items():
+            path.write_text(texts[suffix], encoding="utf-8")
+        inputs = [paths["nq" if target == "nq" else "trig"]]
+        if command == "align":
+            inputs.append(FIXTURES / fixture)
+        argv = [command, *map(str, inputs), "--seed", "1", "--out", str(Path(tmp) / "out")]
+        for option, suffix in (("--schemas", "sus"), ("--catalog", "cat"), ("--policy", "pol"),
+                               ("--rules", "lp"), ("--patterns", "pat")):
+            argv += [option, str(paths[suffix])]
+        err = io.StringIO()
+        with mock.patch.object(cli, "_write_trig", write_trig), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or err.getvalue().strip()
+        if code == 0:
+            for name, dataset in written.items():
+                assert parse_trig((Path(tmp) / "out" / name).read_text(encoding="utf-8")) == dataset
 
 
 _SKOS = "http://www.w3.org/2004/02/skos/core#"

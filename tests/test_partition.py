@@ -590,21 +590,21 @@ def test_optional_anchor_template_is_matched_once():
 
 from collections import Counter
 
-from kgunits._record import replace
 from kgunits.store import declaration_quads
-from kgunits.units import _adopt_units, _builtin_schemas
+from kgunits.units import StatementUnit, _adopt_units, _builtin_schemas
 
 from conftest import benchmark_module
+from partition_oracle import replace
 
 
 def _adoptions(dataset, schemas, catalog):
-    """``_adopt_units`` and the per-unit oracle on the dataset's adopted
-    quads, in canonical order."""
+    """The units built from ``_adopt_units``' fields and the per-unit
+    oracle's units on the dataset's adopted quads, in canonical order."""
     data, units_layer = dataset.split_layers(catalog)
     unit_graphs = dataset.unit_graphs(catalog)
     adopted = [q for q in data if q.graph in unit_graphs]
     return (
-        _adopt_units(adopted, units_layer, schemas, catalog),
+        [StatementUnit(**fields) for fields in _adopt_units(adopted, units_layer, schemas, catalog)],
         partition_oracle.adopt_units(adopted, units_layer, schemas, catalog),
     )
 
@@ -671,6 +671,26 @@ def test_adoption_equals_the_per_unit_oracle_on_random_units(catalog, case):
         quads = quads + declaration_quads(upri, classes, subject, (), catalog)
     units, expected = _adoptions(QuadDataset(quads), schemas, catalog)
     assert units == expected
+
+
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_partition_builds_each_unit_once(catalog, schemas, monkeypatch, name):
+    """``partition`` builds one ``StatementUnit`` per unit: a new unit from
+    its minted fields, and on the organized re-partition an adopted one."""
+    builds = []
+    build = StatementUnit.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(StatementUnit, "__init__", counted)
+    first = partitioned(name, catalog, schemas)
+    assert len(builds) == len(first.units)
+    builds.clear()
+    again = partition(first.dataset, schemas, catalog, UpriMinter(seed=8))
+    assert all(u.adopted for u in again.units)
+    assert len(builds) == len(again.units)
 
 
 def test_adoption_matches_each_declared_schema_once(tmp_path, monkeypatch):
