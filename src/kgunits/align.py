@@ -8,7 +8,10 @@ units. Candidates are compared by signatures built purely from shared
 vocabulary (unit classes, subject classes, canonicalized data graphs),
 so uniformly renaming instance identifiers on one side changes nothing.
 Matching is greedy with a lexicographic tie-break; scores are exact
-rationals (Jaccard overlap), and score 1 means structural identity.
+rationals (Jaccard overlap), and score 1 means structural identity. A
+statement unit's signature is a set of keys; an item's or a group's is a
+bag, compared as the set of its (key, copy) pairs, whose set Jaccard is
+the bag Jaccard.
 
 The greedy takes candidate pairs in ``(-score, left, right)`` order and
 keeps each pair whose two ids are still free. It never scores all pairs:
@@ -138,37 +141,37 @@ def _statement_signature(
     return frozenset(items)
 
 
-def _item_signature(graph: ProcessedGraph, item: CompoundUnit) -> Counter:
+def _item_signature(graph: ProcessedGraph, item: CompoundUnit) -> frozenset:
     lookup = graph.partition.units_by_upri
-    bag: Counter = Counter()
-    for c in item.classes:
-        bag[("class", c)] += 1
-    bag[("subject-classes", _subject_classes(graph, item.subject))] += 1
-    for member in item.associated:
-        unit = lookup.get(member)
-        if unit is not None:
-            bag[("member", unit.classes)] += 1
-    return bag
+    keys = [("class", c) for c in item.classes]
+    keys.append(("subject-classes", _subject_classes(graph, item.subject)))
+    keys += [("member", u.classes) for m in item.associated if (u := lookup.get(m)) is not None]
+    return _bag(keys)
 
 
-def _group_signature(graph: ProcessedGraph, group: CompoundUnit) -> Counter:
+def _group_signature(graph: ProcessedGraph, group: CompoundUnit) -> frozenset:
     items_by_upri = graph.items_by_upri
     lookup = graph.partition.units_by_upri
-    bag: Counter = Counter()
+    keys = []
     for member in group.associated:
         item = items_by_upri.get(member)
         if item is not None:
-            bag[
-                ("item", item.classes, _subject_classes(graph, item.subject))
-            ] += 1
+            keys.append(("item", item.classes, _subject_classes(graph, item.subject)))
         else:
             unit = lookup.get(member)
             if unit is not None:
-                bag[("orphan", unit.classes)] += 1
-    return bag
+                keys.append(("orphan", unit.classes))
+    return _bag(keys)
 
 
-def _jaccard_sets(a: frozenset, b: frozenset) -> Fraction:
+def _bag(keys: Iterable) -> frozenset:
+    """The multiset of ``keys`` as the set of its ``(key, i)`` pairs, ``i``
+    below the key's count: two bags are equal exactly when these sets are,
+    and their set Jaccard is the bag Jaccard (sum of min over sum of max)."""
+    return frozenset((key, i) for key, n in Counter(keys).items() for i in range(n))
+
+
+def _jaccard(a: frozenset, b: frozenset) -> Fraction:
     from fractions import Fraction
 
     union = len(a | b)
@@ -177,42 +180,28 @@ def _jaccard_sets(a: frozenset, b: frozenset) -> Fraction:
     return Fraction(len(a & b), union)
 
 
-def _jaccard_bags(a: Counter, b: Counter) -> Fraction:
-    from fractions import Fraction
-
-    keys = set(a) | set(b)
-    inter = sum(min(a[k], b[k]) for k in keys)
-    union = sum(max(a[k], b[k]) for k in keys)
-    if union == 0:
-        return Fraction(1)
-    return Fraction(inter, union)
-
-
 # ---------------------------------------------------------------------------
 # Greedy matching
 # ---------------------------------------------------------------------------
 
 
 def _greedy_match(
-    left: Iterable[str], right: Iterable[str], sig_l: dict, sig_r: dict, jaccard
+    left: Iterable[str], right: Iterable[str], sig_l: dict, sig_r: dict
 ) -> list[tuple[str, str, Fraction]]:
     """Injective matching, best scores first, ties broken by identifier.
 
-    The same list as scoring every pair with ``jaccard`` and taking the
+    The same list as scoring every pair with ``_jaccard`` and taking the
     pairs above 0 in ``(-score, l, r)`` order (see the module docstring).
     """
     from fractions import Fraction
 
-    def hashable(sig):
-        return frozenset(sig.items()) if isinstance(sig, Counter) else sig
-
     buckets: dict = {}
     for r in sorted(set(right), reverse=True):
-        buckets.setdefault(hashable(sig_r[r]), []).append(r)
+        buckets.setdefault(sig_r[r], []).append(r)
     out = []
     rest: list[str] = []
     for l in sorted(set(left)):
-        equal = buckets.get(hashable(sig_l[l]))
+        equal = buckets.get(sig_l[l])
         if equal:
             out.append((l, equal.pop(), Fraction(1)))
         else:
@@ -225,7 +214,7 @@ def _greedy_match(
     pairs = []
     for l in rest:
         for r in {r for key in sig_l[l] for r in index.get(key, ())}:
-            pairs.append((jaccard(sig_l[l], sig_r[r]), l, r))
+            pairs.append((_jaccard(sig_l[l], sig_r[r]), l, r))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
     used_l: set[str] = set()
     used_r: set[str] = set()
@@ -261,12 +250,12 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     unmatched_left: list[tuple[str, str]] = []
     unmatched_right: list[tuple[str, str]] = []
 
-    def align_level(level, scopes, ids_a: dict, ids_b: dict, signature, jaccard):
+    def align_level(level, scopes, ids_a: dict, ids_b: dict, signature):
         """Match inside each scope; record the pairs, then the sorted ids
         of ``ids_a`` and ``ids_b`` that no scope matched."""
         sig_a = {u: signature(a, x) for u, x in ids_a.items()}
         sig_b = {u: signature(b, x) for u, x in ids_b.items()}
-        pairs = [p for l, r in scopes for p in _greedy_match(l, r, sig_a, sig_b, jaccard)]
+        pairs = [p for l, r in scopes for p in _greedy_match(l, r, sig_a, sig_b)]
         correspondences.extend(Correspondence(level, l, r, s) for l, r, s in pairs)
         unmatched_left.extend((level, u) for u in sorted(ids_a.keys() - {p[0] for p in pairs}))
         unmatched_right.extend((level, u) for u in sorted(ids_b.keys() - {p[1] for p in pairs}))
@@ -290,12 +279,12 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
     groups_a = {g.upri: g for g in a.compounds.groups}
     groups_b = {g.upri: g for g in b.compounds.groups}
     group_pairs = align_level(
-        LEVEL_GROUP, [(groups_a, groups_b)], groups_a, groups_b, _group_signature, _jaccard_bags
+        LEVEL_GROUP, [(groups_a, groups_b)], groups_a, groups_b, _group_signature
     )
     items_a, items_b = a.items_by_upri, b.items_by_upri
     item_pairs = align_level(
         LEVEL_ITEM, members(group_pairs, groups_a, groups_b, items_a, items_b),
-        items_a, items_b, _item_signature, _jaccard_bags,
+        items_a, items_b, _item_signature,
     )
     units_a, units_b = a.partition.units_by_upri, b.partition.units_by_upri
     itemless_a = units_a.keys() - {m for i in items_a.values() for m in i.associated}
@@ -309,7 +298,7 @@ def align_graphs(a: ProcessedGraph, b: ProcessedGraph) -> AlignmentReport:
         members(item_pairs, items_a, items_b, units_a, units_b)
         + members(group_pairs, groups_a, groups_b, itemless_a, itemless_b)
         + [free],
-        units_a, units_b, _statement_signature, _jaccard_sets,
+        units_a, units_b, _statement_signature,
     )
     for l, r, s in statement_pairs:
         if s == 1:

@@ -154,7 +154,7 @@ def _record_from_quads(quads: list[Quad]) -> ProvenanceRecord:
     fields = {"creator": "", "created": "", "contributors": ()}
     for q in sorted(quads):
         if name := _FIELD_OF.get(q.predicate):
-            value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
+            value = str(q.object)
             fields[name] = (*fields[name], value) if name == "contributors" else value
     return ProvenanceRecord(**fields)
 
@@ -357,8 +357,7 @@ def _condition_holds(rule: PolicyRule, unit, dataset: QuadDataset, context: dict
     for q in dataset.about(subject):
         if local_name(q.predicate) != rule.key:
             continue
-        value = q.object.value if isinstance(q.object, Iri) else q.object.lexical
-        if value == rule.value:
+        if str(q.object) == rule.value:
             return True
     return False
 

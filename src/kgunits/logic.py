@@ -23,7 +23,9 @@ least model of each reduct in one pass with a counter of missing body
 atoms per rule (Dowling & Gallier's linear-time Horn algorithm), and keeps
 the candidates that reproduce themselves. That stays exact while avoiding
 a sweep over all 2^n atom subsets; the test suite checks it against that
-full sweep. ``bound`` caps the number of those negated atoms.
+full sweep. ``bound`` caps the number of those negated atoms. A
+negation-free program takes the same path: its support is empty, so its
+one candidate is the least model of the whole program.
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ class Atom(_Named):
         return Atom(self.predicate, self.terms, not self.negated)
 
     def render(self, prefixes: Mapping[str, str] | None = None) -> str:
-        ordered = _by_namespace_length(prefixes)
-        return _render(self, lambda token: _shorten(token, ordered))
+        return _render(self, _shortener(prefixes))
 
 
 def render_atoms(atoms: Iterable[Atom], prefixes: Mapping[str, str] | None = None) -> list[str]:
@@ -93,12 +94,16 @@ def _shortener(prefixes: Mapping[str, str] | None) -> Callable[[str], str]:
     """Shortens IRIs against ``prefixes`` (longest namespace first, ties in
     table order); the table is sorted once and each distinct token is
     shortened once."""
-    ordered = _by_namespace_length(prefixes)
-    return functools.cache(lambda token: _shorten(token, ordered))
+    ordered = sorted((prefixes or {}).items(), key=lambda kv: -len(kv[1]))
 
+    @functools.cache
+    def shorten(token: str) -> str:
+        for name, ns in ordered:
+            if token.startswith(ns) and len(token) > len(ns):
+                return f"{name}:{token[len(ns):]}"
+        return token
 
-def _by_namespace_length(prefixes: Mapping[str, str] | None) -> list[tuple[str, str]]:
-    return sorted((prefixes or {}).items(), key=lambda kv: -len(kv[1]))
+    return shorten
 
 
 def _render(atom: Atom, shorten: Callable[[str], str]) -> str:
@@ -106,13 +111,6 @@ def _render(atom: Atom, shorten: Callable[[str], str]) -> str:
     if atom.terms:
         text += f"({', '.join(map(shorten, atom.terms))})"
     return text
-
-
-def _shorten(token: str, ordered: list[tuple[str, str]]) -> str:
-    for name, ns in ordered:
-        if token.startswith(ns) and len(token) > len(ns):
-            return f"{name}:{token[len(ns):]}"
-    return token
 
 
 class Rule(_Named):
@@ -619,11 +617,11 @@ def _consistent(model: frozenset[Atom]) -> bool:
 def stable_models(program: LogicProgram, bound: int = DEFAULT_BOUND) -> list[frozenset[Atom]]:
     """All stable models of a ground program.
 
-    A negation-free program has exactly one stable model, its least
-    fixpoint, and needs no candidate enumeration. Otherwise the candidates
-    are the subsets of the default-negation support (the distinct atoms
-    under ``not``), and ``bound`` caps that support before the exponential
-    sweep. Inconsistency is a valid empty result, not an error.
+    The candidates are the subsets of the default-negation support (the
+    distinct atoms under ``not``), and ``bound`` caps that support before
+    the exponential sweep. A negation-free program has an empty support
+    and one candidate, the least model of all its rules, which no bound
+    refuses. Inconsistency is a valid empty result, not an error.
     """
     offending = _first_nonground(
         [a for rule in program.rules for a in (rule.head, *rule.positive, *rule.negative)]
@@ -632,9 +630,6 @@ def stable_models(program: LogicProgram, bound: int = DEFAULT_BOUND) -> list[fro
         raise RuleError(f"program is not ground: {offending.render()}")
 
     negated_support = sorted({a for rule in program.rules for a in rule.negative})
-    if not negated_support:
-        model = least_model(program.rules)
-        return [model] if _consistent(model) else []
     if len(negated_support) > bound:
         raise BoundExceededError(
             f"default-negation support has {len(negated_support)} atoms, solver bound is {bound}"

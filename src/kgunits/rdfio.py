@@ -458,18 +458,20 @@ def _escape_char(match: re.Match) -> str:
     return _ESCAPED.get(ch) or f"\\u{ord(ch):04X}"
 
 
-def _term_nq(term: Term) -> str:
+def _term(term: Term, iri) -> str:
+    """``term`` as an N-Quads or TriG token, ``iri`` writing each IRI."""
     if isinstance(term, Iri):
-        return f"<{term.value}>"
+        return iri(term.value)
     if term.language is not None:
         return f'"{_escape(term.lexical)}"@{term.language}'
     if term.datatype == vocab.XSD_STRING:
         return f'"{_escape(term.lexical)}"'
-    return f'"{_escape(term.lexical)}"^^<{term.datatype}>'
+    return f'"{_escape(term.lexical)}"^^{iri(term.datatype)}'
 
 
 def serialize_nquads(dataset: QuadDataset) -> str:
-    return "".join(f"<{s}> <{p}> {_term_nq(o)} <{g}> .\n" for g, s, p, o in dataset)
+    iri = "<{}>".format
+    return "".join(f"<{s}> <{p}> {_term(o, iri)} <{g}> .\n" for g, s, p, o in dataset)
 
 
 class _Compacted(dict):
@@ -492,28 +494,19 @@ class _Compacted(dict):
         return out
 
 
-def _term_trig(term: Term, compacted: _Compacted) -> str:
-    if isinstance(term, Iri):
-        return compacted[term.value]
-    if term.language is not None:
-        return f'"{_escape(term.lexical)}"@{term.language}'
-    if term.datatype == vocab.XSD_STRING:
-        return f'"{_escape(term.lexical)}"'
-    return f'"{_escape(term.lexical)}"^^{compacted[term.datatype]}'
-
-
 def trig_pieces(dataset: QuadDataset, prefixes: dict[str, str] | None = None) -> list[str]:
     """Canonical TriG as pieces: the prefix header, then each graph in
     pieces of at most ``_PIECE_LINES`` lines. A writer can write them one
     by one instead of joining them, and holds about the document once."""
     prefixes = dict(sorted((prefixes or vocab.PREFIXES).items()))
     compacted = _Compacted(prefixes)
+    iri = compacted.__getitem__
     pieces = [""]
     # The canonical order sorts by graph first: each graph is one run.
     for name, quads in groupby(dataset, itemgetter(0)):
         lines = [f"{compacted[name]} {{\n"]
         for _, s, p, o in quads:
-            lines.append(f"    {compacted[s]} {compacted[p]} {_term_trig(o, compacted)} .\n")
+            lines.append(f"    {compacted[s]} {compacted[p]} {_term(o, iri)} .\n")
             if len(lines) == _PIECE_LINES:
                 pieces.append("".join(lines))
                 lines.clear()

@@ -169,58 +169,50 @@ def _parse_slot(token: str, lineno: int, *, object_position: bool):
     raise SchemaError(f"line {lineno}: cannot parse slot {token!r}")
 
 
-class _SchemaBuilder:
-    def __init__(self, unit_class: str, anchor: str, lineno: int):
-        self.unit_class = unit_class
-        self.anchor = anchor
-        self.lineno = lineno
-        self.templates: list[TripleTemplate] = []
-        self.subject_var: str | None = None
-        self.argument_vars: list[str] = []
-        self.adjunct_vars: list[str] = []
-        self.numeric_vars: set[str] = set()
-        self.relation = QUALITATIVE
-        self.label = ""
+def _var(token: str, lineno: int, directive: str) -> str:
+    var = _parse_slot(token, lineno, object_position=False)
+    if not isinstance(var, Var):
+        raise SchemaError(f"line {lineno}: {directive} must be a variable")
+    return var.name
 
-    def build(self) -> StatementSchema:
-        if self.subject_var is None:
-            raise SchemaError(
-                f"schema {self.unit_class} (line {self.lineno}): missing subject declaration"
-            )
-        schema = StatementSchema(
-            unit_class=self.unit_class,
-            anchor_predicate=self.anchor,
-            templates=tuple(self.templates),
-            subject_var=self.subject_var,
-            argument_vars=tuple(self.argument_vars),
-            adjunct_vars=tuple(self.adjunct_vars),
-            numeric_vars=frozenset(self.numeric_vars),
-            relation=self.relation,
-            label_template=self.label,
+
+def _schema(block: dict, lineno: int) -> StatementSchema:
+    """The validated schema of one block's fields; ``lineno`` is its unit line."""
+    if "subject_var" not in block:
+        raise SchemaError(
+            f"schema {block['unit_class']} (line {lineno}): missing subject declaration"
         )
-        schema.validate()
-        return schema
+    schema = StatementSchema(**block)
+    schema.validate()
+    return schema
 
 
 def compile_schema(text: str) -> list[StatementSchema]:
     """Compile a schema document into validated statement schemas."""
     schemas: list[StatementSchema] = []
-    current: _SchemaBuilder | None = None
+    block: dict | None = None  # the StatementSchema fields read so far
+    start = 0  # the line of the block's unit directive
     for lineno, line in setting_lines(text):
         parts = FIELD_RE.findall(line)
         head = parts[0]
         if head == "unit":
-            if current is not None:
-                schemas.append(current.build())
+            if block is not None:
+                schemas.append(_schema(block, start))
             if len(parts) != 4 or parts[2] != "anchor":
                 raise SchemaError(
                     f"line {lineno}: expected 'unit <classIRI> anchor <predIRI>'"
                 )
-            current = _SchemaBuilder(
-                _parse_iri(parts[1], lineno), _parse_iri(parts[3], lineno), lineno
+            block = dict(
+                unit_class=_parse_iri(parts[1], lineno),
+                anchor_predicate=_parse_iri(parts[3], lineno),
+                templates=(),
+                argument_vars=(),
+                adjunct_vars=(),
+                numeric_vars=frozenset(),
             )
+            start = lineno
             continue
-        if current is None:
+        if block is None:
             raise SchemaError(f"line {lineno}: directive before any 'unit' line")
         if head == "template":
             if len(parts) != 4:
@@ -228,45 +220,37 @@ def compile_schema(text: str) -> list[StatementSchema]:
             subject = _parse_slot(parts[1], lineno, object_position=False)
             predicate = _parse_iri(parts[2], lineno)
             obj = _parse_slot(parts[3], lineno, object_position=True)
-            current.templates.append(TripleTemplate(subject, predicate, obj))
+            block["templates"] += (TripleTemplate(subject, predicate, obj),)
         elif head == "subject":
             if len(parts) != 2:
                 raise SchemaError(f"line {lineno}: expected 'subject ?var'")
-            var = _parse_slot(parts[1], lineno, object_position=False)
-            if not isinstance(var, Var):
-                raise SchemaError(f"line {lineno}: subject must be a variable")
-            current.subject_var = var.name
+            block["subject_var"] = _var(parts[1], lineno, "subject")
         elif head == "arg":
             if len(parts) not in (2, 3):
                 raise SchemaError(f"line {lineno}: expected 'arg ?var [numeric]'")
-            var = _parse_slot(parts[1], lineno, object_position=False)
-            if not isinstance(var, Var):
-                raise SchemaError(f"line {lineno}: arg must be a variable")
-            current.argument_vars.append(var.name)
+            name = _var(parts[1], lineno, "arg")
+            block["argument_vars"] += (name,)
             if len(parts) == 3:
                 if parts[2] != "numeric":
                     raise SchemaError(f"line {lineno}: unknown arg modifier {parts[2]!r}")
-                current.numeric_vars.add(var.name)
+                block["numeric_vars"] |= {name}
         elif head == "adjunct":
             if len(parts) != 2:
                 raise SchemaError(f"line {lineno}: expected 'adjunct ?var'")
-            var = _parse_slot(parts[1], lineno, object_position=False)
-            if not isinstance(var, Var):
-                raise SchemaError(f"line {lineno}: adjunct must be a variable")
-            current.adjunct_vars.append(var.name)
+            block["adjunct_vars"] += (_var(parts[1], lineno, "adjunct"),)
         elif head == "relation":
             if len(parts) != 2 or parts[1] not in (QUALITATIVE, QUANTITATIVE):
                 raise SchemaError(
                     f"line {lineno}: expected 'relation qualitative|quantitative'"
                 )
-            current.relation = parts[1]
+            block["relation"] = parts[1]
         elif head == "label":
             m = _LABEL_RE.match(line)
             if not m:
                 raise SchemaError(f'line {lineno}: expected label "..."')
-            current.label = m.group(1)
+            block["label_template"] = m.group(1)
         else:
             raise SchemaError(f"line {lineno}: unknown directive {head!r}")
-    if current is not None:
-        schemas.append(current.build())
+    if block is not None:
+        schemas.append(_schema(block, start))
     return schemas

@@ -85,12 +85,6 @@ class StatementUnit:
             if o.role == ARGUMENT and isinstance(o.term, Iri)
         )
 
-    def binding(self, var: str) -> Term | None:
-        for name, term in self.bindings:
-            if name == var:
-                return term
-        return None
-
 
 @record
 class Classification:
@@ -417,7 +411,7 @@ def _schema_unit(schema: StatementSchema, binding: dict[str, Term], quads: list[
     )
     return dict(
         classes={schema.unit_class, relation},
-        subject=subject.value if isinstance(subject, Iri) else str(subject),
+        subject=str(subject),
         objects=tuple(
             UnitObject(binding[var], role, var)
             for role, names in ((ARGUMENT, schema.argument_vars), (ADJUNCT, schema.adjunct_vars))

@@ -9,11 +9,15 @@ greedy the module docstring describes.
 `align_graphs` is the level-by-level alignment as it was written before
 each level became a list of scopes: every level spelled out on its own,
 with ``used`` sets that keep a statement unit from being matched in two
-scopes. It reads the signatures from `kgunits.align`.
+scopes. It reads the statement signature from `kgunits.align`, but keeps
+the item and group signatures as the Counters they were before
+`kgunits.align` compared bags as sets of (key, copy) pairs, and scores
+them with the bag Jaccard `_jaccard_bags`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from kgunits.align import (
@@ -24,13 +28,57 @@ from kgunits.align import (
     AlignmentReport,
     Correspondence,
     ProcessedGraph,
-    _group_signature,
-    _item_signature,
-    _jaccard_bags,
-    _jaccard_sets,
     _quad_rows,
     _statement_signature,
+    _subject_classes,
 )
+from kgunits.compound import CompoundUnit
+
+
+def _jaccard_sets(a: frozenset, b: frozenset) -> Fraction:
+    union = len(a | b)
+    if union == 0:
+        return Fraction(1)
+    return Fraction(len(a & b), union)
+
+
+def _jaccard_bags(a: Counter, b: Counter) -> Fraction:
+    keys = set(a) | set(b)
+    inter = sum(min(a[k], b[k]) for k in keys)
+    union = sum(max(a[k], b[k]) for k in keys)
+    if union == 0:
+        return Fraction(1)
+    return Fraction(inter, union)
+
+
+def _item_signature(graph: ProcessedGraph, item: CompoundUnit) -> Counter:
+    lookup = graph.partition.units_by_upri
+    bag: Counter = Counter()
+    for c in item.classes:
+        bag[("class", c)] += 1
+    bag[("subject-classes", _subject_classes(graph, item.subject))] += 1
+    for member in item.associated:
+        unit = lookup.get(member)
+        if unit is not None:
+            bag[("member", unit.classes)] += 1
+    return bag
+
+
+def _group_signature(graph: ProcessedGraph, group: CompoundUnit) -> Counter:
+    items_by_upri = graph.items_by_upri
+    lookup = graph.partition.units_by_upri
+    bag: Counter = Counter()
+    for member in group.associated:
+        item = items_by_upri.get(member)
+        if item is not None:
+            bag[
+                ("item", item.classes, _subject_classes(graph, item.subject))
+            ] += 1
+        else:
+            unit = lookup.get(member)
+            if unit is not None:
+                bag[("orphan", unit.classes)] += 1
+    return bag
 
 
 def greedy_match(
@@ -56,8 +104,9 @@ def greedy_match(
     return out
 
 
-def greedy_match_signatures(left, right, sig_l, sig_r, jaccard):
-    """`greedy_match` with the call signature of `kgunits.align._greedy_match`."""
+def greedy_match_signatures(left, right, sig_l, sig_r, jaccard=_jaccard_sets):
+    """`greedy_match` with the call signature of `kgunits.align._greedy_match`,
+    scoring with ``jaccard`` (the set Jaccard unless told otherwise)."""
     return greedy_match(left, right, lambda l, r: jaccard(sig_l[l], sig_r[r]))
 
 

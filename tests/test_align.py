@@ -23,7 +23,7 @@ from kgunits.store import Iri, Literal, Quad, QuadDataset
 from kgunits.units import partition
 
 import align_oracle
-from align_oracle import greedy_match_signatures
+from align_oracle import _jaccard_bags, greedy_match_signatures
 from conftest import FIXTURES, at_level, fixture_text
 
 EX = "https://example.org/kg/"
@@ -244,19 +244,33 @@ def _matching_case(draw, signatures):
 @settings(max_examples=300, deadline=None)
 @given(_matching_case(_BAGS))
 def test_greedy_match_equals_all_pairs_oracle_on_bags(case):
+    """Bags matched as sets of (key, copy) pairs pair up as the Counters
+    scored with the bag Jaccard do."""
     left, right, sig_l, sig_r = case
-    assert align._greedy_match(
-        left, right, sig_l, sig_r, align._jaccard_bags
-    ) == greedy_match_signatures(left, right, sig_l, sig_r, align._jaccard_bags)
+    bags_l = {l: align._bag(sig) for l, sig in sig_l.items()}
+    bags_r = {r: align._bag(sig) for r, sig in sig_r.items()}
+    assert align._greedy_match(left, right, bags_l, bags_r) == greedy_match_signatures(
+        left, right, sig_l, sig_r, _jaccard_bags
+    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_matching_case(_SETS))
 def test_greedy_match_equals_all_pairs_oracle_on_sets(case):
     left, right, sig_l, sig_r = case
-    assert align._greedy_match(
-        left, right, sig_l, sig_r, align._jaccard_sets
-    ) == greedy_match_signatures(left, right, sig_l, sig_r, align._jaccard_sets)
+    assert align._greedy_match(left, right, sig_l, sig_r) == greedy_match_signatures(
+        left, right, sig_l, sig_r
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(_KEYS, st.integers(0, 4), max_size=3).map(Counter),
+    st.dictionaries(_KEYS, st.integers(0, 4), max_size=3).map(Counter),
+)
+def test_bag_as_set_scores_and_compares_as_the_bag(a, b):
+    assert align._jaccard(align._bag(a), align._bag(b)) == _jaccard_bags(a, b)
+    assert (align._bag(a) == align._bag(b)) == (a == b)
 
 
 _EMPTY, _P, _PQ = frozenset(), frozenset("p"), frozenset("pq")
@@ -286,9 +300,9 @@ _EMPTY, _P, _PQ = frozenset(), frozenset("p"), frozenset("pq")
     ],
 )
 def test_greedy_match_named_cases(left, right, sig_l, sig_r, expected):
-    got = align._greedy_match(left, right, sig_l, sig_r, align._jaccard_sets)
+    got = align._greedy_match(left, right, sig_l, sig_r)
     assert got == expected
-    assert got == greedy_match_signatures(left, right, sig_l, sig_r, align._jaccard_sets)
+    assert got == greedy_match_signatures(left, right, sig_l, sig_r)
 
 
 def _version_pair(name, catalog, schemas):
@@ -358,14 +372,13 @@ def test_align_graphs_equals_oracle_on_generated_versions(
 
 def _count_scores(monkeypatch) -> Counter:
     calls: Counter = Counter()
-    for name in ("_jaccard_bags", "_jaccard_sets"):
-        real = getattr(align, name)
+    real = align._jaccard
 
-        def counted(x, y, real=real, name=name):
-            calls[name] += 1
-            return real(x, y)
+    def counted(x, y):
+        calls["_jaccard"] += 1
+        return real(x, y)
 
-        monkeypatch.setattr(align, name, counted)
+    monkeypatch.setattr(align, "_jaccard", counted)
     return calls
 
 

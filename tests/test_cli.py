@@ -654,6 +654,20 @@ def test_align_self(capsys, tmp_path):
     assert summary["unmatched_left"] == "0"
 
 
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.trig")))
+def test_fixture_aligns_perfectly_with_its_organized_graph(capsys, tmp_path, fixture):
+    """The units ``pipeline`` declares in ``organized.trig`` are adopted
+    back as the units of the raw input, so every correspondence scores 1."""
+    source = str(FIXTURES / fixture)
+    assert main(["pipeline", source, *common(tmp_path / "pipeline")]) == 0
+    organized = str(tmp_path / "pipeline" / "organized.trig")
+    code, summary = run(capsys, "align", source, organized, *common(tmp_path / "align"))
+    assert code == 0
+    rows = (tmp_path / "align" / "alignment.tsv").read_text(encoding="utf-8").splitlines()
+    assert rows and all(row.endswith("\t1") for row in rows)
+    assert summary["perfect"] == summary["correspondences"] == str(len(rows))
+
+
 def test_env_var_output_dir(capsys, tmp_path, monkeypatch):
     """``--out`` beats ``KGUNITS_OUT``, which beats the config's ``out=``."""
     config = tmp_path / "run.cfg"

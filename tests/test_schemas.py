@@ -81,6 +81,16 @@ def test_missing_subject_rejected():
         compile_schema(bad)
 
 
+def test_a_block_is_checked_when_the_next_unit_line_arrives():
+    """The first block's missing subject is reported, not the grammar
+    error on a later line of the second block."""
+    first = HAS_PART.lstrip("\n").replace("subject ?s\n", "")
+    second = WEIGHT.replace(f"template ?q <{REL}has-unit> ?u", f"template ?q <{REL}has-unit>")
+    with pytest.raises(SchemaError) as err:
+        compile_schema(first + second)
+    assert str(err.value) == f"schema {SUC}has-part (line 1): missing subject declaration"
+
+
 def test_anchor_must_match_some_template():
     bad = HAS_PART.replace(f"anchor <{REL}has-part>", f"anchor <{REL}other>")
     with pytest.raises(SchemaError):
